@@ -27,12 +27,11 @@ from .harness import (
     format_record,
     load_history,
     render_report,
-    submission_digest,
     validate_submission,
 )
 from .manifest import ManifestError
 from .pose import DEFAULT_LAYOUT, LayoutError, PoseFormatError, parse_layout, write_pose_file
-from .ranking import ScoreVector, dominance_matrix, pareto_fronts
+from .ranking import ScoreVector, pareto_fronts
 from .synth import synth_corpus
 
 __all__ = ["main"]
@@ -114,7 +113,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         reference_text=args.ref_text,
         layout_file=args.layout,
         normalize=not args.no_normalize,
-        output_format=args.format,
     )
     report = evaluate(config)
     _emit(render_report(report, args.format), args.out)
@@ -134,9 +132,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(violation)
         return 1
     if args.record:
-        record = SubmissionRecord(
-            timestamp=now, phase=rules.phase, digest=submission_digest(args.pred)
-        )
+        record = SubmissionRecord(timestamp=now, phase=rules.phase, digest=report.digest)
         with args.history.open("a", encoding="utf-8") as handle:
             handle.write(format_record(record))
         print("submission valid (recorded)")
@@ -151,9 +147,14 @@ def _load_score_entries(paths: list[Path]) -> list[ScoreVector]:
         doc = json.loads(path.read_text(encoding="utf-8"))
         items = doc if isinstance(doc, list) else [doc]
         for item in items:
-            if not isinstance(item, dict) or "entrant" not in item or "metrics" not in item:
-                raise ValueError(f"{path}: each entry needs 'entrant' and 'metrics' keys")
-            entries.append(ScoreVector.from_metrics(str(item["entrant"]), item["metrics"]))
+            if not isinstance(item, dict) or "entrant" not in item or (
+                not isinstance(item.get("metrics"), dict)
+            ):
+                raise ValueError(f"{path}: each entry needs an 'entrant' and a 'metrics' object")
+            try:
+                entries.append(ScoreVector.from_metrics(str(item["entrant"]), item["metrics"]))
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
     if not entries:
         raise ValueError("no score entries given")
     names = [entry.entrant for entry in entries]
@@ -166,7 +167,6 @@ def _load_score_entries(paths: list[Path]) -> list[ScoreVector]:
 def _cmd_rank(args: argparse.Namespace) -> int:
     entries = _load_score_entries(args.scores)
     ranking = pareto_fronts(entries)
-    matrix = dominance_matrix(entries)
     if args.format == "table":
         lines = []
         for front_index, members in enumerate(ranking.fronts, start=1):
@@ -178,7 +178,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "fronts": [list(front) for front in ranking.fronts],
             "dominance": {
                 "entrants": [entry.entrant for entry in entries],
-                "matrix": [[bool(flag) for flag in row] for row in matrix],
+                "matrix": [list(row) for row in ranking.dominance],
             },
             "scores": {entry.entrant: entry.as_dict() for entry in entries},
         }

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .manifest import SubmissionManifest, load_manifest, load_sentence_file
+from .manifest import SubmissionManifest, load_manifest, load_sentence_file, split_lines
 from .pose import (
     DEFAULT_LAYOUT,
     DegenerateTorsoError,
@@ -35,6 +35,7 @@ from .pose import (
     validate_sequence,
 )
 from .pose_metrics import PoseScore, corpus_pose_metrics
+from .ranking import METRICS, Metric
 from .text_metrics import (
     TextScore,
     TokenizedCorpus,
@@ -57,9 +58,9 @@ __all__ = [
     "evaluate",
     "format_record",
     "load_history",
+    "load_submission",
     "render_report",
     "run_backtranslation",
-    "submission_digest",
     "validate_submission",
 ]
 
@@ -93,7 +94,7 @@ class SubmissionRecord:
 def load_history(text: str) -> list[SubmissionRecord]:
     """Parse the append-only submission log: ``iso-timestamp<TAB>phase<TAB>digest``."""
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -113,7 +114,10 @@ def format_record(record: SubmissionRecord) -> str:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Quota and file violations, and the digest ``--record`` logs."""
+
     violations: tuple[str, ...]
+    digest: str
 
     @property
     def ok(self) -> bool:
@@ -147,25 +151,51 @@ def _quota_violations(
     return violations
 
 
-def _check_manifest_files(
-    manifest: SubmissionManifest, base_dir: Path, layout: KeypointLayout, role: str
-) -> list[str]:
-    violations = []
+def _resolve(base_dir: Path, pose_path: str) -> Path:
+    path = Path(pose_path)
+    return path if path.is_absolute() else base_dir / path
+
+
+def _digest_bytes(hasher, label: bytes, data: bytes) -> None:
+    hasher.update(label)
+    hasher.update(len(data).to_bytes(8, "big"))
+    hasher.update(data)
+
+
+def _read_text(path: Path, hasher, label: bytes = b"") -> str:
+    data = Path(path).read_bytes()
+    _digest_bytes(hasher, label, data)
+    return data.decode("utf-8")
+
+
+def load_submission(
+    manifest_path: Path, layout: KeypointLayout, hasher
+) -> tuple[SubmissionManifest, dict[str, PoseSequence], list[tuple[str, Path, Exception | str]]]:
+    """Read, digest, parse and validate a manifest and every pose file it lists.
+
+    Each file is read once. ``hasher`` receives the manifest's length and
+    bytes, then for each readable pose file its entry id, length and bytes.
+    A pose file that cannot be read, decoded, parsed or validated is reported
+    as ``(id, path, error)`` and left out of the sequences; only a bad
+    manifest raises.
+    """
+    manifest = load_manifest(_read_text(manifest_path, hasher))
+    sequences: dict[str, PoseSequence] = {}
+    problems: list[tuple[str, Path, Exception | str]] = []
     for entry in manifest:
-        path = _resolve(base_dir, entry.pose_path)
+        path = _resolve(manifest_path.parent, entry.pose_path)
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as err:
-            violations.append(f"{role} {entry.id!r}: cannot read {path}: {err}")
-            continue
-        try:
+            # the bytes are freed once decoded; only the text lives while parsing
+            text = _read_text(path, hasher, entry.id.encode())
             seq = parse_pose_file(text, id=entry.id, layout=layout)
-        except PoseFormatError as err:
-            violations.append(f"{role} {entry.id!r}: {path}: {err}")
+        except (OSError, UnicodeDecodeError, PoseFormatError) as err:
+            problems.append((entry.id, path, err))
             continue
-        for problem in validate_sequence(seq, layout):
-            violations.append(f"{role} {entry.id!r}: {path}: {problem}")
-    return violations
+        found = validate_sequence(seq, layout)
+        problems.extend((entry.id, path, problem) for problem in found)
+        if not found:
+            sequences[entry.id] = seq
+    return manifest, sequences, problems
 
 
 def validate_submission(
@@ -182,8 +212,9 @@ def validate_submission(
     mutated here (recording an accepted submission is the caller's append).
     """
     now = now if now is not None else datetime.now(timezone.utc)
-    pred_manifest = load_manifest(pred_manifest_path.read_text(encoding="utf-8"))
-    ref_manifest = load_manifest(ref_manifest_path.read_text(encoding="utf-8"))
+    hasher = hashlib.sha256()
+    pred_manifest, _, pred_problems = load_submission(pred_manifest_path, layout, hasher)
+    ref_manifest, _, ref_problems = load_submission(ref_manifest_path, layout, hashlib.sha256())
 
     violations: list[str] = []
     pred_ids = set(pred_manifest.ids)
@@ -193,33 +224,12 @@ def validate_submission(
     for extra in sorted(pred_ids - ref_ids):
         violations.append(f"prediction has unknown id {extra!r}")
 
-    violations.extend(
-        _check_manifest_files(pred_manifest, pred_manifest_path.parent, layout, "prediction")
-    )
-    violations.extend(
-        _check_manifest_files(ref_manifest, ref_manifest_path.parent, layout, "reference")
-    )
+    for role, problems in (("prediction", pred_problems), ("reference", ref_problems)):
+        for entry_id, path, error in problems:
+            where = f"cannot read {path}" if isinstance(error, OSError) else path
+            violations.append(f"{role} {entry_id!r}: {where}: {error}")
     violations.extend(_quota_violations(rules, history, now))
-    return ValidationReport(violations=tuple(violations))
-
-
-def submission_digest(manifest_path: Path) -> str:
-    """Digest of a submission: manifest bytes plus every referenced pose file."""
-    hasher = hashlib.sha256()
-    data = manifest_path.read_bytes()
-    hasher.update(len(data).to_bytes(8, "big"))
-    hasher.update(data)
-    manifest = load_manifest(manifest_path.read_text(encoding="utf-8"))
-    for entry in manifest:
-        path = _resolve(manifest_path.parent, entry.pose_path)
-        try:
-            pose_bytes = path.read_bytes()
-        except OSError:
-            continue
-        hasher.update(entry.id.encode())
-        hasher.update(len(pose_bytes).to_bytes(8, "big"))
-        hasher.update(pose_bytes)
-    return hasher.hexdigest()
+    return ValidationReport(violations=tuple(violations), digest=hasher.hexdigest())
 
 
 @dataclass(frozen=True)
@@ -233,7 +243,6 @@ class EvaluationConfig:
     reference_text: Path | None = None
     layout_file: Path | None = None
     normalize: bool = True
-    output_format: str = "structured"
 
     def __post_init__(self) -> None:
         has_pose = self.pred_manifest is not None and self.ref_manifest is not None
@@ -267,29 +276,29 @@ class MetricReport:
     diagnostics: ReportDiagnostics
     provenance: dict = field(default_factory=dict)
 
+    def metric_values(self) -> list[tuple[Metric, float | None]]:
+        """(registry metric, value) for each metric this report scored, in table order."""
+        scores = {"pose": self.pose, "text": self.text}
+        return [
+            (metric, metric.value(scores[metric.family]))
+            for metric in METRICS
+            if scores[metric.family] is not None
+        ]
+
     def to_dict(self) -> dict:
         doc: dict = {"provenance": self.provenance}
+        for metric, value in self.metric_values():
+            doc.setdefault(metric.family, {})[metric.key] = value
         if self.pose is not None:
-            doc["pose"] = {
-                "dtw_mje": self.pose.dtw_mje,
-                "total_distance": self.pose.total_distance_ratio,
-                "excluded_ids": list(self.pose.excluded_ids),
-            }
+            doc["pose"]["excluded_ids"] = list(self.pose.excluded_ids)
         if self.text is not None:
-            doc["text"] = {
-                "bleu1": self.text.bleu[0],
-                "bleu2": self.text.bleu[1],
-                "bleu3": self.text.bleu[2],
-                "bleu4": self.text.bleu[3],
-                "chrf": self.text.chrf,
-                "rouge": self.text.rouge,
-                "wer": {
-                    "rate": self.text.wer.rate,
-                    "substitutions": self.text.wer.substitutions,
-                    "deletions": self.text.wer.deletions,
-                    "insertions": self.text.wer.insertions,
-                    "ref_tokens": self.text.wer.ref_tokens,
-                },
+            # the report nests WER's edit counts under its key
+            doc["text"]["wer"] = {
+                "rate": self.text.wer.rate,
+                "substitutions": self.text.wer.substitutions,
+                "deletions": self.text.wer.deletions,
+                "insertions": self.text.wer.insertions,
+                "ref_tokens": self.text.wer.ref_tokens,
             }
         doc["diagnostics"] = {
             "duration_ratio": self.diagnostics.duration_ratio,
@@ -319,24 +328,25 @@ def duration_ratio(preds: list[PoseSequence], refs: list[PoseSequence]) -> float
 def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
     """Run a user-supplied pose-to-text command over a list of pose files.
 
-    Line protocol: the command receives one pose file path per stdin line and
-    must emit exactly one sentence per line on stdout, in the same order.
+    Line protocol (UTF-8): the command receives one pose file path per stdin
+    line and must emit exactly one sentence per ``\\n``-terminated line on
+    stdout, in the same order; one trailing ``\\r`` per line is dropped.
     """
     argv = shlex.split(command)
     if not argv:
         raise EvaluationError("back-translation command is empty")
-    payload = "".join(f"{path}\n" for path in pose_paths)
+    payload = "".join(f"{path}\n" for path in pose_paths).encode("utf-8")
     try:
-        proc = subprocess.run(argv, input=payload, capture_output=True, text=True, check=False)
+        proc = subprocess.run(argv, input=payload, capture_output=True, check=False)
     except OSError as err:
         raise EvaluationError(f"back-translation command failed to start: {err}") from err
     if proc.returncode != 0:
-        detail = proc.stderr.strip().splitlines()
+        detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
         suffix = f": {detail[0]}" if detail else ""
         raise EvaluationError(
             f"back-translation command exited with status {proc.returncode}{suffix}"
         )
-    sentences = proc.stdout.splitlines()
+    sentences = split_lines(proc.stdout.decode("utf-8"))
     if len(sentences) != len(pose_paths):
         raise EvaluationError(
             f"back-translation produced {len(sentences)} sentences "
@@ -345,128 +355,95 @@ def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
     return sentences
 
 
-def _resolve(base_dir: Path, pose_path: str) -> Path:
-    path = Path(pose_path)
-    return path if path.is_absolute() else base_dir / path
-
-
-def _load_corpus(
-    manifest_path: Path, layout: KeypointLayout, normalize: bool
-) -> tuple[SubmissionManifest, dict[str, PoseSequence]]:
-    manifest = load_manifest(manifest_path.read_text(encoding="utf-8"))
-    sequences: dict[str, PoseSequence] = {}
-    for entry in manifest:
-        path = _resolve(manifest_path.parent, entry.pose_path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as err:
-            raise EvaluationError(f"{path}: {err}") from err
-        try:
-            seq = parse_pose_file(text, id=entry.id, layout=layout)
-        except PoseFormatError as err:
-            raise EvaluationError(f"{path}: {err}") from err
-        problems = validate_sequence(seq, layout)
-        if problems:
-            raise EvaluationError(f"{path}: {problems[0]}")
-        if normalize:
-            try:
-                seq = normalize_sequence(seq)
-            except (DegenerateTorsoError, ValueError) as err:
-                raise EvaluationError(f"{path}: {err}") from err
-        sequences[entry.id] = seq
-    return manifest, sequences
-
-
-def _input_digest(config: EvaluationConfig) -> str:
-    hasher = hashlib.sha256()
-    for role, path in (
-        ("pred", config.pred_manifest),
-        ("ref", config.ref_manifest),
-        ("hyp", config.hypothesis_file),
-        ("ref-text", config.reference_text),
-        ("layout", config.layout_file),
-    ):
-        if path is None:
-            continue
-        data = Path(path).read_bytes()
-        hasher.update(role.encode())
-        hasher.update(len(data).to_bytes(8, "big"))
-        hasher.update(data)
-        if role in ("pred", "ref"):
-            manifest = load_manifest(Path(path).read_text(encoding="utf-8"))
-            for entry in manifest:
-                pose_bytes = _resolve(Path(path).parent, entry.pose_path).read_bytes()
-                hasher.update(entry.id.encode())
-                hasher.update(len(pose_bytes).to_bytes(8, "big"))
-                hasher.update(pose_bytes)
-    if config.backtranslate_command is not None:
-        command = config.backtranslate_command.encode()
-        hasher.update(b"backtranslate")
-        hasher.update(len(command).to_bytes(8, "big"))
-        hasher.update(command)
-    hasher.update(b"normalize" if config.normalize else b"raw")
-    return hasher.hexdigest()
-
-
 def evaluate(config: EvaluationConfig) -> MetricReport:
     """Run every metric the config provides inputs for.
 
     Pose metrics need both manifests; text metrics need hypothesis sentences
     (a file, or a back-translation command run over the prediction pose
     files) plus reference sentences (from ``reference_text`` or the
-    reference manifest's third field). Any parse or validation failure
-    aborts with the first offending file named.
+    reference manifest's third field). Pose files are read only when poses
+    are scored or back-translated. Each input file is read once, and those
+    bytes feed ``input_digest``. Any parse or validation failure aborts with
+    the first offending file named.
     """
-    layout = DEFAULT_LAYOUT
+    hasher = hashlib.sha256()
+    layout, layout_data = DEFAULT_LAYOUT, None
     if config.layout_file is not None:
-        layout = parse_layout(Path(config.layout_file).read_text(encoding="utf-8"))
+        layout_data = Path(config.layout_file).read_bytes()
+        layout = parse_layout(layout_data.decode("utf-8"))
+    score_poses = config.pred_manifest is not None and config.ref_manifest is not None
+
+    manifests: dict[str, SubmissionManifest] = {}
+    sequences: dict[str, dict[str, PoseSequence]] = {}
+    for role, manifest_path in (("pred", config.pred_manifest), ("ref", config.ref_manifest)):
+        if manifest_path is None:
+            continue
+        manifest_path = Path(manifest_path)
+        if not (score_poses or (role == "pred" and config.backtranslate_command is not None)):
+            manifests[role] = load_manifest(_read_text(manifest_path, hasher, role.encode()))
+            continue
+        hasher.update(role.encode())
+        manifests[role], seqs, problems = load_submission(manifest_path, layout, hasher)
+        if problems:
+            _, path, error = problems[0]
+            raise EvaluationError(f"{path}: {error}")
+        if score_poses and config.normalize:
+            for entry in manifests[role]:
+                try:
+                    seqs[entry.id] = normalize_sequence(seqs[entry.id])
+                except (DegenerateTorsoError, ValueError) as err:
+                    path = _resolve(manifest_path.parent, entry.pose_path)
+                    raise EvaluationError(f"{path}: {err}") from err
+        sequences[role] = seqs
+    hyp_text = ref_text = None
+    if config.hypothesis_file is not None:
+        hyp_text = _read_text(config.hypothesis_file, hasher, b"hyp")
+    if config.reference_text is not None:
+        ref_text = _read_text(config.reference_text, hasher, b"ref-text")
+    if layout_data is not None:
+        _digest_bytes(hasher, b"layout", layout_data)
+    if config.backtranslate_command is not None:
+        _digest_bytes(hasher, b"backtranslate", config.backtranslate_command.encode())
+    hasher.update(b"normalize" if config.normalize else b"raw")
 
     pose_score: PoseScore | None = None
     ratio: float | None = None
-    pred_manifest: SubmissionManifest | None = None
-    ref_manifest: SubmissionManifest | None = None
-    if config.pred_manifest is not None and config.ref_manifest is not None:
-        pred_manifest, pred_seqs = _load_corpus(config.pred_manifest, layout, config.normalize)
-        ref_manifest, ref_seqs = _load_corpus(config.ref_manifest, layout, config.normalize)
-        missing = [i for i in ref_manifest.ids if i not in pred_seqs]
-        extra = [i for i in pred_manifest.ids if i not in ref_seqs]
+    if score_poses:
+        pred_seqs, ref_seqs = sequences["pred"], sequences["ref"]
+        ref_ids = manifests["ref"].ids
+        missing = [i for i in ref_ids if i not in pred_seqs]
+        extra = [i for i in manifests["pred"].ids if i not in ref_seqs]
         if missing or extra:
             offender = missing[0] if missing else extra[0]
             raise EvaluationError(
                 f"{config.pred_manifest}: id set mismatch with reference manifest "
                 f"(first offender {offender!r})"
             )
-        refs = [ref_seqs[i] for i in ref_manifest.ids]
-        preds = [pred_seqs[i] for i in ref_manifest.ids]
+        refs = [ref_seqs[i] for i in ref_ids]
+        preds = [pred_seqs[i] for i in ref_ids]
         pose_score = corpus_pose_metrics(preds, refs)
         ratio = duration_ratio(preds, refs)
-    elif config.ref_manifest is not None:
-        ref_manifest = load_manifest(Path(config.ref_manifest).read_text(encoding="utf-8"))
 
     text_score: TextScore | None = None
     correlation: float | None = None
     frequent_errors: tuple[tuple[str, int], ...] = ()
     if config.hypothesis_file is not None or config.backtranslate_command is not None:
-        if config.hypothesis_file is not None:
+        if hyp_text is not None:
             text_source = str(config.hypothesis_file)
-            hyp_map = load_sentence_file(
-                Path(config.hypothesis_file).read_text(encoding="utf-8")
-            )
+            hyp_map = load_sentence_file(hyp_text)
         else:
             text_source = str(config.pred_manifest)
-            if pred_manifest is None:
-                pred_manifest = load_manifest(
-                    Path(config.pred_manifest).read_text(encoding="utf-8")
-                )
+            pred_manifest = manifests["pred"]
             pose_paths = [
                 _resolve(Path(config.pred_manifest).parent, entry.pose_path)
                 for entry in pred_manifest
             ]
             sentences = run_backtranslation(config.backtranslate_command, pose_paths)
             hyp_map = dict(zip(pred_manifest.ids, sentences))
-        if config.reference_text is not None:
-            ref_map = load_sentence_file(Path(config.reference_text).read_text(encoding="utf-8"))
-        elif ref_manifest is not None:
+        if ref_text is not None:
+            ref_map = load_sentence_file(ref_text)
+        elif "ref" in manifests:
+            ref_manifest = manifests["ref"]
             ref_map = {
                 entry.id: entry.reference_sentence
                 for entry in ref_manifest
@@ -516,7 +493,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         provenance={
             "tool": "slpeval",
             "version": __version__,
-            "input_digest": _input_digest(config),
+            "input_digest": hasher.hexdigest(),
             "config": {
                 "pred_manifest": str(config.pred_manifest) if config.pred_manifest else None,
                 "ref_manifest": str(config.ref_manifest) if config.ref_manifest else None,
@@ -529,42 +506,6 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         },
     )
     return report
-
-
-_TEXT_COLUMNS = (
-    ("BLEU-1", "bleu1", "{:.2f}"),
-    ("BLEU-2", "bleu2", "{:.2f}"),
-    ("BLEU-3", "bleu3", "{:.2f}"),
-    ("BLEU-4", "bleu4", "{:.2f}"),
-    ("CHRF", "chrf", "{:.2f}"),
-    ("ROUGE", "rouge", "{:.2f}"),
-    ("WER", "wer", "{:.2f}"),
-)
-_POSE_COLUMNS = (
-    ("DTW-MJE", "dtw_mje", "{:.4f}"),
-    ("Total Distance", "total_distance", "{:.3f}"),
-)
-
-
-def _report_cells(report: MetricReport) -> list[tuple[str, str]]:
-    cells: list[tuple[str, str]] = []
-    if report.text is not None:
-        values = {
-            "bleu1": report.text.bleu[0],
-            "bleu2": report.text.bleu[1],
-            "bleu3": report.text.bleu[2],
-            "bleu4": report.text.bleu[3],
-            "chrf": report.text.chrf,
-            "rouge": report.text.rouge,
-            "wer": report.text.wer.rate,
-        }
-        for header, key, fmt in _TEXT_COLUMNS:
-            cells.append((header, fmt.format(values[key])))
-    if report.pose is not None:
-        cells.append(("DTW-MJE", "{:.4f}".format(report.pose.dtw_mje)))
-        ratio = report.pose.total_distance_ratio
-        cells.append(("Total Distance", "{:.3f}".format(ratio) if ratio is not None else "n/a"))
-    return cells
 
 
 def _diagnostic_cells(report: MetricReport) -> list[tuple[str, str]]:
@@ -585,7 +526,10 @@ def render_report(report: MetricReport, format: str = "structured") -> str:
     if format == "structured":
         return json.dumps(report.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
-    cells = _report_cells(report)
+    cells = [
+        (metric.name, metric.fmt.format(value) if value is not None else "n/a")
+        for metric, value in report.metric_values()
+    ]
     diags = _diagnostic_cells(report)
     if format == "csv":
         all_cells = cells + diags

@@ -19,6 +19,7 @@ __all__ = [
     "SubmissionManifest",
     "load_manifest",
     "load_sentence_file",
+    "split_lines",
 ]
 
 
@@ -57,10 +58,22 @@ class SubmissionManifest:
         return iter(self.entries)
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines split on ``\\n`` only, each without one trailing ``\\r``.
+
+    Unlike ``str.splitlines`` this keeps U+2028, ``\\x85``, form feeds and
+    the other Unicode line boundaries inside a line.
+    """
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_manifest(text: str) -> SubmissionManifest:
     """Parse manifest text; entries keep file order, duplicate ids are rejected."""
     entries: list[ManifestEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 2)
@@ -76,7 +89,7 @@ def load_manifest(text: str) -> SubmissionManifest:
 def load_sentence_file(text: str) -> dict[str, str]:
     """Parse ``id<TAB>sentence`` lines into an insertion-ordered mapping."""
     sentences: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 1)

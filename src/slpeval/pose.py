@@ -117,7 +117,7 @@ def parse_layout(text: str) -> KeypointLayout:
     lines are ignored.
     """
     fields: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -267,8 +267,6 @@ def validate_sequence(seq: PoseSequence, layout: KeypointLayout | None = None) -
     """Check a sequence against a layout; returns violations (empty = valid)."""
     layout = layout if layout is not None else seq.layout
     violations: list[str] = []
-    if seq.num_frames < 1:  # unreachable through the constructor, kept for raw callers
-        violations.append("sequence has no frames")
     if seq.num_keypoints != layout.total:
         violations.append(f"point count {seq.num_keypoints} ≠ {layout.total}")
         return violations

@@ -10,10 +10,14 @@ one; fronts are peeled iteratively and never favour a single metric.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 __all__ = [
     "CANONICAL_METRICS",
+    "METRICS",
+    "Metric",
     "ObjectiveVector",
     "Ranking",
     "ScoreVector",
@@ -23,21 +27,37 @@ __all__ = [
     "to_objectives",
 ]
 
-#: leaderboard column order
-CANONICAL_METRICS = (
-    "BLEU-1",
-    "BLEU-2",
-    "BLEU-3",
-    "BLEU-4",
-    "CHRF",
-    "ROUGE",
-    "WER",
-    "DTW-MJE",
-    "Total Distance",
-)
 
-_HIGHER_IS_BETTER = frozenset({"BLEU-1", "BLEU-2", "BLEU-3", "BLEU-4", "CHRF", "ROUGE"})
-_LOWER_IS_BETTER = frozenset({"WER", "DTW-MJE"})
+@dataclass(frozen=True)
+class Metric:
+    """A leaderboard metric as the ranker, the report and its tables see it.
+
+    ``objective`` is "max", "min" or "one" (closeness to 1); ``value`` reads
+    the metric from the report's ``family`` score.
+    """
+
+    name: str
+    key: str
+    objective: str
+    fmt: str
+    family: str
+    value: Callable
+
+
+#: the one metric table, in leaderboard column order
+METRICS = (
+    Metric("BLEU-1", "bleu1", "max", "{:.2f}", "text", lambda text: text.bleu[0]),
+    Metric("BLEU-2", "bleu2", "max", "{:.2f}", "text", lambda text: text.bleu[1]),
+    Metric("BLEU-3", "bleu3", "max", "{:.2f}", "text", lambda text: text.bleu[2]),
+    Metric("BLEU-4", "bleu4", "max", "{:.2f}", "text", lambda text: text.bleu[3]),
+    Metric("CHRF", "chrf", "max", "{:.2f}", "text", lambda text: text.chrf),
+    Metric("ROUGE", "rouge", "max", "{:.2f}", "text", lambda text: text.rouge),
+    Metric("WER", "wer", "min", "{:.2f}", "text", lambda text: text.wer.rate),
+    Metric("DTW-MJE", "dtw_mje", "min", "{:.4f}", "pose", lambda pose: pose.dtw_mje),
+    Metric("Total Distance", "total_distance", "one", "{:.3f}", "pose",
+           lambda pose: pose.total_distance_ratio),
+)
+CANONICAL_METRICS = tuple(metric.name for metric in METRICS)
 
 
 @dataclass(frozen=True)
@@ -73,10 +93,18 @@ class ScoreVector:
             raise ValueError(
                 f"score vector for {entrant!r}: missing {missing}, unknown {extra}"
             )
-        return cls(
-            entrant=entrant,
-            values=tuple((name, float(metrics[name])) for name in CANONICAL_METRICS),
-        )
+        values = []
+        for name in CANONICAL_METRICS:
+            value = metrics[name]
+            # bool is an int, and NaN would tie with every value
+            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise ValueError(
+                    f"score vector for {entrant!r}: metric {name!r} must be a finite "
+                    f"number, got {value!r}"
+                )
+            values.append((name, float(value)))
+        return cls(entrant=entrant, values=tuple(values))
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.values)
@@ -91,17 +119,22 @@ class ObjectiveVector:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Pareto fronts; front 0 is non-dominated, entrants keep input order."""
+    """Pareto fronts; front 0 is non-dominated, entrants keep input order.
+
+    ``dominance`` is the matrix the fronts were peeled from (see
+    :func:`dominance_matrix`).
+    """
 
     fronts: tuple[tuple[str, ...], ...]
+    dominance: tuple[tuple[bool, ...], ...]
 
 
 def to_objectives(score: ScoreVector) -> ObjectiveVector:
     objectives = []
-    for name, value in score.values:
-        if name in _HIGHER_IS_BETTER:
+    for metric, (_, value) in zip(METRICS, score.values):
+        if metric.objective == "max":
             objectives.append(-value)
-        elif name in _LOWER_IS_BETTER:
+        elif metric.objective == "min":
             objectives.append(value)
         else:  # hand-travel ratio: optimum is 1
             objectives.append(abs(1.0 - value))
@@ -124,22 +157,28 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
-    """Partition entrants into fronts by iterative non-dominated peeling."""
+    """Partition entrants into fronts by non-dominated sorting (Deb et al., 2002).
+
+    The dominance matrix is built once; each entrant counts how many others
+    dominate it and joins the front after the last of them is peeled.
+    """
     if not entries:
         raise ValueError("at least one score vector is required")
-    objectives = [to_objectives(entry) for entry in entries]
-    remaining = list(range(len(entries)))
+    matrix = dominance_matrix(entries)
+    dominators = [sum(column) for column in zip(*matrix)]
+    front = [i for i, count in enumerate(dominators) if count == 0]
     fronts: list[tuple[str, ...]] = []
-    while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(dominates(objectives[j], objectives[i]) for j in remaining if j != i)
-        ]
+    while front:
         fronts.append(tuple(entries[i].entrant for i in front))
-        front_set = set(front)
-        remaining = [i for i in remaining if i not in front_set]
-    return Ranking(fronts=tuple(fronts))
+        next_front = []
+        for i in front:
+            for j, flag in enumerate(matrix[i]):
+                if flag:
+                    dominators[j] -= 1
+                    if dominators[j] == 0:
+                        next_front.append(j)
+        front = sorted(next_front)
+    return Ranking(fronts=tuple(fronts), dominance=matrix)
 
 
 def dominance_matrix(entries: list[ScoreVector]) -> tuple[tuple[bool, ...], ...]:

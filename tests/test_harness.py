@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import sys
@@ -20,10 +21,9 @@ from slpeval.harness import (
     load_history,
     render_report,
     run_backtranslation,
-    submission_digest,
     validate_submission,
 )
-from slpeval.pose import PoseSequence
+from slpeval.pose import PoseSequence, write_pose_file
 from slpeval.synth import SynthSpec, perturb, synth_corpus, synth_sequence
 
 NOW = datetime(2026, 3, 2, 12, 0, tzinfo=timezone.utc)
@@ -374,11 +374,15 @@ def test_unknown_render_format_rejected(corpus_writer):
 def test_digest_tracks_pose_bytes(corpus_writer):
     corpus = small_corpus()
     manifest = corpus_writer(corpus, "ref")
-    before = submission_digest(manifest)
+
+    def digest():
+        return validate_submission(manifest, manifest, DEVELOPMENT_RULES, [], now=NOW).digest
+
+    before = digest()
     victim = manifest.parent / "poses" / f"{corpus[0][0].id}.pose"
     victim.write_bytes(victim.read_bytes() + b" ")
-    assert submission_digest(manifest) != before
-    assert submission_digest(manifest) == submission_digest(manifest)
+    assert digest() != before
+    assert digest() == digest()
 
 
 # ---------------------------------------------------------------- history and quotas
@@ -388,6 +392,7 @@ def test_history_round_trip():
     records = [record(0), record(1, phase="test", digest="abc")]
     text = "".join(format_record(r) for r in records)
     assert load_history(text) == records
+    assert load_history(text.replace("\n", "\r\n")) == records
 
 
 def test_history_rejects_garbage():
@@ -596,9 +601,10 @@ def test_cli_rank_leaderboard(tmp_path, capsys):
 
 def test_cli_rank_rejects_bad_entries(tmp_path, capsys):
     scores = tmp_path / "scores.json"
-    scores.write_text(json.dumps([{"entrant": "x"}]), encoding="utf-8")
-    assert run_cli("rank", "--scores", str(scores)) == 2
-    assert "metrics" in capsys.readouterr().err
+    for entries in ([{"entrant": "x"}], [{"entrant": "x", "metrics": 5}]):
+        scores.write_text(json.dumps(entries), encoding="utf-8")
+        assert run_cli("rank", "--scores", str(scores)) == 2
+        assert "metrics" in capsys.readouterr().err
 
 
 def test_cli_reports_are_deterministic(tmp_path):
@@ -612,3 +618,91 @@ def test_cli_reports_are_deterministic(tmp_path):
         assert run_cli("evaluate", "--pred", str(manifest), "--ref", str(manifest),
                        "--hyp", str(hyp), "--out", str(out)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_text_only_evaluate_reads_no_pose_files(corpus_writer, sentence_writer, capsys):
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "ref")
+    for pose in (manifest.parent / "poses").iterdir():
+        pose.unlink()
+    hyp = sentence_writer(hyp_pairs(corpus), "hyp.tsv")
+    assert run_cli("evaluate", "--hyp", str(hyp), "--ref", str(manifest)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["text"]["wer"]["rate"] == 0.0
+    hasher = hashlib.sha256()
+    for role, path in ((b"ref", manifest), (b"hyp", hyp)):
+        data = path.read_bytes()
+        hasher.update(role + len(data).to_bytes(8, "big") + data)
+    hasher.update(b"normalize")
+    assert report["provenance"]["input_digest"] == hasher.hexdigest()
+
+
+def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
+    corpus = small_corpus()
+    ref = corpus_writer(corpus, "ref")
+    pred = corpus_writer(corpus, "pred")
+    victim = pred.parent / "poses" / f"{corpus[1][0].id}.pose"
+    victim.write_bytes(b"\xff" + victim.read_bytes())
+    capsys.readouterr()
+    assert run_cli("validate", "--pred", str(pred), "--ref", str(ref),
+                   "--phase", "dev", "--history", str(tmp_path / "h.log")) == 1
+    out = capsys.readouterr().out
+    assert f"prediction {corpus[1][0].id!r}: {victim}: 'utf-8' codec can't decode" in out
+    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {victim}: 'utf-8' codec can't decode")
+
+
+def test_backtranslation_rejects_malformed_pose_before_running(
+    corpus_writer, sentence_writer, tmp_path
+):
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "pred")
+    (manifest.parent / "poses" / f"{corpus[0][0].id}.pose").write_text("POSE v1\n")
+    marker = tmp_path / "ran"
+    config = EvaluationConfig(
+        pred_manifest=manifest,
+        backtranslate_command=hook_command(f"open({str(marker)!r}, 'w')"),
+        reference_text=hook_references(corpus, sentence_writer),
+    )
+    with pytest.raises(EvaluationError, match="line 1: expected header"):
+        evaluate(config)
+    assert not marker.exists()
+
+
+LINE_SEPARATOR_HOOK = (
+    "import sys, pathlib\n"
+    "for line in sys.stdin:\n"
+    "    stem = pathlib.Path(line.strip()).stem\n"
+    "    sys.stdout.buffer.write(f'sign\\u2028pose {stem}\\r\\n'.encode())\n"
+)
+
+
+def test_line_separator_survives_manifest_and_backtranslation(tmp_path, capsys):
+    corpus = small_corpus()
+    root = tmp_path / "corpus"
+    (root / "poses").mkdir(parents=True)
+    lines = []
+    for seq, _ in corpus:
+        pose_text = write_pose_file(seq).replace("\n", "\r\n")
+        (root / "poses" / f"{seq.id}.pose").write_bytes(pose_text.encode())
+        lines.append(f"{seq.id}\tposes/{seq.id}.pose\tsign\u2028pose {seq.id}\r\n")
+    manifest = root / "manifest.tsv"
+    manifest.write_bytes("".join(lines).encode())
+    assert run_cli("evaluate", "--pred", str(manifest), "--ref", str(manifest),
+                   "--backtranslate", hook_command(LINE_SEPARATOR_HOOK)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pose"]["dtw_mje"] == 0.0
+    assert report["text"]["wer"]["rate"] == 0.0
+
+
+@pytest.mark.parametrize("raw", ["null", "NaN", '"nan"', "true"])
+def test_cli_rank_rejects_bad_metric_values(tmp_path, capsys, raw):
+    from conftest import LEADERBOARD
+
+    entries = [{"entrant": name, "metrics": m} for name, m in LEADERBOARD.items()]
+    text = json.dumps(entries).replace('"Total Distance": 1.631', f'"Total Distance": {raw}')
+    scores = tmp_path / "scores.json"
+    scores.write_text(text, encoding="utf-8")
+    assert run_cli("rank", "--scores", str(scores)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scores}: score vector for 'team1': metric 'Total Distance'")

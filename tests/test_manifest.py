@@ -64,3 +64,21 @@ def test_sentence_file_rejects_duplicates_and_bad_lines():
 
 def test_sentence_file_allows_empty_sentence():
     assert load_sentence_file("a\t\n") == {"a": ""}
+
+
+#: Unicode line boundaries that str.splitlines() would also break on
+INLINE_SEPARATORS = "\u2028\u2029\x85\x1c\x1d\x1e\v\f"
+
+
+def test_only_newline_ends_a_line():
+    sentence = "sonnig" + INLINE_SEPARATORS + "und warm"
+    manifest = load_manifest(f"a\ta.pose\t{sentence}\nb\tb.pose\n")
+    assert manifest.ids == ("a", "b")
+    assert next(iter(manifest)).reference_sentence == sentence
+    assert load_sentence_file(f"a\t{sentence}\nb\tx\n") == {"a": sentence, "b": "x"}
+
+
+def test_crlf_files_parse_like_lf_files():
+    manifest = "a\tposes/a.pose\tmorgen regen\r\nb\tposes/b.pose\r\n"
+    assert load_manifest(manifest) == load_manifest(manifest.replace("\r\n", "\n"))
+    assert load_sentence_file("a\tx y\r\n\r\nb\t\r\n") == {"a": "x y", "b": ""}

@@ -82,6 +82,7 @@ def test_parse_layout_round_trip():
     rshoulder 2
     """
     assert parse_layout(text) == TINY_LAYOUT
+    assert parse_layout(text.replace("\n", "\r\n")) == TINY_LAYOUT
 
 
 def test_parse_layout_missing_entry():

@@ -68,6 +68,18 @@ def test_from_metrics_requires_exact_metric_set():
         ScoreVector.from_metrics("x", good)
 
 
+@pytest.mark.parametrize("value", [None, float("nan"), float("inf"), "nan", "1.0", True, [1.0]])
+def test_from_metrics_accepts_only_finite_numbers(value):
+    metrics = dict(LEADERBOARD["team1"], **{"Total Distance": value})
+    with pytest.raises(ValueError, match="'x'.*'Total Distance'.*finite number"):
+        ScoreVector.from_metrics("x", metrics)
+
+
+def test_from_metrics_accepts_ints_as_floats():
+    metrics = dict(LEADERBOARD["team1"], WER=93)
+    assert ScoreVector.from_metrics("x", metrics).as_dict()["WER"] == 93.0
+
+
 def test_score_vector_enforces_canonical_order():
     values = tuple(reversed([(n, 1.0) for n in CANONICAL_METRICS]))
     with pytest.raises(ValueError, match="canonical"):
@@ -189,6 +201,7 @@ def test_fronts_match_oracle_on_random_sets():
         assert [list(front) for front in ranking.fronts] == oracle_fronts(entries)
 
         matrix = dominance_matrix(entries)
+        assert ranking.dominance == matrix
         for i in range(size):
             for j in range(size):
                 expected = i != j and oracle_dominates(
