@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_LAYOUT, flat_layout
 from slpeval.pose import DEFAULT_LAYOUT, PoseSequence
 from slpeval.pose_metrics import (
+    AlignmentPath,
     ZeroReferenceTravelError,
     corpus_pose_metrics,
     dtw_align,
@@ -57,6 +60,81 @@ def oracle_dtw(pred: np.ndarray, ref: np.ndarray):
         if best is None or key < best:
             best = key
     return best
+
+
+def _cost_matrix(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    # row-wise to keep the (R, K, 3) temporary small for long sequences
+    p, r = pred.shape[0], ref.shape[0]
+    cost = np.empty((p, r), dtype=np.float64)
+    for i in range(p):
+        cost[i] = np.linalg.norm(pred[i][None, :, :] - ref, axis=2).mean(axis=1)
+    return cost
+
+
+def reference_dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
+    """The original per-cell DTW: full cost matrix, then one Python step per cell."""
+    cost = _cost_matrix(pred.frames, ref.frames)
+    p, r = cost.shape
+
+    acc = np.full((p, r), np.inf)
+    length = np.zeros((p, r), dtype=np.intp)
+    back = np.full((p, r), -1, dtype=np.int8)  # 0 diagonal, 1 pred-advance, 2 ref-advance
+    acc[0, 0] = cost[0, 0]
+    length[0, 0] = 1
+    for i in range(p):
+        for j in range(r):
+            if i == 0 and j == 0:
+                continue
+            best_key = None
+            best_move = -1
+            for move, (pi, pj) in enumerate(((i - 1, j - 1), (i - 1, j), (i, j - 1))):
+                if pi < 0 or pj < 0:
+                    continue
+                key = (acc[pi, pj], length[pi, pj])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_move = move
+            acc[i, j] = best_key[0] + cost[i, j]
+            length[i, j] = best_key[1] + 1
+            back[i, j] = best_move
+
+    steps = [(p - 1, r - 1)]
+    i, j = p - 1, r - 1
+    while (i, j) != (0, 0):
+        move = back[i, j]
+        if move == 0:
+            i, j = i - 1, j - 1
+        elif move == 1:
+            i -= 1
+        else:
+            j -= 1
+        steps.append((i, j))
+    steps.reverse()
+    return AlignmentPath(steps=tuple(steps), total_cost=float(acc[p - 1, r - 1]))
+
+
+@st.composite
+def sequence_pairs(draw):
+    """Two sequences of 1..40 frames and 1..6 keypoints.
+
+    ``pool`` draws every frame from 2-3 distinct frames and ``integer`` uses
+    small whole coordinates; both make many equal-cost paths, so they test
+    the tie rule, not just the minimum.
+    """
+    p, r = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("normal", "pool", "integer")))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    if kind == "pool":
+        pool = rng.normal(size=(draw(st.integers(2, 3)), k, 3))
+        pred, ref = pool[rng.integers(0, len(pool), p)], pool[rng.integers(0, len(pool), r)]
+    elif kind == "integer":
+        pred = rng.integers(-1, 2, size=(p, k, 3)).astype(np.float64)
+        ref = rng.integers(-1, 2, size=(r, k, 3)).astype(np.float64)
+    else:
+        pred, ref = rng.normal(size=(p, k, 3)), rng.normal(size=(r, k, 3))
+    layout = flat_layout(k)
+    return seq_of(pred, layout), seq_of(ref, layout)
 
 
 # ---------------------------------------------------------------- frame distance
@@ -121,6 +199,27 @@ def test_dtw_matches_exhaustive_oracle():
         assert path.total_cost == pytest.approx(cost, abs=1e-9)
         assert len(path.steps) == cells
         assert dtw_mje(pred, ref) == pytest.approx(cost / cells, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequence_pairs())
+@example((seq_of(np.zeros((1, 1, 3))), seq_of(np.ones((1, 1, 3)))))
+@example((seq_of(np.zeros((1, 2, 3))), seq_of(np.arange(30.0).reshape(5, 2, 3))))
+@example((seq_of(np.arange(24.0).reshape(4, 2, 3)), seq_of(np.zeros((1, 2, 3)))))
+@example((seq_of(np.zeros((3, 2, 3))), seq_of(np.zeros((4, 2, 3)))))
+def test_dtw_matches_reference_loop_exactly(pair):
+    pred, ref = pair
+    expected = reference_dtw_align(pred, ref)
+    path = dtw_align(pred, ref)
+    assert path.total_cost == expected.total_cost
+    assert path.steps == expected.steps
+
+
+def test_dtw_mje_is_pinned_on_a_long_pair():
+    # bit pattern from the per-cell implementation, above the sizes the loop oracle covers
+    pred = synth_sequence(SynthSpec(frame_count=150, seed=1), id="a")
+    ref = synth_sequence(SynthSpec(frame_count=120, seed=2), id="a")
+    assert float.hex(dtw_mje(pred, ref)) == "0x1.5a70a065be63cp-6"
 
 
 def test_dtw_is_symmetric_in_cost():
