@@ -28,6 +28,8 @@ __all__ = [
 
 #: reference hand travel below this is treated as "static" and excluded
 ZERO_TRAVEL_EPSILON = 1e-9
+#: DTW cost rows computed per numpy call
+_CHUNK = 128
 
 
 class ZeroReferenceTravelError(ValueError):
@@ -66,50 +68,62 @@ def frame_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, axis=-1).mean())
 
 
-def _cost_matrix(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    # row-wise to keep the (R, K, 3) temporary small for long sequences
-    p, r = pred.shape[0], ref.shape[0]
-    cost = np.empty((p, r), dtype=np.float64)
-    for i in range(p):
-        cost[i] = np.linalg.norm(pred[i][None, :, :] - ref, axis=2).mean(axis=1)
-    return cost
-
-
 def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
     """Minimum-cost monotone alignment between two sequences.
 
     Steps are {advance prediction, advance reference, advance both}. Among
     equal-cost paths the shortest wins, with ties broken deterministically:
-    diagonal first, then prediction-advance, then reference-advance.
+    diagonal first, then prediction-advance, then reference-advance. Cells are
+    filled one anti-diagonal ``i + j`` at a time; only two diagonals of cost
+    and length are kept, plus one byte of back-pointer per cell.
     """
     if pred.num_keypoints != ref.num_keypoints:
         raise ValueError(
             f"keypoint counts differ: {pred.num_keypoints} vs {ref.num_keypoints}"
         )
-    cost = _cost_matrix(pred.frames, ref.frames)
-    p, r = cost.shape
-
-    acc = np.full((p, r), np.inf)
-    length = np.zeros((p, r), dtype=np.intp)
-    back = np.full((p, r), -1, dtype=np.int8)  # 0 diagonal, 1 pred-advance, 2 ref-advance
-    acc[0, 0] = cost[0, 0]
-    length[0, 0] = 1
-    for i in range(p):
-        for j in range(r):
-            if i == 0 and j == 0:
-                continue
-            best_key = None
-            best_move = -1
-            for move, (pi, pj) in enumerate(((i - 1, j - 1), (i - 1, j), (i, j - 1))):
-                if pi < 0 or pj < 0:
-                    continue
-                key = (acc[pi, pj], length[pi, pj])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_move = move
-            acc[i, j] = best_key[0] + cost[i, j]
-            length[i, j] = best_key[1] + 1
-            back[i, j] = best_move
+    p, r = len(pred.frames), len(ref.frames)
+    # x, y, z as contiguous (T, K) planes, so each diagonal's squares stay contiguous;
+    # the reference is stored back to front, so its frames of a diagonal read forward
+    pred_xyz = np.ascontiguousarray(np.moveaxis(pred.frames, 2, 0))
+    ref_xyz = np.ascontiguousarray(np.moveaxis(ref.frames[::-1], 2, 0))
+    squares = np.empty((3, _CHUNK, pred.num_keypoints))
+    costs = np.empty(min(p, r))
+    # acc/length of diagonal d at row d % 3, slot i + 1; slot 0 (i = -1) and slots
+    # past a diagonal's end are never written, so a missing predecessor reads (inf, p + r)
+    acc = np.full((3, p + 1), np.inf)
+    length = np.full((3, p + 1), p + r, dtype=np.intp)
+    back = np.zeros((p, r), dtype=np.int8)  # 0 diagonal, 1 pred-advance, 2 ref-advance
+    for d in range(p + r - 1):
+        lo, hi = max(0, d - r + 1), min(d, p - 1)
+        cost = costs[: hi - lo + 1]
+        # cells (i, d - i) for a <= i < b, in row chunks so the squares stay in cache
+        for a in range(lo, hi + 1, _CHUNK):
+            b = min(a + _CHUNK, hi + 1)
+            sq = squares[:, : b - a]
+            np.subtract(pred_xyz[:, a:b], ref_xyz[:, r - 1 - d + a : r - 1 - d + b], out=sq)
+            sq *= sq
+            # summed as dx*dx + dy*dy + dz*dz, the order np.linalg.norm uses: bit-identical
+            sq[0] += sq[1]
+            sq[0] += sq[2]
+            np.sqrt(sq[0], out=sq[0]).mean(axis=1, out=cost[a - lo : b - lo])
+        if d == 0:
+            acc[0, 1], length[0, 1] = cost[0], 1
+            continue
+        # cell i's diagonal and pred-advance predecessors sit at slot i of
+        # diagonals d - 2 and d - 1, its ref-advance predecessor at slot i + 1
+        best_acc, best_len = acc[(d - 2) % 3, lo : hi + 1], length[(d - 2) % 3, lo : hi + 1]
+        move = np.zeros(hi - lo + 1, dtype=np.int8)
+        for m in (1, 2):
+            cand_acc = acc[(d - 1) % 3, lo + m - 1 : hi + m]
+            cand_len = length[(d - 1) % 3, lo + m - 1 : hi + m]
+            better = (cand_acc < best_acc) | ((cand_acc == best_acc) & (cand_len < best_len))
+            best_acc = np.where(better, cand_acc, best_acc)
+            best_len = np.where(better, cand_len, best_len)
+            move[better] = m
+        acc[d % 3, lo + 1 : hi + 2] = best_acc + cost
+        length[d % 3, lo + 1 : hi + 2] = best_len + 1
+        # cell (i, d - i) is flat index i * (r - 1) + d
+        back.reshape(-1)[lo * (r - 1) + d : hi * (r - 1) + d + 1 : max(r - 1, 1)] = move
 
     steps = [(p - 1, r - 1)]
     i, j = p - 1, r - 1
@@ -123,7 +137,7 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
             j -= 1
         steps.append((i, j))
     steps.reverse()
-    return AlignmentPath(steps=tuple(steps), total_cost=float(acc[p - 1, r - 1]))
+    return AlignmentPath(steps=tuple(steps), total_cost=float(acc[(p + r - 2) % 3, p]))
 
 
 def dtw_mje(pred: PoseSequence, ref: PoseSequence) -> float:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_LAYOUT, flat_layout
+from slpeval import pose_metrics
 from slpeval.pose import DEFAULT_LAYOUT, PoseSequence
 from slpeval.pose_metrics import (
     AlignmentPath,
@@ -207,12 +211,31 @@ def test_dtw_matches_exhaustive_oracle():
 @example((seq_of(np.zeros((1, 2, 3))), seq_of(np.arange(30.0).reshape(5, 2, 3))))
 @example((seq_of(np.arange(24.0).reshape(4, 2, 3)), seq_of(np.zeros((1, 2, 3)))))
 @example((seq_of(np.zeros((3, 2, 3))), seq_of(np.zeros((4, 2, 3)))))
+@example((seq_of(np.full((3, 1, 3), 1e200)), seq_of(np.full((4, 1, 3), -1e200))))  # inf costs
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_dtw_matches_reference_loop_exactly(pair):
     pred, ref = pair
     expected = reference_dtw_align(pred, ref)
-    path = dtw_align(pred, ref)
-    assert path.total_cost == expected.total_cost
-    assert path.steps == expected.steps
+    # a 3-row chunk splits these short diagonals the way long ones are split
+    for chunk in (pose_metrics._CHUNK, 3):
+        with mock.patch.object(pose_metrics, "_CHUNK", chunk):
+            path = dtw_align(pred, ref)
+        assert path.total_cost == expected.total_cost
+        assert path.steps == expected.steps
+
+
+@pytest.mark.parametrize("p", range(1, 5))
+@pytest.mark.parametrize("r", range(1, 5))
+def test_dtw_matches_reference_loop_on_every_two_frame_pattern(p, r):
+    # frames 0 and 1 on the x axis: every cost is 0 or 1, so equal sums are exact
+    # and the tie rule alone picks the path (x = 010 against 101 ties pred- and ref-advance)
+    for bits in itertools.product((0.0, 1.0), repeat=p + r):
+        frames = np.zeros((p + r, 1, 3))
+        frames[:, 0, 0] = bits
+        pred, ref = seq_of(frames[:p]), seq_of(frames[p:])
+        expected = reference_dtw_align(pred, ref)
+        path = dtw_align(pred, ref)
+        assert (path.total_cost, path.steps) == (expected.total_cost, expected.steps), bits
 
 
 def test_dtw_mje_is_pinned_on_a_long_pair():
