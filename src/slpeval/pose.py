@@ -286,15 +286,19 @@ def _torso_rotation(frame: np.ndarray, layout: KeypointLayout) -> np.ndarray:
     neck = frame[layout.neck]
     left = frame[layout.left_shoulder]
     right = frame[layout.right_shoulder]
+    points = (
+        f"frame 0: neck {layout.neck}, lshoulder {layout.left_shoulder}, "
+        f"rshoulder {layout.right_shoulder}"
+    )
     if not np.isfinite([neck, left, right]).all():
-        raise ValueError("non-finite neck or shoulder keypoint in frame 0")
+        raise ValueError(f"{points} are not all finite")
     shoulder = left - right
     width = float(np.linalg.norm(shoulder))
     normal = np.cross(left - neck, right - neck)
     normal_len = float(np.linalg.norm(normal))
     # collinearity threshold is scale-relative to the shoulder width
     if width == 0.0 or normal_len < 1e-9 * width:
-        raise DegenerateTorsoError("degenerate torso frame: neck and shoulders are collinear")
+        raise DegenerateTorsoError(f"{points} are collinear")
     z = normal / normal_len
     x = shoulder - np.dot(shoulder, z) * z
     x /= np.linalg.norm(x)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,17 @@ def test_collinear_torso_raises():
     frames[:, 1] = [1.0, 0.0, 0.0]  # left shoulder
     frames[:, 2] = [2.0, 0.0, 0.0]  # right shoulder, collinear with neck at origin
     seq = PoseSequence(id="bad", frames=frames, layout=TINY_LAYOUT)
-    with pytest.raises(DegenerateTorsoError, match="collinear"):
+    with pytest.raises(DegenerateTorsoError, match="collinear") as err:
+        normalize_sequence(seq)
+    assert str(err.value).startswith("frame 0: neck 0, lshoulder 1, rshoulder 2 are collinear")
+
+
+def test_non_finite_torso_names_frame_and_indices():
+    layout = replace(TINY_LAYOUT, neck=2, left_shoulder=0, right_shoulder=1)
+    frames = synth_sequence(SynthSpec(frame_count=2, seed=1), layout=TINY_LAYOUT).frames.copy()
+    frames[0, 1, 2] = np.nan
+    seq = PoseSequence(id="bad", frames=frames, layout=layout)
+    with pytest.raises(ValueError, match=r"^frame 0: neck 2, lshoulder 0, rshoulder 1 are not all"):
         normalize_sequence(seq)
 
 
