@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 reported validation failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import sys
 from datetime import datetime, timezone
@@ -29,8 +31,15 @@ from .harness import (
     render_report,
     validate_submission,
 )
-from .manifest import ManifestError
-from .pose import DEFAULT_LAYOUT, LayoutError, PoseFormatError, parse_layout, write_pose_file
+from .manifest import ManifestError, decode_utf8
+from .pose import (
+    DEFAULT_LAYOUT,
+    KeypointLayout,
+    LayoutError,
+    PoseFormatError,
+    parse_layout,
+    write_pose_file,
+)
 from .ranking import ScoreVector, pareto_fronts
 from .synth import synth_corpus
 
@@ -104,6 +113,10 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
+def _read_layout(path: Path | None) -> KeypointLayout:
+    return parse_layout(decode_utf8(path.read_bytes(), path)) if path else DEFAULT_LAYOUT
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = EvaluationConfig(
         pred_manifest=args.pred,
@@ -121,23 +134,30 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     rules = TEST_RULES if args.phase == "test" else DEVELOPMENT_RULES
-    history = load_history(args.history.read_text(encoding="utf-8")) if args.history.exists() else []
     now = datetime.fromisoformat(args.now) if args.now else datetime.now(timezone.utc)
-    layout = (
-        parse_layout(args.layout.read_text(encoding="utf-8")) if args.layout else DEFAULT_LAYOUT
-    )
-    report = validate_submission(args.pred, args.ref, rules, history, now=now, layout=layout)
-    if not report.ok:
-        for violation in report.violations:
-            print(violation)
-        return 1
-    if args.record:
-        record = SubmissionRecord(timestamp=now, phase=rules.phase, digest=report.digest)
-        with args.history.open("a", encoding="utf-8") as handle:
-            handle.write(format_record(record))
-        print("submission valid (recorded)")
-    else:
-        print("submission valid")
+    layout = _read_layout(args.layout)
+    with contextlib.ExitStack() as stack:
+        if args.record:
+            # the lock spans read, quota check and append, so concurrent
+            # submissions are checked one after another; closing releases it
+            log = stack.enter_context(args.history.open("a+b"))
+            fcntl.flock(log, fcntl.LOCK_EX)
+            log.seek(0)
+            data = log.read()
+        else:
+            data = args.history.read_bytes() if args.history.exists() else b""
+        history = load_history(decode_utf8(data, args.history))
+        report = validate_submission(args.pred, args.ref, rules, history, now=now, layout=layout)
+        if not report.ok:
+            for violation in report.violations:
+                print(violation)
+            return 1
+        if args.record:
+            record = SubmissionRecord(timestamp=now, phase=rules.phase, digest=report.digest)
+            log.write(format_record(record).encode("utf-8"))
+            print("submission valid (recorded)")
+        else:
+            print("submission valid")
     return 0
 
 
@@ -188,9 +208,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_corpus(args: argparse.Namespace) -> int:
-    layout = (
-        parse_layout(args.layout.read_text(encoding="utf-8")) if args.layout else DEFAULT_LAYOUT
-    )
+    layout = _read_layout(args.layout)
     corpus = synth_corpus(
         count=args.count,
         frame_count=args.frames,

@@ -22,7 +22,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .manifest import SubmissionManifest, load_manifest, load_sentence_file, split_lines
+from .manifest import (
+    SubmissionManifest,
+    decode_utf8,
+    load_manifest,
+    load_sentence_file,
+    split_lines,
+)
 from .pose import (
     DEFAULT_LAYOUT,
     DegenerateTorsoError,
@@ -162,10 +168,14 @@ def _digest_bytes(hasher, label: bytes, data: bytes) -> None:
     hasher.update(data)
 
 
-def _read_text(path: Path, hasher, label: bytes = b"") -> str:
+def _read_bytes(path: Path, hasher, label: bytes = b"") -> bytes:
     data = Path(path).read_bytes()
     _digest_bytes(hasher, label, data)
-    return data.decode("utf-8")
+    return data
+
+
+def _read_text(path: Path, hasher, label: bytes = b"") -> str:
+    return decode_utf8(_read_bytes(path, hasher, label), path)
 
 
 def load_submission(
@@ -185,8 +195,9 @@ def load_submission(
     for entry in manifest:
         path = _resolve(manifest_path.parent, entry.pose_path)
         try:
-            # the bytes are freed once decoded; only the text lives while parsing
-            text = _read_text(path, hasher, entry.id.encode())
+            # the bytes are freed once decoded; the problem names the path, so
+            # the decode error is kept without it
+            text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
             seq = parse_pose_file(text, id=entry.id, layout=layout)
         except (OSError, UnicodeDecodeError, PoseFormatError) as err:
             problems.append((entry.id, path, err))
@@ -370,7 +381,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     layout, layout_data = DEFAULT_LAYOUT, None
     if config.layout_file is not None:
         layout_data = Path(config.layout_file).read_bytes()
-        layout = parse_layout(layout_data.decode("utf-8"))
+        layout = parse_layout(decode_utf8(layout_data, config.layout_file))
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 
     manifests: dict[str, SubmissionManifest] = {}

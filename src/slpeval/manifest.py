@@ -17,6 +17,7 @@ __all__ = [
     "ManifestEntry",
     "ManifestError",
     "SubmissionManifest",
+    "decode_utf8",
     "load_manifest",
     "load_sentence_file",
     "split_lines",
@@ -56,6 +57,14 @@ class SubmissionManifest:
 
     def __iter__(self):
         return iter(self.entries)
+
+
+def decode_utf8(data: bytes, path) -> str:
+    """``data`` decoded as UTF-8; a decode error names the file it came from."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def split_lines(text: str) -> list[str]:

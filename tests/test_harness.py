@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import slpeval
 from slpeval.cli import main
 from slpeval.harness import (
     DEVELOPMENT_RULES,
@@ -650,6 +654,71 @@ def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
     assert f"prediction {corpus[1][0].id!r}: {victim}: 'utf-8' codec can't decode" in out
     assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
     assert capsys.readouterr().err.startswith(f"error: {victim}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("manifest", ["evaluate", "--hyp", "{hyp}", "--ref", "{bad}"]),
+        ("sentence", ["evaluate", "--hyp", "{bad}", "--ref", "{ref}"]),
+        ("sentence", ["evaluate", "--hyp", "{hyp}", "--ref-text", "{bad}"]),
+        ("layout", ["evaluate", "--pred", "{ref}", "--ref", "{ref}", "--layout", "{bad}"]),
+        ("layout", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
+                    "--history", "{history}", "--layout", "{bad}"]),
+        ("layout", ["synth", "corpus", "--count", "1", "--frames", "2", "--out", "{out}",
+                    "--layout", "{bad}"]),
+        ("history", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
+                     "--history", "{bad}"]),
+        ("history", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
+                     "--history", "{bad}", "--record"]),
+    ],
+)
+def test_non_utf8_input_file_is_named(kind, argv, corpus_writer, sentence_writer, tmp_path,
+                                      capsys):
+    corpus = small_corpus()
+    ref = corpus_writer(corpus, "ref")
+    hyp = sentence_writer(hyp_pairs(corpus), "hyp.tsv")
+    good = {
+        "manifest": ref.read_bytes(),
+        "sentence": hyp.read_bytes(),
+        "layout": b"body 0 1\nneck 0\nlshoulder 0\nrshoulder 0\n",
+        "history": format_record(record()).encode(),
+    }[kind]
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(good[:3] + b"\xff" + good[3:])
+    paths = {"ref": ref, "hyp": hyp, "bad": bad, "history": tmp_path / "h.log",
+             "out": tmp_path / "out"}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    assert bad.read_bytes() == good[:3] + b"\xff" + good[3:]
+
+
+def test_concurrent_test_phase_submissions_record_only_one(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    run_cli("synth", "corpus", "--count", "30", "--frames", "40", "--seed", "2",
+            "--out", str(corpus_dir))
+    manifest = corpus_dir / "manifest.tsv"
+    history = tmp_path / "history.log"
+    prior = "".join(format_record(record(days, phase="test")) for days in (2, 1))
+    history.write_text(prior, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(slpeval.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    argv = [sys.executable, "-m", "slpeval.cli", "validate", "--pred", str(manifest),
+            "--ref", str(manifest), "--phase", "test", "--history", str(history), "--record",
+            "--now", NOW.isoformat()]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    results = sorted((proc.wait(timeout=120), proc.stdout.read()) for proc in procs)
+    for proc in procs:
+        proc.stdout.close()
+    assert [code for code, _ in results] == [0, 1]
+    assert results[0][1] == "submission valid (recorded)\n"
+    assert "submission quota exceeded: 3 prior test-phase" in results[1][1]
+    lines = history.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert "".join(lines[:2]) == prior and len(lines) == 3
+    assert lines[2].startswith(f"{NOW.isoformat()}\ttest\t")
 
 
 def test_backtranslation_rejects_malformed_pose_before_running(
