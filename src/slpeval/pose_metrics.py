@@ -74,28 +74,26 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
     Steps are {advance prediction, advance reference, advance both}. Among
     equal-cost paths the shortest wins, with ties broken deterministically:
     diagonal first, then prediction-advance, then reference-advance. Cells are
-    filled one anti-diagonal ``i + j`` at a time; only two diagonals of cost
-    and length are kept, plus one byte of back-pointer per cell.
+    filled one anti-diagonal ``i + j`` at a time; only three diagonals of
+    accumulated cost and length are kept, plus one byte of back-pointer per cell.
     """
     if pred.num_keypoints != ref.num_keypoints:
-        raise ValueError(
-            f"keypoint counts differ: {pred.num_keypoints} vs {ref.num_keypoints}"
-        )
+        raise ValueError(f"keypoint counts differ: {pred.num_keypoints} vs {ref.num_keypoints}")
     p, r = len(pred.frames), len(ref.frames)
     # x, y, z as contiguous (T, K) planes, so each diagonal's squares stay contiguous;
     # the reference is stored back to front, so its frames of a diagonal read forward
     pred_xyz = np.ascontiguousarray(np.moveaxis(pred.frames, 2, 0))
     ref_xyz = np.ascontiguousarray(np.moveaxis(ref.frames[::-1], 2, 0))
+    w = min(p, r)  # cells on the longest diagonal
     squares = np.empty((3, _CHUNK, pred.num_keypoints))
-    costs = np.empty(min(p, r))
+    costs = np.empty(w)
     # acc/length of diagonal d at row d % 3, slot i + 1; slot 0 (i = -1) and slots
     # past a diagonal's end are never written, so a missing predecessor reads (inf, p + r)
-    acc = np.full((3, p + 1), np.inf)
-    length = np.full((3, p + 1), p + r, dtype=np.intp)
+    acc = np.full((3, p + w + 1), np.inf)
+    length = np.full((3, p + w + 1), p + r, dtype=np.intp)
     back = np.zeros((p, r), dtype=np.int8)  # 0 diagonal, 1 pred-advance, 2 ref-advance
     for d in range(p + r - 1):
         lo, hi = max(0, d - r + 1), min(d, p - 1)
-        cost = costs[: hi - lo + 1]
         # cells (i, d - i) for a <= i < b, in row chunks so the squares stay in cache
         for a in range(lo, hi + 1, _CHUNK):
             b = min(a + _CHUNK, hi + 1)
@@ -105,25 +103,28 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
             # summed as dx*dx + dy*dy + dz*dz, the order np.linalg.norm uses: bit-identical
             sq[0] += sq[1]
             sq[0] += sq[2]
-            np.sqrt(sq[0], out=sq[0]).mean(axis=1, out=cost[a - lo : b - lo])
+            np.sqrt(sq[0], out=sq[0]).mean(axis=1, out=costs[a - lo : b - lo])
         if d == 0:
-            acc[0, 1], length[0, 1] = cost[0], 1
+            acc[0, 1], length[0, 1] = costs[0], 1
             continue
-        # cell i's diagonal and pred-advance predecessors sit at slot i of
-        # diagonals d - 2 and d - 1, its ref-advance predecessor at slot i + 1
-        best_acc, best_len = acc[(d - 2) % 3, lo : hi + 1], length[(d - 2) % 3, lo : hi + 1]
-        move = np.zeros(hi - lo + 1, dtype=np.int8)
+        # cell i's diagonal and pred-advance predecessors sit at slot i of diagonals
+        # d - 2 and d - 1, its ref-advance predecessor at slot i + 1. The w cells from
+        # lo are compared and those past hi dropped: temporaries of one length per
+        # pair, not one per diagonal, keep numpy's small-block cache from pinning the heap
+        best_acc, best_len = acc[(d - 2) % 3, lo : lo + w], length[(d - 2) % 3, lo : lo + w]
+        move = np.zeros(w, dtype=np.int8)
         for m in (1, 2):
-            cand_acc = acc[(d - 1) % 3, lo + m - 1 : hi + m]
-            cand_len = length[(d - 1) % 3, lo + m - 1 : hi + m]
+            cand_acc = acc[(d - 1) % 3, lo + m - 1 : lo + m - 1 + w]
+            cand_len = length[(d - 1) % 3, lo + m - 1 : lo + m - 1 + w]
             better = (cand_acc < best_acc) | ((cand_acc == best_acc) & (cand_len < best_len))
             best_acc = np.where(better, cand_acc, best_acc)
             best_len = np.where(better, cand_len, best_len)
-            move[better] = m
-        acc[d % 3, lo + 1 : hi + 2] = best_acc + cost
-        length[d % 3, lo + 1 : hi + 2] = best_len + 1
+            np.copyto(move, m, where=better)
+        n = hi - lo + 1
+        np.add(best_acc[:n], costs[:n], out=acc[d % 3, lo + 1 : hi + 2])
+        np.add(best_len[:n], 1, out=length[d % 3, lo + 1 : hi + 2])
         # cell (i, d - i) is flat index i * (r - 1) + d
-        back.reshape(-1)[lo * (r - 1) + d : hi * (r - 1) + d + 1 : max(r - 1, 1)] = move
+        back.reshape(-1)[lo * (r - 1) + d : hi * (r - 1) + d + 1 : max(r - 1, 1)] = move[:n]
 
     steps = [(p - 1, r - 1)]
     i, j = p - 1, r - 1
