@@ -22,13 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .manifest import (
-    SubmissionManifest,
-    decode_utf8,
-    load_manifest,
-    load_sentence_file,
-    split_lines,
-)
+from .manifest import SubmissionManifest, decode_utf8, load_manifest, load_sentence_file, split_lines
 from .pose import (
     DEFAULT_LAYOUT,
     DegenerateTorsoError,

@@ -59,7 +59,7 @@ class SubmissionManifest:
         return iter(self.entries)
 
 
-def decode_utf8(data: bytes, path) -> str:
+def decode_utf8(data: bytes, path: object) -> str:
     """``data`` decoded as UTF-8; a decode error names the file it came from."""
     try:
         return data.decode("utf-8")

@@ -242,7 +242,9 @@ def test_dtw_mje_is_pinned_on_a_long_pair():
     # bit pattern from the per-cell implementation, above the sizes the loop oracle covers
     pred = synth_sequence(SynthSpec(frame_count=150, seed=1), id="a")
     ref = synth_sequence(SynthSpec(frame_count=120, seed=2), id="a")
-    assert float.hex(dtw_mje(pred, ref)) == "0x1.5a70a065be63cp-6"
+    for chunk in (pose_metrics._CHUNK, 50):
+        with mock.patch.object(pose_metrics, "_CHUNK", chunk):
+            assert float.hex(dtw_mje(pred, ref)) == "0x1.5a70a065be63cp-6"
 
 
 def test_dtw_is_symmetric_in_cost():
