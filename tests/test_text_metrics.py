@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slpeval.synth import synth_sentence
 from slpeval.text_metrics import (
+    CHRF_BETA,
+    CHRF_MAX_ORDER,
     TokenizedCorpus,
+    _lcs_length,
     bleu_corpus,
     chrf,
     length_error_correlation,
@@ -320,3 +325,181 @@ def test_corpus_scores_are_order_invariant(data, hyps):
 def test_mismatched_corpus_sizes_raise():
     with pytest.raises(ValueError, match="sizes"):
         wer(corpus("a"), corpus("a", "b"))
+
+
+# ---------------------------------------------------------------- oracle
+# The per-sentence Counter implementations of BLEU and chrF and the
+# O(|a|·|b|) LCS dynamic programme, kept verbatim as the oracle that the
+# library's counting must match exactly.
+
+
+def _reference_ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def reference_bleu_corpus(
+    hyps: TokenizedCorpus, refs: TokenizedCorpus, max_n: int = 4
+) -> tuple[float, ...]:
+    matched = [0] * max_n
+    total = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hyps.sentences, refs.sentences):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts = _reference_ngram_counts(hyp, n)
+            if not hyp_counts:
+                continue
+            ref_counts = _reference_ngram_counts(ref, n)
+            total[n - 1] += sum(hyp_counts.values())
+            matched[n - 1] += sum(
+                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
+            )
+
+    precisions = [m / t if t else 0.0 for m, t in zip(matched, total)]
+    brevity = 1.0 if hyp_len >= ref_len or hyp_len == 0 else math.exp(1.0 - ref_len / hyp_len)
+
+    scores = []
+    for n in range(1, max_n + 1):
+        if any(p == 0.0 for p in precisions[:n]):
+            scores.append(0.0)
+        else:
+            log_mean = sum(math.log(p) for p in precisions[:n]) / n
+            scores.append(100.0 * brevity * math.exp(log_mean))
+    return tuple(scores)
+
+
+def _reference_char_stream(sentence: str) -> str:
+    return "".join(sentence.split())
+
+
+def reference_chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
+    per_order = []
+    for n in range(1, CHRF_MAX_ORDER + 1):
+        matched = 0
+        total_hyp = 0
+        total_ref = 0
+        for hyp, ref in zip(hyps.raw, refs.raw):
+            hyp_counts = _reference_ngram_counts(tuple(_reference_char_stream(hyp)), n)
+            ref_counts = _reference_ngram_counts(tuple(_reference_char_stream(ref)), n)
+            total_hyp += sum(hyp_counts.values())
+            total_ref += sum(ref_counts.values())
+            matched += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+        if total_hyp == 0 and total_ref == 0:
+            continue
+        precision = matched / total_hyp if total_hyp else 0.0
+        recall = matched / total_ref if total_ref else 0.0
+        beta_sq = CHRF_BETA * CHRF_BETA
+        denom = beta_sq * precision + recall
+        per_order.append((1 + beta_sq) * precision * recall / denom if denom > 0 else 0.0)
+    if not per_order:
+        raise ValueError("empty corpora: no character n-grams on either side")
+    return 100.0 * sum(per_order) / len(per_order)
+
+
+def reference_lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for tok_a in a:
+        cur = [0]
+        for j, tok_b in enumerate(b):
+            if tok_a == tok_b:
+                cur.append(prev[j] + 1)
+            else:
+                cur.append(max(prev[j + 1], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+def reference_rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
+    f_sum = 0.0
+    for hyp, ref in zip(hyps.sentences, refs.sentences):
+        if not hyp and not ref:
+            f_sum += 1.0
+            continue
+        lcs = reference_lcs_length(hyp, ref)
+        precision = lcs / len(hyp) if hyp else 0.0
+        recall = lcs / len(ref) if ref else 0.0
+        if precision + recall > 0:
+            f_sum += 2.0 * precision * recall / (precision + recall)
+    return 100.0 * f_sum / len(hyps)
+
+
+def _outcome(metric, *args) -> str:
+    """``repr`` of a metric's value, or its ValueError message."""
+    try:
+        return repr(metric(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def assert_matches_reference(hyps: list[str], refs: list[str]) -> None:
+    h, r = corpus(*hyps), corpus(*refs)
+    for max_n in range(1, 5):
+        assert _outcome(bleu_corpus, h, r, max_n) == _outcome(reference_bleu_corpus, h, r, max_n)
+    assert _outcome(chrf, h, r) == _outcome(reference_chrf, h, r)
+    assert _outcome(rouge_l, h, r) == _outcome(reference_rouge_l, h, r)
+
+
+#: repeated, cased, non-ASCII and astral units, so clipping and the
+#: character ids see more than ASCII letters
+_ORACLE_WORDS = ("a", "b", "ab", "aa", "ä", "Ä", "\U0001F600", "a\U0001F600", "日本")
+
+oracle_sentence = st.one_of(
+    st.lists(st.sampled_from(_ORACLE_WORDS), max_size=8).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+oracle_corpora = st.integers(1, 6).flatmap(
+    lambda size: st.tuples(
+        st.lists(oracle_sentence, min_size=size, max_size=size),
+        st.lists(oracle_sentence, min_size=size, max_size=size),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora=oracle_corpora)
+def test_text_metrics_match_reference_exactly(corpora):
+    assert_matches_reference(*corpora)
+
+
+@pytest.mark.parametrize(
+    "hyps, refs",
+    [
+        ([""], [""]),
+        (["", "a"], ["a", ""]),
+        (["a a a a"], ["a a"]),
+        (["aaaaaaa"], ["aaa"]),
+        (["\U0001F600\U0001F600 ä"], ["\U0001F600 Ä\U0001F600"]),
+        (["a b c d e"], ["a b c d e"]),
+    ],
+)
+def test_text_metrics_match_reference_on_edge_cases(hyps, refs):
+    assert_matches_reference(hyps, refs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.sampled_from("abcä\U0001F600"), max_size=70).map(tuple),
+    b=st.lists(st.sampled_from("abcä\U0001F600"), max_size=70).map(tuple),
+)
+def test_lcs_length_matches_reference(a, b):
+    assert _lcs_length(a, b) == reference_lcs_length(a, b)
+
+
+def test_text_metrics_are_pinned_on_a_synth_corpus():
+    # float.hex of the per-sentence Counter / DP implementation's values
+    refs = [synth_sentence(i) for i in range(300)]
+    hyps = [synth_sentence(i if i % 4 else 1000 + i, 2, 12) for i in range(300)]
+    h, r = corpus(*hyps), corpus(*refs)
+    assert [v.hex() for v in bleu_corpus(h, r)] == [
+        "0x1.032199689fbefp+6",
+        "0x1.e8d26a0461e3ap+5",
+        "0x1.d571f9e47d22ep+5",
+        "0x1.c1dd6c1ccc6e1p+5",
+    ]
+    assert chrf(h, r).hex() == "0x1.26b0002aafd69p+6"
+    assert rouge_l(h, r).hex() == "0x1.15e99a70d2bd7p+6"
