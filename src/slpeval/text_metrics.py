@@ -3,8 +3,10 @@
 All metrics take id-aligned hypothesis/reference corpora and report
 percentages. BLEU pools n-gram counts over the corpus (no smoothing: a zero
 precision at any order zeroes the score). CHRF pools character n-gram counts
-per order and averages the per-order F-scores. ROUGE-L averages per-sentence
-LCS F1. WER is token-level Levenshtein with unit costs, with the full
+per order and averages the per-order F-scores. Both clip n-gram matches per
+sentence pair and count them for the whole corpus in numpy, in batches of
+about ``_BATCH_UNITS`` units. ROUGE-L averages per-sentence LCS F1, with the
+LCS length from a bit-parallel recurrence (Hyyrö 2004). WER is token-level Levenshtein with unit costs, with the full
 substitution/deletion/insertion decomposition and per-sentence alignment
 traces retained, so rates above 100 are possible and expected for verbose
 hypotheses.
@@ -14,7 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "EditOp",
@@ -34,6 +40,8 @@ __all__ = [
 
 CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
+#: sentence pairs are counted in batches of about this many units
+_BATCH_UNITS = 4096
 
 #: one aligned token pair: (op, ref_token, hyp_token); absent side is None
 EditOp = tuple[str, str | None, str | None]
@@ -98,8 +106,50 @@ def _check_paired(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> None:
         raise ValueError("empty corpus")
 
 
-def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+def _clipped_counts(
+    hyp_units: Sequence[Sequence[Hashable]], ref_units: Sequence[Sequence[Hashable]], max_n: int
+) -> list[tuple[int, int, int]]:
+    """``(clipped matches, hyp n-grams, ref n-grams)`` per order 1..max_n, pooled.
+
+    A hypothesis n-gram matches at most as often as it occurs in the paired
+    reference. Every unit gets a dense id; an n-gram's id is the (n-1)-gram
+    id at its position times the vocabulary size plus its last unit's id,
+    renumbered densely per order and batch.
+    """
+    vocab = {u: i for i, u in enumerate(dict.fromkeys(chain(*hyp_units, *ref_units)))}
+    ids, offsets = [], []
+    for side in (hyp_units, ref_units):
+        lengths = np.fromiter(map(len, side), np.int64, len(side))
+        offsets.append(np.concatenate(([0], np.cumsum(lengths))))
+        ids.append(np.fromiter(map(vocab.__getitem__, chain(*side)), np.int64, offsets[-1][-1]))
+    pair_off = offsets[0] + offsets[1]
+    totals = np.zeros((max_n, 3), np.int64)
+    start = 0
+    while start < len(hyp_units):
+        stop = int(np.searchsorted(pair_off, pair_off[start] + _BATCH_UNITS, "right")) - 1
+        stop = max(stop, start + 1)
+        units = np.concatenate([i[o[start] : o[stop]] for i, o in zip(ids, offsets)])
+        lengths = np.concatenate([np.diff(o[start : stop + 1]) for o in offsets])
+        pair = np.tile(np.arange(stop - start), 2).repeat(lengths)
+        left = np.cumsum(lengths).repeat(lengths) - np.arange(len(units))
+        split = offsets[0][stop] - offsets[0][start]
+        gram, span = units, len(vocab)
+        for n in range(1, max_n + 1):
+            if n > 1:
+                grams, gram = np.unique(gram[:-1] * len(vocab) + units[n - 1 :], return_inverse=True)
+                span = len(grams)
+            keep = left[: len(gram)] >= n
+            keys = pair[: len(gram)] * span + gram
+            hyp_keys, hyp_counts = np.unique(keys[:split][keep[:split]], return_counts=True)
+            ref_keys, ref_counts = np.unique(keys[split:][keep[split:]], return_counts=True)
+            _, at_hyp, at_ref = np.intersect1d(
+                hyp_keys, ref_keys, assume_unique=True, return_indices=True
+            )
+            totals[n - 1, 0] += np.minimum(hyp_counts[at_hyp], ref_counts[at_ref]).sum()
+            totals[n - 1, 1] += hyp_counts.sum()
+            totals[n - 1, 2] += ref_counts.sum()
+        start = stop
+    return [tuple(int(v) for v in row) for row in totals]
 
 
 def bleu_corpus(
@@ -115,24 +165,9 @@ def bleu_corpus(
         raise ValueError(f"max_n must be in 1..4, got {max_n}")
     _check_paired(hyps, refs)
 
-    matched = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps.sentences, refs.sentences):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            total[n - 1] += sum(hyp_counts.values())
-            matched[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
-
-    precisions = [m / t if t else 0.0 for m, t in zip(matched, total)]
+    counts = _clipped_counts(hyps.sentences, refs.sentences, max_n)
+    precisions = [m / t if t else 0.0 for m, t, _ in counts]
+    _, hyp_len, ref_len = counts[0]
     brevity = 1.0 if hyp_len >= ref_len or hyp_len == 0 else math.exp(1.0 - ref_len / hyp_len)
 
     scores = []
@@ -145,30 +180,17 @@ def bleu_corpus(
     return tuple(scores)
 
 
-def _char_stream(sentence: str) -> str:
-    # whitespace is excluded from the character stream entirely
-    return "".join(sentence.split())
-
-
 def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     """Character n-gram F-beta averaged over orders 1..6, beta = 2.
 
-    Precision and recall per order come from corpus-pooled counts. Orders
-    with no n-grams on either side (corpora shorter than the order) do not
-    enter the average.
+    Precision and recall per order come from corpus-pooled counts; whitespace
+    is not part of the character stream. Orders with no n-grams on either
+    side (corpora shorter than the order) do not enter the average.
     """
     _check_paired(hyps, refs)
+    streams = [["".join(s.split()) for s in corpus.raw] for corpus in (hyps, refs)]
     per_order = []
-    for n in range(1, CHRF_MAX_ORDER + 1):
-        matched = 0
-        total_hyp = 0
-        total_ref = 0
-        for hyp, ref in zip(hyps.raw, refs.raw):
-            hyp_counts = _ngram_counts(tuple(_char_stream(hyp)), n)
-            ref_counts = _ngram_counts(tuple(_char_stream(ref)), n)
-            total_hyp += sum(hyp_counts.values())
-            total_ref += sum(ref_counts.values())
-            matched += sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+    for matched, total_hyp, total_ref in _clipped_counts(*streams, CHRF_MAX_ORDER):
         if total_hyp == 0 and total_ref == 0:
             continue
         precision = matched / total_hyp if total_hyp else 0.0
@@ -182,18 +204,16 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
 
 
 def _lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        cur = [0]
-        for j, tok_b in enumerate(b):
-            if tok_a == tok_b:
-                cur.append(prev[j] + 1)
-            else:
-                cur.append(max(prev[j + 1], cur[-1]))
-        prev = cur
-    return prev[-1]
+    # bit i of v is 0 where row i of the LCS table steps up (Hyyrö 2004)
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(a):
+        masks[tok] = masks.get(tok, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for tok in b:
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slpeval import text_metrics
 from slpeval.synth import synth_sentence
 from slpeval.text_metrics import (
     CHRF_BETA,
@@ -460,10 +462,13 @@ oracle_corpora = st.integers(1, 6).flatmap(
 )
 
 
+@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
 @settings(max_examples=300, deadline=None)
 @given(corpora=oracle_corpora)
-def test_text_metrics_match_reference_exactly(corpora):
-    assert_matches_reference(*corpora)
+def test_text_metrics_match_reference_exactly(batch_units, corpora):
+    # a batch never splits a sentence pair; 1 puts every pair in its own batch
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        assert_matches_reference(*corpora)
 
 
 @pytest.mark.parametrize(
@@ -490,8 +495,14 @@ def test_lcs_length_matches_reference(a, b):
     assert _lcs_length(a, b) == reference_lcs_length(a, b)
 
 
-def test_text_metrics_are_pinned_on_a_synth_corpus():
+@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 50])
+def test_text_metrics_are_pinned_on_a_synth_corpus(batch_units):
     # float.hex of the per-sentence Counter / DP implementation's values
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        check_pinned_synth_corpus()
+
+
+def check_pinned_synth_corpus():
     refs = [synth_sentence(i) for i in range(300)]
     hyps = [synth_sentence(i if i % 4 else 1000 + i, 2, 12) for i in range(300)]
     h, r = corpus(*hyps), corpus(*refs)
