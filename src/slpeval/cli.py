@@ -164,7 +164,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _load_score_entries(paths: list[Path]) -> list[ScoreVector]:
     entries: list[ScoreVector] = []
     for path in paths:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(decode_utf8(path.read_bytes(), path))
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
         items = doc if isinstance(doc, list) else [doc]
         for item in items:
             if not isinstance(item, dict) or "entrant" not in item or (
@@ -249,7 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         LayoutError,
         ValueError,
         OSError,
-        json.JSONDecodeError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
