@@ -9,6 +9,7 @@ stable across platforms and numpy releases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.frame_count < 1:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not math.isfinite(self.frequency):
+            raise ValueError(f"frequency must be finite, got {self.frequency}")
 
 
 def rest_pose(layout: KeypointLayout = DEFAULT_LAYOUT) -> np.ndarray:

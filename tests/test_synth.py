@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,13 @@ def test_spec_validation():
         SynthSpec(frame_count=0)
     with pytest.raises(ValueError, match="amplitude"):
         SynthSpec(frame_count=2, amplitude=-0.1)
+
+
+@pytest.mark.parametrize("field", ["amplitude", "frequency"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SynthSpec(frame_count=2, **{field: value})
 
 
 def test_perturb_zero_sigma_is_identity():
