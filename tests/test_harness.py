@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slpeval
 from slpeval.cli import main
@@ -778,3 +783,59 @@ def test_cli_rank_rejects_bad_metric_values(tmp_path, capsys, raw):
     assert run_cli("rank", "--scores", str(scores)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scores}: score vector for 'team1': metric 'Total Distance'")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'[{"entrant": "caf\xe9"}]', "'utf-8' codec can't decode byte 0xe9"),
+        (b'[{"entrant": "x", "metrics":\n', "Expecting value: line 2 column 1"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ],
+    ids=["non-utf8", "truncated", "deeply-nested"],
+)
+def test_cli_rank_names_unreadable_score_file(tmp_path, capsys, data, message):
+    scores = tmp_path / "scores.json"
+    scores.write_bytes(data)
+    assert run_cli("rank", "--scores", str(scores)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scores}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--amplitude", "nan"), ("--amplitude", "inf"), ("--frequency", "inf"), ("--frequency", "nan")],
+)
+def test_cli_synth_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus"
+    assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", flag, value,
+                   "--out", str(out)) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: any Unicode text that fits on one line of a sentence file
+_SENTENCE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE), max_size=5), extra=st.booleans())
+def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
+    hyps = [hyp for hyp, _ in pairs] + ["unpaired"] * extra
+    refs = [ref for _, ref in pairs]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, sentences in (("hyp.tsv", hyps), ("ref.tsv", refs)):
+            path = Path(tmp) / name
+            path.write_bytes("".join(f"s{i}\t{s}\n" for i, s in enumerate(sentences)).encode())
+            paths.append(str(path))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--hyp", paths[0], "--ref-text", paths[1]])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["text"] is not None
+    else:
+        assert err.getvalue().startswith("error: ")

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slpeval.manifest import (
     ManifestError,
+    decode_utf8,
     load_manifest,
     load_sentence_file,
 )
+
+#: any Unicode text that fits on one line of a sentence file
+sentence_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"))
 
 
 def test_load_manifest_basic():
@@ -82,3 +91,16 @@ def test_crlf_files_parse_like_lf_files():
     manifest = "a\tposes/a.pose\tmorgen regen\r\nb\tposes/b.pose\r\n"
     assert load_manifest(manifest) == load_manifest(manifest.replace("\r\n", "\n"))
     assert load_sentence_file("a\tx y\r\n\r\nb\t\r\n") == {"a": "x y", "b": ""}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences=st.lists(sentence_text, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
+def test_sentence_file_round_trips_any_unicode_sentence(sentences, newline):
+    text = "".join(f"s{i}\t{sentence}{newline}" for i, sentence in enumerate(sentences))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hyp.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        loaded = load_sentence_file(decode_utf8(path.read_bytes(), path))
+    # a line loses one trailing \r, so under LF a sentence's own final \r goes
+    expected = [s if newline == "\r\n" else s.removesuffix("\r") for s in sentences]
+    assert loaded == {f"s{i}": s for i, s in enumerate(expected)}
