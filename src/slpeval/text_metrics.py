@@ -6,10 +6,10 @@ precision at any order zeroes the score). CHRF pools character n-gram counts
 per order and averages the per-order F-scores. Both clip n-gram matches per
 sentence pair and count them for the whole corpus in numpy, in batches of
 about ``_BATCH_UNITS`` units. ROUGE-L averages per-sentence LCS F1, with the
-LCS length from a bit-parallel recurrence (Hyyrö 2004). WER is token-level Levenshtein with unit costs, with the full
-substitution/deletion/insertion decomposition and per-sentence alignment
-traces retained, so rates above 100 are possible and expected for verbose
-hypotheses.
+LCS length from a bit-parallel recurrence (Hyyrö 2004). WER is token-level
+Levenshtein with unit costs, with the full substitution/deletion/insertion
+decomposition and per-sentence alignment traces retained, so rates above 100
+are possible and expected for verbose hypotheses.
 """
 
 from __future__ import annotations
@@ -117,22 +117,23 @@ def _clipped_counts(
     renumbered densely per order and batch.
     """
     vocab = {u: i for i, u in enumerate(dict.fromkeys(chain(*hyp_units, *ref_units)))}
-    ids, offsets = [], []
-    for side in (hyp_units, ref_units):
-        lengths = np.fromiter(map(len, side), np.int64, len(side))
-        offsets.append(np.concatenate(([0], np.cumsum(lengths))))
-        ids.append(np.fromiter(map(vocab.__getitem__, chain(*side)), np.int64, offsets[-1][-1]))
-    pair_off = offsets[0] + offsets[1]
+    lengths = np.array([[len(u) for u in side] for side in (hyp_units, ref_units)], np.int64)
+    pair_off = np.concatenate(([0], np.cumsum(lengths.sum(axis=0))))
     totals = np.zeros((max_n, 3), np.int64)
     start = 0
     while start < len(hyp_units):
         stop = int(np.searchsorted(pair_off, pair_off[start] + _BATCH_UNITS, "right")) - 1
         stop = max(stop, start + 1)
-        units = np.concatenate([i[o[start] : o[stop]] for i, o in zip(ids, offsets)])
-        lengths = np.concatenate([np.diff(o[start : stop + 1]) for o in offsets])
-        pair = np.tile(np.arange(stop - start), 2).repeat(lengths)
-        left = np.cumsum(lengths).repeat(lengths) - np.arange(len(units))
-        split = offsets[0][stop] - offsets[0][start]
+        # hypothesis units of the batch's pairs, then their reference units
+        batch = lengths[:, start:stop].ravel()
+        units = np.fromiter(
+            map(vocab.__getitem__, chain(*hyp_units[start:stop], *ref_units[start:stop])),
+            np.int64,
+            batch.sum(),
+        )
+        pair = np.tile(np.arange(stop - start), 2).repeat(batch)
+        left = np.cumsum(batch).repeat(batch) - np.arange(len(units))
+        split = batch[: stop - start].sum()
         gram, span = units, len(vocab)
         for n in range(1, max_n + 1):
             if n > 1:
@@ -204,7 +205,8 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
 
 
 def _lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    # bit i of v is 0 where row i of the LCS table steps up (Hyyrö 2004)
+    # bit i of v is 0 when a[: i + 1] has a longer LCS with the part of b seen
+    # so far than a[:i] has, so the zeros count the LCS length (Hyyrö 2004)
     masks: dict[str, int] = {}
     for i, tok in enumerate(a):
         masks[tok] = masks.get(tok, 0) | 1 << i
