@@ -46,7 +46,7 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.frame_count < 1:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
-        if not 0 <= self.amplitude < math.inf:
+        if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not math.isfinite(self.frequency):
             raise ValueError(f"frequency must be finite, got {self.frequency}")

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from slpeval.pose import KeypointLayout, write_pose_file
+
+#: any Unicode text that fits on one line of a sentence file
+SENTENCE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"))
 
 #: Small layout for metric tests: 3 body points, 1 face, 1 point per hand.
 TINY_LAYOUT = KeypointLayout(

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slpeval
+from conftest import SENTENCE_TEXT
 from slpeval.cli import main
 from slpeval.harness import (
     DEVELOPMENT_RULES,
@@ -815,12 +816,8 @@ def test_cli_synth_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-#: any Unicode text that fits on one line of a sentence file
-_SENTENCE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"))
-
-
 @settings(max_examples=150, deadline=None)
-@given(pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE), max_size=5), extra=st.booleans())
+@given(pairs=st.lists(st.tuples(SENTENCE_TEXT, SENTENCE_TEXT), max_size=5), extra=st.booleans())
 def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
     hyps = [hyp for hyp, _ in pairs] + ["unpaired"] * extra
     refs = [ref for _, ref in pairs]

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SENTENCE_TEXT
 from slpeval.manifest import (
     ManifestError,
     decode_utf8,
     load_manifest,
     load_sentence_file,
 )
-
-#: any Unicode text that fits on one line of a sentence file
-sentence_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"))
 
 
 def test_load_manifest_basic():
@@ -94,7 +92,7 @@ def test_crlf_files_parse_like_lf_files():
 
 
 @settings(max_examples=200, deadline=None)
-@given(sentences=st.lists(sentence_text, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
+@given(sentences=st.lists(SENTENCE_TEXT, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
 def test_sentence_file_round_trips_any_unicode_sentence(sentences, newline):
     text = "".join(f"s{i}\t{sentence}{newline}" for i, sentence in enumerate(sentences))
     with tempfile.TemporaryDirectory() as tmp:

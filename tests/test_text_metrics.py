@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slpeval import text_metrics
@@ -465,25 +465,16 @@ oracle_corpora = st.integers(1, 6).flatmap(
 @pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
 @settings(max_examples=300, deadline=None)
 @given(corpora=oracle_corpora)
+@example(corpora=([""], [""]))
+@example(corpora=(["", "a"], ["a", ""]))
+@example(corpora=(["a a a a"], ["a a"]))
+@example(corpora=(["aaaaaaa"], ["aaa"]))
+@example(corpora=(["\U0001F600\U0001F600 ä"], ["\U0001F600 Ä\U0001F600"]))
+@example(corpora=(["a b c d e"], ["a b c d e"]))
 def test_text_metrics_match_reference_exactly(batch_units, corpora):
     # a batch never splits a sentence pair; 1 puts every pair in its own batch
     with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
         assert_matches_reference(*corpora)
-
-
-@pytest.mark.parametrize(
-    "hyps, refs",
-    [
-        ([""], [""]),
-        (["", "a"], ["a", ""]),
-        (["a a a a"], ["a a"]),
-        (["aaaaaaa"], ["aaa"]),
-        (["\U0001F600\U0001F600 ä"], ["\U0001F600 Ä\U0001F600"]),
-        (["a b c d e"], ["a b c d e"]),
-    ],
-)
-def test_text_metrics_match_reference_on_edge_cases(hyps, refs):
-    assert_matches_reference(hyps, refs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,19 +489,15 @@ def test_lcs_length_matches_reference(a, b):
 @pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 50])
 def test_text_metrics_are_pinned_on_a_synth_corpus(batch_units):
     # float.hex of the per-sentence Counter / DP implementation's values
-    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
-        check_pinned_synth_corpus()
-
-
-def check_pinned_synth_corpus():
     refs = [synth_sentence(i) for i in range(300)]
     hyps = [synth_sentence(i if i % 4 else 1000 + i, 2, 12) for i in range(300)]
     h, r = corpus(*hyps), corpus(*refs)
-    assert [v.hex() for v in bleu_corpus(h, r)] == [
-        "0x1.032199689fbefp+6",
-        "0x1.e8d26a0461e3ap+5",
-        "0x1.d571f9e47d22ep+5",
-        "0x1.c1dd6c1ccc6e1p+5",
-    ]
-    assert chrf(h, r).hex() == "0x1.26b0002aafd69p+6"
-    assert rouge_l(h, r).hex() == "0x1.15e99a70d2bd7p+6"
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        assert [v.hex() for v in bleu_corpus(h, r)] == [
+            "0x1.032199689fbefp+6",
+            "0x1.e8d26a0461e3ap+5",
+            "0x1.d571f9e47d22ep+5",
+            "0x1.c1dd6c1ccc6e1p+5",
+        ]
+        assert chrf(h, r).hex() == "0x1.26b0002aafd69p+6"
+        assert rouge_l(h, r).hex() == "0x1.15e99a70d2bd7p+6"
