@@ -42,7 +42,7 @@ from .pose_metrics import (
     dtw_mje,
     total_distance_ratio,
 )
-from .ranking import ScoreVector, dominance_matrix, pareto_fronts, to_objectives
+from .ranking import ScoreVector, dominance_matrix, pareto_fronts
 from .synth import mean_pose_baseline, perturb, synth_corpus, synth_sequence
 from .text_metrics import TextScore, TokenizedCorpus, bleu_corpus, chrf, rouge_l, wer
 
@@ -85,7 +85,6 @@ __all__ = [
     "run_backtranslation",
     "synth_corpus",
     "synth_sequence",
-    "to_objectives",
     "total_distance_ratio",
     "validate_submission",
     "wer",

@@ -203,7 +203,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "fronts": [list(front) for front in ranking.fronts],
             "dominance": {
                 "entrants": [entry.entrant for entry in entries],
-                "matrix": [list(row) for row in ranking.dominance],
+                "matrix": ranking.dominance.tolist(),
             },
             "scores": {entry.entrant: entry.as_dict() for entry in entries},
         }

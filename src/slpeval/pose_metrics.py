@@ -21,7 +21,6 @@ __all__ = [
     "corpus_pose_metrics",
     "dtw_align",
     "dtw_mje",
-    "frame_distance",
     "hand_travel",
     "total_distance_ratio",
 ]
@@ -57,15 +56,6 @@ class PoseScore:
     dtw_mje: float
     total_distance_ratio: float | None
     excluded_ids: tuple[str, ...] = field(default=())
-
-
-def frame_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean Euclidean distance between corresponding keypoints of two frames."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, axis=-1).mean())
 
 
 def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:

@@ -1,8 +1,8 @@
 """Leaderboard ranking via Pareto dominance over the nine-metric score vectors.
 
-Every metric is first mapped to a minimization objective: text metrics and
-the higher-is-better pose metric are negated, error rates pass through, and
-the hand-travel ratio becomes distance from its optimum of 1, so over- and
+Every metric is first mapped to a minimization objective: BLEU, chrF and
+ROUGE-L are negated, the error rates WER and DTW-MJE pass through, and the
+hand-travel ratio becomes distance from its optimum of 1, so over- and
 under-articulation are penalized symmetrically. One entrant dominates another
 if it is at least as good in every objective and strictly better in at least
 one; fronts are peeled iteratively and never favour a single metric.
@@ -14,17 +14,16 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CANONICAL_METRICS",
     "METRICS",
     "Metric",
-    "ObjectiveVector",
     "Ranking",
     "ScoreVector",
     "dominance_matrix",
-    "dominates",
     "pareto_fronts",
-    "to_objectives",
 ]
 
 
@@ -110,50 +109,16 @@ class ScoreVector:
         return dict(self.values)
 
 
-@dataclass(frozen=True)
-class ObjectiveVector:
-    """Canonical metrics recast so that lower is better in every component."""
-
-    objectives: tuple[float, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """Pareto fronts; front 0 is non-dominated, entrants keep input order.
 
-    ``dominance`` is the matrix the fronts were peeled from (see
+    ``dominance`` is the (N, N) bool array the fronts were peeled from (see
     :func:`dominance_matrix`).
     """
 
     fronts: tuple[tuple[str, ...], ...]
-    dominance: tuple[tuple[bool, ...], ...]
-
-
-def to_objectives(score: ScoreVector) -> ObjectiveVector:
-    objectives = []
-    for metric, (_, value) in zip(METRICS, score.values):
-        if metric.objective == "max":
-            objectives.append(-value)
-        elif metric.objective == "min":
-            objectives.append(value)
-        else:  # hand-travel ratio: optimum is 1
-            objectives.append(abs(1.0 - value))
-    return ObjectiveVector(objectives=tuple(objectives))
-
-
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """True iff ``a`` is no worse everywhere and strictly better somewhere."""
-    if len(a.objectives) != len(b.objectives):
-        raise ValueError(
-            f"objective lengths differ: {len(a.objectives)} vs {len(b.objectives)}"
-        )
-    strictly_better = False
-    for x, y in zip(a.objectives, b.objectives):
-        if x > y:
-            return False
-        if x < y:
-            strictly_better = True
-    return strictly_better
+    dominance: np.ndarray
 
 
 def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
@@ -165,26 +130,27 @@ def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
     if not entries:
         raise ValueError("at least one score vector is required")
     matrix = dominance_matrix(entries)
-    dominators = [sum(column) for column in zip(*matrix)]
-    front = [i for i, count in enumerate(dominators) if count == 0]
+    dominators = matrix.sum(axis=0)
+    left = np.ones(len(entries), dtype=bool)
     fronts: list[tuple[str, ...]] = []
-    while front:
+    while left.any():
+        front = np.flatnonzero(left & (dominators == 0))
         fronts.append(tuple(entries[i].entrant for i in front))
-        next_front = []
-        for i in front:
-            for j, flag in enumerate(matrix[i]):
-                if flag:
-                    dominators[j] -= 1
-                    if dominators[j] == 0:
-                        next_front.append(j)
-        front = sorted(next_front)
+        left[front] = False
+        dominators -= matrix[front].sum(axis=0)
     return Ranking(fronts=tuple(fronts), dominance=matrix)
 
 
-def dominance_matrix(entries: list[ScoreVector]) -> tuple[tuple[bool, ...], ...]:
-    """Pairwise matrix in input order: cell [i][j] means i dominates j."""
-    objectives = [to_objectives(entry) for entry in entries]
-    return tuple(
-        tuple(i != j and dominates(objectives[i], objectives[j]) for j in range(len(entries)))
-        for i in range(len(entries))
-    )
+def dominance_matrix(entries: list[ScoreVector]) -> np.ndarray:
+    """Pairwise (N, N) bool array in input order: cell [i, j] means i dominates j."""
+    values = np.array([[value for _, value in entry.values] for entry in entries])
+    no_worse = np.ones((len(entries), len(entries)), dtype=bool)
+    better = np.zeros_like(no_worse)
+    for metric, column in zip(METRICS, values.T):
+        if metric.objective == "max":
+            column = -column
+        elif metric.objective == "one":  # hand-travel ratio: optimum is 1
+            column = np.abs(1.0 - column)
+        no_worse &= column[:, None] <= column
+        better |= column[:, None] < column
+    return no_worse & better

@@ -48,8 +48,12 @@ class SynthSpec:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not math.isfinite(self.frequency):
-            raise ValueError(f"frequency must be finite, got {self.frequency}")
+        # a huge finite frequency still overflows the phase to inf, and sin(inf) is nan
+        if not math.isfinite(2.0 * math.pi * self.frequency * self.frame_count):
+            raise ValueError(
+                f"frequency must be finite, with 2*pi*frequency*frame_count finite too, "
+                f"got {self.frequency}"
+            )
 
 
 def rest_pose(layout: KeypointLayout = DEFAULT_LAYOUT) -> np.ndarray:

@@ -806,11 +806,13 @@ def test_cli_rank_names_unreadable_score_file(tmp_path, capsys, data, message):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--amplitude", "nan"), ("--amplitude", "inf"), ("--frequency", "inf"), ("--frequency", "nan")],
+    [("--amplitude", "nan"), ("--amplitude", "inf"), ("--frequency", "inf"), ("--frequency", "nan"),
+     ("--frequency", "1e308"), ("--frequency", "-1e308")],
 )
 def test_cli_synth_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     out = tmp_path / "corpus"
-    assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", flag, value,
+    # "--flag=value" form, since argparse reads a bare "-1e308" as an option
+    assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", f"{flag}={value}",
                    "--out", str(out)) == 2
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
     assert not out.exists()

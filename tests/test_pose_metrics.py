@@ -17,7 +17,6 @@ from slpeval.pose_metrics import (
     corpus_pose_metrics,
     dtw_align,
     dtw_mje,
-    frame_distance,
     hand_travel,
     total_distance_ratio,
 )
@@ -31,6 +30,11 @@ def seq_of(values, layout=None, id="s") -> PoseSequence:
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def frame_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean Euclidean distance between corresponding keypoints of two frames."""
+    return float(np.linalg.norm(a - b, axis=-1).mean())
 
 
 def enumerate_paths(p: int, r: int):

@@ -8,9 +8,7 @@ from slpeval.ranking import (
     CANONICAL_METRICS,
     ScoreVector,
     dominance_matrix,
-    dominates,
     pareto_fronts,
-    to_objectives,
 )
 
 _HIGHER = ("BLEU-1", "BLEU-2", "BLEU-3", "BLEU-4", "CHRF", "ROUGE")
@@ -91,56 +89,53 @@ def test_as_dict_round_trip():
     assert sv.as_dict() == LEADERBOARD["team1"]
 
 
-# ---------------------------------------------------------------- objectives
-
-
-def test_objectives_orientation():
-    better_text = to_objectives(vector("a", **{"BLEU-1": 60.0}))
-    worse_text = to_objectives(vector("b", **{"BLEU-1": 40.0}))
-    assert better_text.objectives[0] < worse_text.objectives[0]
-
-    low_wer = to_objectives(vector("a", WER=10.0))
-    high_wer = to_objectives(vector("b", WER=90.0))
-    assert low_wer.objectives[6] < high_wer.objectives[6]
-
-
-def test_travel_ratio_objective_is_symmetric_about_one():
-    under = to_objectives(vector("a", **{"Total Distance": 0.7}))
-    over = to_objectives(vector("b", **{"Total Distance": 1.3}))
-    assert under.objectives[8] == pytest.approx(over.objectives[8])
-    ideal = to_objectives(vector("c", **{"Total Distance": 1.0}))
-    assert ideal.objectives[8] == 0.0
-
-
 # ---------------------------------------------------------------- dominance
 
 
+def dominance(a: ScoreVector, b: ScoreVector) -> tuple[bool, bool]:
+    """(a dominates b, b dominates a), read from the two-entrant matrix."""
+    matrix = dominance_matrix([a, b])
+    return bool(matrix[0, 1]), bool(matrix[1, 0])
+
+
+def test_objectives_orientation():
+    for name in _HIGHER:
+        assert dominance(vector("a", **{name: 60.0}), vector("b", **{name: 40.0})) == (True, False)
+    for name in ("WER", "DTW-MJE"):
+        assert dominance(vector("a", **{name: 0.01}), vector("b", **{name: 0.09})) == (True, False)
+
+
+def test_travel_ratio_objective_is_symmetric_about_one():
+    under = vector("under", **{"Total Distance": 0.5})
+    over = vector("over", **{"Total Distance": 1.5})
+    ideal = vector("ideal", **{"Total Distance": 1.0})
+    assert dominance(under, over) == (False, False)
+    assert dominance(ideal, under) == (True, False)
+    assert dominance(ideal, over) == (True, False)
+    assert pareto_fronts([under, over, ideal]).fronts == (("ideal",), ("under", "over"))
+
+
 def test_identical_vectors_do_not_dominate():
-    a = to_objectives(vector("a"))
-    b = to_objectives(vector("b"))
-    assert not dominates(a, b)
-    assert not dominates(b, a)
+    assert dominance(vector("a"), vector("b")) == (False, False)
+    assert pareto_fronts([vector("a"), vector("b")]).fronts == (("a", "b"),)
 
 
 def test_single_improvement_dominates():
-    a = to_objectives(vector("a", WER=40.0))
-    b = to_objectives(vector("b"))
-    assert dominates(a, b)
-    assert not dominates(b, a)
+    assert dominance(vector("a", WER=40.0), vector("b")) == (True, False)
+    assert pareto_fronts([vector("b"), vector("a", WER=40.0)]).fronts == (("a",), ("b",))
 
 
 def test_tradeoff_is_incomparable():
     a = vector("a", WER=40.0, **{"DTW-MJE": 0.08})
-    b = vector("b")
-    assert not dominates(to_objectives(a), to_objectives(b))
-    assert not dominates(to_objectives(b), to_objectives(a))
+    assert dominance(a, vector("b")) == (False, False)
+    assert pareto_fronts([a, vector("b")]).fronts == (("a", "b"),)
 
 
 def test_over_articulation_is_penalized():
     # travel ratio 1.6 is farther from 1 than 0.9: neither direction is free
     calm = vector("a", **{"Total Distance": 0.9})
     wild = vector("b", **{"Total Distance": 1.6})
-    assert dominates(to_objectives(calm), to_objectives(wild))
+    assert dominance(calm, wild) == (True, False)
 
 
 # ---------------------------------------------------------------- fronts
@@ -187,8 +182,9 @@ def test_team_rows_alone_are_one_front():
 
 def test_fronts_match_oracle_on_random_sets():
     rng = np.random.Generator(np.random.PCG64(99))
-    for trial in range(100):
-        size = int(rng.integers(1, 9))
+    for trial in range(101):
+        # the last set is big enough for many fronts and many tied pairs
+        size = 300 if trial == 100 else int(rng.integers(1, 9))
         entries = []
         for i in range(size):
             # coarse grid provokes exact ties and duplicate vectors
@@ -201,10 +197,11 @@ def test_fronts_match_oracle_on_random_sets():
         assert [list(front) for front in ranking.fronts] == oracle_fronts(entries)
 
         matrix = dominance_matrix(entries)
-        assert ranking.dominance == matrix
-        for i in range(size):
-            for j in range(size):
-                expected = i != j and oracle_dominates(
-                    entries[i].as_dict(), entries[j].as_dict()
-                )
-                assert matrix[i][j] == expected
+        assert matrix.shape == (size, size)
+        assert np.array_equal(ranking.dominance, matrix)
+        scores = [entry.as_dict() for entry in entries]
+        expected = [
+            [i != j and oracle_dominates(scores[i], scores[j]) for j in range(size)]
+            for i in range(size)
+        ]
+        assert matrix.tolist() == expected

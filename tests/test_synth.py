@@ -75,9 +75,17 @@ def test_spec_validation():
         SynthSpec(frame_count=2, amplitude=-0.1)
 
 
-@pytest.mark.parametrize("field", ["amplitude", "frequency"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_spec_rejects_non_finite_parameters(field, value):
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (value, field)
+        for value in (math.nan, math.inf, -math.inf)
+        for field in ("amplitude", "frequency")
+    ]
+    # finite, but the phase 2*pi*frequency*t overflows
+    + [(1e308, "frequency"), (-1e308, "frequency")],
+)
+def test_spec_rejects_non_finite_parameters(value, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SynthSpec(frame_count=2, **{field: value})
 
