@@ -25,9 +25,7 @@ from . import __version__
 from .manifest import SubmissionManifest, decode_utf8, load_manifest, load_sentence_file, split_lines
 from .pose import (
     DEFAULT_LAYOUT,
-    DegenerateTorsoError,
     KeypointLayout,
-    PoseFormatError,
     PoseSequence,
     normalize_sequence,
     parse_layout,
@@ -173,15 +171,15 @@ def _read_text(path: Path, hasher, label: bytes = b"") -> str:
 
 
 def load_submission(
-    manifest_path: Path, layout: KeypointLayout, hasher
+    manifest_path: Path, layout: KeypointLayout, hasher, normalize: bool
 ) -> tuple[SubmissionManifest, dict[str, PoseSequence], list[tuple[str, Path, Exception | str]]]:
-    """Read, digest, parse and validate a manifest and every pose file it lists.
+    """Read, digest, parse, validate and optionally normalize a manifest's pose files.
 
     Each file is read once. ``hasher`` receives the manifest's length and
     bytes, then for each readable pose file its entry id, length and bytes.
-    A pose file that cannot be read, decoded, parsed or validated is reported
-    as ``(id, path, error)`` and left out of the sequences; only a bad
-    manifest raises.
+    A pose file that cannot be read, decoded, parsed, validated or
+    normalized is reported as ``(id, path, error)`` and left out of the
+    sequences; only a bad manifest raises.
     """
     manifest = load_manifest(_read_text(manifest_path, hasher))
     sequences: dict[str, PoseSequence] = {}
@@ -193,14 +191,19 @@ def load_submission(
             # the decode error is kept without it
             text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
             seq = parse_pose_file(text, id=entry.id, layout=layout)
-        except (OSError, UnicodeDecodeError, PoseFormatError) as err:
-            problems.append((entry.id, path, err))
-            continue
-        found = validate_sequence(seq, layout)
+            found = validate_sequence(seq, layout)
+            if not found:
+                sequences[entry.id] = normalize_sequence(seq) if normalize else seq
+        except (OSError, ValueError) as err:
+            found = [err]
         problems.extend((entry.id, path, problem) for problem in found)
-        if not found:
-            sequences[entry.id] = seq
     return manifest, sequences, problems
+
+
+def _id_coverage(ref_ids, pred_ids) -> tuple[list[str], list[str]]:
+    """The ids ``pred_ids`` lacks and the ones it adds to ``ref_ids``, each in file order."""
+    ref_set, pred_set = set(ref_ids), set(pred_ids)
+    return [i for i in ref_ids if i not in pred_set], [i for i in pred_ids if i not in ref_set]
 
 
 def validate_submission(
@@ -218,16 +221,17 @@ def validate_submission(
     """
     now = now if now is not None else datetime.now(timezone.utc)
     hasher = hashlib.sha256()
-    pred_manifest, _, pred_problems = load_submission(pred_manifest_path, layout, hasher)
-    ref_manifest, _, ref_problems = load_submission(ref_manifest_path, layout, hashlib.sha256())
+    # challenge scoring always normalizes, so a torso it cannot normalize is a violation
+    pred_manifest, _, pred_problems = load_submission(
+        pred_manifest_path, layout, hasher, normalize=True
+    )
+    ref_manifest, _, ref_problems = load_submission(
+        ref_manifest_path, layout, hashlib.sha256(), normalize=True
+    )
 
-    violations: list[str] = []
-    pred_ids = set(pred_manifest.ids)
-    ref_ids = set(ref_manifest.ids)
-    for missing in sorted(ref_ids - pred_ids):
-        violations.append(f"prediction missing id {missing!r}")
-    for extra in sorted(pred_ids - ref_ids):
-        violations.append(f"prediction has unknown id {extra!r}")
+    missing, extra = _id_coverage(ref_manifest.ids, pred_manifest.ids)
+    violations = [f"prediction missing id {i!r}" for i in missing]
+    violations.extend(f"prediction has unknown id {i!r}" for i in extra)
 
     for role, problems in (("prediction", pred_problems), ("reference", ref_problems)):
         for entry_id, path, error in problems:
@@ -388,18 +392,12 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             manifests[role] = load_manifest(_read_text(manifest_path, hasher, role.encode()))
             continue
         hasher.update(role.encode())
-        manifests[role], seqs, problems = load_submission(manifest_path, layout, hasher)
+        manifests[role], sequences[role], problems = load_submission(
+            manifest_path, layout, hasher, normalize=score_poses and config.normalize
+        )
         if problems:
             _, path, error = problems[0]
             raise EvaluationError(f"{path}: {error}")
-        if score_poses and config.normalize:
-            for entry in manifests[role]:
-                try:
-                    seqs[entry.id] = normalize_sequence(seqs[entry.id])
-                except (DegenerateTorsoError, ValueError) as err:
-                    path = _resolve(manifest_path.parent, entry.pose_path)
-                    raise EvaluationError(f"{path}: {err}") from err
-        sequences[role] = seqs
     hyp_text = ref_text = None
     if config.hypothesis_file is not None:
         hyp_text = _read_text(config.hypothesis_file, hasher, b"hyp")
@@ -416,13 +414,11 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     if score_poses:
         pred_seqs, ref_seqs = sequences["pred"], sequences["ref"]
         ref_ids = manifests["ref"].ids
-        missing = [i for i in ref_ids if i not in pred_seqs]
-        extra = [i for i in manifests["pred"].ids if i not in ref_seqs]
+        missing, extra = _id_coverage(ref_ids, manifests["pred"].ids)
         if missing or extra:
-            offender = missing[0] if missing else extra[0]
             raise EvaluationError(
                 f"{config.pred_manifest}: id set mismatch with reference manifest "
-                f"(first offender {offender!r})"
+                f"(first offender {(missing + extra)[0]!r})"
             )
         refs = [ref_seqs[i] for i in ref_ids]
         preds = [pred_seqs[i] for i in ref_ids]
@@ -464,13 +460,11 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
                 f"{text_source}: no reference sentences available "
                 "(need --ref-text or a reference manifest with sentences)"
             )
-        missing_ids = [i for i in ref_map if i not in hyp_map]
-        extra_ids = [i for i in hyp_map if i not in ref_map]
-        if missing_ids or extra_ids:
-            offender = missing_ids[0] if missing_ids else extra_ids[0]
+        missing, extra = _id_coverage(ref_map, hyp_map)
+        if missing or extra:
             raise EvaluationError(
                 f"{text_source}: hypothesis ids do not match reference ids "
-                f"(first offender {offender!r})"
+                f"(first offender {(missing + extra)[0]!r})"
             )
         ids = list(ref_map)
         hyps = TokenizedCorpus.from_raw([hyp_map[i] for i in ids])

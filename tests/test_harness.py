@@ -33,7 +33,7 @@ from slpeval.harness import (
     run_backtranslation,
     validate_submission,
 )
-from slpeval.pose import PoseSequence, write_pose_file
+from slpeval.pose import PoseSequence, parse_pose_file, write_pose_file
 from slpeval.synth import SynthSpec, perturb, synth_corpus, synth_sequence
 
 NOW = datetime(2026, 3, 2, 12, 0, tzinfo=timezone.utc)
@@ -660,6 +660,47 @@ def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
     assert f"prediction {corpus[1][0].id!r}: {victim}: 'utf-8' codec can't decode" in out
     assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
     assert capsys.readouterr().err.startswith(f"error: {victim}: 'utf-8' codec can't decode")
+
+
+def rewrite_frames(pose_path: Path, edit) -> None:
+    """Rewrite a pose file with ``edit`` applied to a writable copy of its frames."""
+    frames = parse_pose_file(pose_path.read_text(encoding="utf-8"), id="x").frames.copy()
+    edit(frames)
+    pose_path.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
+
+
+def make_torso_collinear(frames) -> None:
+    frames[0, :3] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+
+
+def break_submission(fault: str, pred: Path, ref: Path, entry_id: str) -> Path:
+    """Apply ``fault`` to a pred/ref manifest pair; returns the file an error must name."""
+    side = ref if fault.endswith("-ref") else pred
+    victim = side.parent / "poses" / f"{entry_id}.pose"
+    if fault.startswith("collinear"):
+        rewrite_frames(victim, make_torso_collinear)
+        return victim
+    raise AssertionError(fault)
+
+
+@pytest.mark.parametrize("fault", ["collinear-pred", "collinear-ref"])
+def test_unscorable_submission_is_refused_and_not_recorded(fault, corpus_writer, tmp_path,
+                                                           capsys):
+    corpus = small_corpus()
+    ref = corpus_writer(corpus, "ref")
+    pred = corpus_writer(corpus, "pred")
+    named = break_submission(fault, pred, ref, corpus[1][0].id)
+    history = tmp_path / "h.log"
+    prior = format_record(record(1, phase="test"))
+    history.write_text(prior, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("validate", "--pred", str(pred), "--ref", str(ref), "--phase", "test",
+                   "--history", str(history), "--record") in (1, 2)
+    captured = capsys.readouterr()
+    assert str(named) in captured.out + captured.err
+    assert history.read_text(encoding="utf-8") == prior
+    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}: ")
 
 
 @pytest.mark.parametrize(
