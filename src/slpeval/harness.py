@@ -22,7 +22,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .manifest import SubmissionManifest, decode_utf8, load_manifest, load_sentence_file, split_lines
+from .manifest import (
+    ManifestError,
+    SubmissionManifest,
+    decode_utf8,
+    load_manifest,
+    load_sentence_file,
+    split_lines,
+)
 from .pose import (
     DEFAULT_LAYOUT,
     KeypointLayout,
@@ -179,9 +186,11 @@ def load_submission(
     bytes, then for each readable pose file its entry id, length and bytes.
     A pose file that cannot be read, decoded, parsed, validated or
     normalized is reported as ``(id, path, error)`` and left out of the
-    sequences; only a bad manifest raises.
+    sequences; only a bad or empty manifest raises.
     """
     manifest = load_manifest(_read_text(manifest_path, hasher))
+    if not manifest.entries:
+        raise ManifestError(f"{manifest_path}: manifest lists no entries")
     sequences: dict[str, PoseSequence] = {}
     problems: list[tuple[str, Path, Exception | str]] = []
     for entry in manifest:

@@ -680,10 +680,14 @@ def break_submission(fault: str, pred: Path, ref: Path, entry_id: str) -> Path:
     if fault.startswith("collinear"):
         rewrite_frames(victim, make_torso_collinear)
         return victim
+    if fault.startswith("empty"):
+        for manifest in (ref, pred) if fault == "empty-both" else (ref,):
+            manifest.write_bytes(b"")
+        return side
     raise AssertionError(fault)
 
 
-@pytest.mark.parametrize("fault", ["collinear-pred", "collinear-ref"])
+@pytest.mark.parametrize("fault", ["collinear-pred", "collinear-ref", "empty-ref", "empty-both"])
 def test_unscorable_submission_is_refused_and_not_recorded(fault, corpus_writer, tmp_path,
                                                            capsys):
     corpus = small_corpus()
