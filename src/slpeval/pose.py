@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_LAYOUT",
+    "MAX_COORDINATE",
     "DegenerateTorsoError",
     "KeypointLayout",
     "LayoutError",
@@ -103,6 +104,11 @@ DEFAULT_LAYOUT = KeypointLayout(
     left_shoulder=1,
     right_shoulder=2,
 )
+
+#: largest coordinate magnitude a valid sequence may hold. Normalization
+#: squares the torso normal, whose components grow with the square of the
+#: coordinates, so that sum overflows float64 near 1e77.
+MAX_COORDINATE = 1e75
 
 _LAYOUT_RANGE_KEYS = {"body": "body", "face": "face", "lhand": "left_hand", "rhand": "right_hand"}
 _LAYOUT_INDEX_KEYS = {"neck": "neck", "lshoulder": "left_shoulder", "rshoulder": "right_shoulder"}
@@ -270,10 +276,14 @@ def validate_sequence(seq: PoseSequence, layout: KeypointLayout | None = None) -
     if seq.num_keypoints != layout.total:
         violations.append(f"point count {seq.num_keypoints} ≠ {layout.total}")
         return violations
-    bad = ~np.isfinite(seq.frames)
-    if bad.any():
-        for frame_idx, point_idx in zip(*np.nonzero(bad.any(axis=2))):
-            violations.append(f"non-finite coordinate at frame {frame_idx}, keypoint {point_idx}")
+    # one comparison: nan fails it as well as inf and huge finite values
+    bad = ~(np.abs(seq.frames) <= MAX_COORDINATE)
+    for frame_idx, point_idx in zip(*np.nonzero(bad.any(axis=2))):
+        where = f"coordinate at frame {frame_idx}, keypoint {point_idx}"
+        if np.isfinite(seq.frames[frame_idx, point_idx]).all():
+            violations.append(f"out-of-range {where} (|x| > {MAX_COORDINATE:g})")
+        else:
+            violations.append(f"non-finite {where}")
     return violations
 
 

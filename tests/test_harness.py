@@ -12,6 +12,7 @@ import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from slpeval.harness import (
     run_backtranslation,
     validate_submission,
 )
-from slpeval.pose import PoseSequence, parse_pose_file, write_pose_file
+from slpeval.pose import MAX_COORDINATE, PoseSequence, parse_pose_file, write_pose_file
 from slpeval.synth import SynthSpec, perturb, synth_corpus, synth_sequence
 
 NOW = datetime(2026, 3, 2, 12, 0, tzinfo=timezone.utc)
@@ -673,12 +674,19 @@ def make_torso_collinear(frames) -> None:
     frames[0, :3] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
 
 
+def place_past_bound(frames) -> None:
+    frames[-1, -1, 1] = np.nextafter(MAX_COORDINATE, np.inf)
+
+
 def break_submission(fault: str, pred: Path, ref: Path, entry_id: str) -> Path:
     """Apply ``fault`` to a pred/ref manifest pair; returns the file an error must name."""
     side = ref if fault.endswith("-ref") else pred
     victim = side.parent / "poses" / f"{entry_id}.pose"
     if fault.startswith("collinear"):
         rewrite_frames(victim, make_torso_collinear)
+        return victim
+    if fault == "out-of-range-pred":
+        rewrite_frames(victim, place_past_bound)
         return victim
     if fault.startswith("empty"):
         for manifest in (ref, pred) if fault == "empty-both" else (ref,):
@@ -687,7 +695,9 @@ def break_submission(fault: str, pred: Path, ref: Path, entry_id: str) -> Path:
     raise AssertionError(fault)
 
 
-@pytest.mark.parametrize("fault", ["collinear-pred", "collinear-ref", "empty-ref", "empty-both"])
+@pytest.mark.parametrize(
+    "fault", ["collinear-pred", "collinear-ref", "empty-ref", "empty-both", "out-of-range-pred"]
+)
 def test_unscorable_submission_is_refused_and_not_recorded(fault, corpus_writer, tmp_path,
                                                            capsys):
     corpus = small_corpus()
@@ -705,6 +715,21 @@ def test_unscorable_submission_is_refused_and_not_recorded(fault, corpus_writer,
     assert history.read_text(encoding="utf-8") == prior
     assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
+
+def test_coordinates_at_the_bound_score_finite(corpus_writer):
+    corpus = small_corpus(frames=5)
+    frame_sign = (-1.0) ** np.arange(5)[:, None, None]
+    base = np.random.default_rng(5).choice([-1.0, 1.0], size=(178, 3))
+    base[:3] = [[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]  # a non-flat torso
+    extreme = [(PoseSequence(id=seq.id, frames=MAX_COORDINATE * base * frame_sign), sentence)
+               for seq, sentence in corpus]
+    normal, huge = corpus_writer(corpus, "normal"), corpus_writer(extreme, "huge")
+    for pred, ref, normalize in ((huge, normal, True), (normal, huge, True), (huge, normal, False)):
+        config = EvaluationConfig(pred_manifest=pred, ref_manifest=ref, normalize=normalize)
+        score = evaluate(config).pose
+        assert np.isfinite([score.dtw_mje, score.total_distance_ratio]).all()
+        assert score.dtw_mje > 1e75
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import TINY_LAYOUT, flat_layout
 from slpeval.pose import (
     DEFAULT_LAYOUT,
+    MAX_COORDINATE,
     KeypointLayout,
     LayoutError,
     PoseFormatError,
@@ -180,6 +181,19 @@ def test_validate_sequence_checks_point_count(tiny_layout):
     seq = PoseSequence(id="s", frames=np.zeros((1, 5, 3)), layout=flat_layout(5))
     problems = validate_sequence(seq, tiny_layout)
     assert problems and "point count" in problems[0]
+
+
+def test_validate_sequence_bounds_coordinates(tiny_layout):
+    frames = np.zeros((2, 6, 3))
+    frames[0, 1] = [MAX_COORDINATE, -MAX_COORDINATE, 0.0]
+    frames[0, 5, 0] = -np.inf
+    frames[1, 2, 1] = np.nextafter(MAX_COORDINATE, np.inf)
+    frames[1, 4, 2] = np.nan
+    assert validate_sequence(PoseSequence(id="s", frames=frames, layout=tiny_layout)) == [
+        "non-finite coordinate at frame 0, keypoint 5",
+        "out-of-range coordinate at frame 1, keypoint 2 (|x| > 1e+75)",
+        "non-finite coordinate at frame 1, keypoint 4",
+    ]
 
 
 def test_validate_sequence_accepts_good_sequence(tiny_layout):
