@@ -284,7 +284,6 @@ class ReportDiagnostics:
     duration_ratio: float | None = None
     length_error_correlation: float | None = None
     top_error_words: tuple[tuple[str, int], ...] = ()
-    excluded_sequences: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -322,7 +321,7 @@ class MetricReport:
             "duration_ratio": self.diagnostics.duration_ratio,
             "length_error_correlation": self.diagnostics.length_error_correlation,
             "top_error_words": [[word, count] for word, count in self.diagnostics.top_error_words],
-            "excluded_sequences": list(self.diagnostics.excluded_sequences),
+            "excluded_sequences": list(self.pose.excluded_ids) if self.pose else [],
         }
         return doc
 
@@ -337,8 +336,6 @@ def duration_ratio(preds: list[PoseSequence], refs: list[PoseSequence]) -> float
     for pred, ref in zip(preds, refs):
         if pred.id != ref.id:
             raise ValueError(f"id mismatch: {pred.id!r} paired with {ref.id!r}")
-        if ref.num_frames == 0:
-            raise ValueError(f"reference {ref.id!r} has no frames")
         total += pred.num_frames / ref.num_frames
     return total / len(preds)
 
@@ -496,7 +493,6 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             duration_ratio=ratio,
             length_error_correlation=correlation,
             top_error_words=frequent_errors,
-            excluded_sequences=pose_score.excluded_ids if pose_score else (),
         ),
         provenance={
             "tool": "slpeval",
@@ -559,7 +555,7 @@ def render_report(report: MetricReport, format: str = "structured") -> str:
                 "Top error words: "
                 + ", ".join(f"{word} ({count})" for word, count in diag.top_error_words)
             )
-        if diag.excluded_sequences:
-            lines.append("Excluded sequences: " + ", ".join(diag.excluded_sequences))
+        if report.pose is not None and report.pose.excluded_ids:
+            lines.append("Excluded sequences: " + ", ".join(report.pose.excluded_ids))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {format!r}")

@@ -374,6 +374,17 @@ def test_table_and_csv_share_numbers(corpus_writer, sentence_writer):
     assert header[4:9] == ["chrf", "rouge", "wer", "dtw_mje", "total_distance"]
 
 
+def test_excluded_sequences_reach_every_rendering(corpus_writer):
+    corpus = small_corpus()
+    still_seq, sentence = corpus[1]
+    still = PoseSequence(id=still_seq.id, frames=still_seq.frames[[0] * still_seq.num_frames])
+    manifest = corpus_writer([corpus[0], (still, sentence), corpus[2]], "ref")
+    report = evaluate(EvaluationConfig(pred_manifest=manifest, ref_manifest=manifest))
+    doc = report.to_dict()
+    assert doc["diagnostics"]["excluded_sequences"] == doc["pose"]["excluded_ids"] == [still.id]
+    assert f"\nExcluded sequences: {still.id}\n" in render_report(report, "table")
+
+
 def test_unknown_render_format_rejected(corpus_writer):
     corpus = small_corpus()
     manifest = corpus_writer(corpus, "ref")
