@@ -919,3 +919,81 @@ def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
         assert json.loads(out.getvalue())["text"] is not None
     else:
         assert err.getvalue().startswith("error: ")
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> None:
+    """Apply one fault to the ``side`` ("pred" or "ref") copy of a synth corpus."""
+    manifest = root / side / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    victim = manifest.parent / lines[entry].split("\t")[1]
+    text = victim.read_text(encoding="utf-8")
+    if mutation == "collinear":
+        rewrite_frames(victim, make_torso_collinear)
+    elif mutation == "past-bound":
+        rewrite_frames(victim, place_past_bound)
+    elif mutation == "nan":
+        header, first, rest = text.split("\n", 2)
+        first = "nan " + first.split(" ", 1)[1]
+        victim.write_text(f"{header}\n{first}\n{rest}", encoding="utf-8")
+    elif mutation == "point-count":
+        frames = parse_pose_file(text, id="x").frames[:, :-1]
+        victim.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
+    elif mutation == "missing-frame":
+        victim.write_text(text[: text.rstrip("\n").rindex("\n") + 1], encoding="utf-8")
+    elif mutation == "missing-file":
+        victim.unlink()
+    elif mutation == "non-utf8":
+        victim.write_bytes(b"\xff" + victim.read_bytes())
+    elif mutation == "empty-ref":
+        (root / "ref" / "manifest.tsv").write_bytes(b"")
+    elif mutation == "missing-id":
+        manifest.write_text("".join(lines[:entry] + lines[entry + 1:]), encoding="utf-8")
+    elif mutation == "unknown-id":
+        extra = "extra\t" + lines[entry].split("\t", 1)[1]
+        manifest.write_text("".join(lines) + extra, encoding="utf-8")
+    elif mutation == "duplicate-id":
+        manifest.write_text("".join(lines) + lines[entry], encoding="utf-8")
+    else:
+        assert mutation == "none"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mutation=st.sampled_from(["none", "collinear", "empty-ref", "past-bound", "nan",
+                              "point-count", "missing-frame", "missing-file", "non-utf8",
+                              "missing-id", "unknown-id", "duplicate-id"]),
+    side=st.sampled_from(["pred", "ref"]),
+    entry=st.integers(0, 2),
+)
+def test_validate_and_evaluate_agree(mutation, side, entry):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in ("pred", "ref"):
+            synth = ["synth", "corpus", "--count", "3", "--frames", "4", "--out", str(root / name)]
+            assert run_captured(synth)[0] == 0
+        mutate_submission(mutation, root, side, entry)
+        history = root / "history.tsv"
+        prior = format_record(record(1)).encode()
+        history.write_bytes(prior)
+        pair = ["--pred", str(root / "pred" / "manifest.tsv"),
+                "--ref", str(root / "ref" / "manifest.tsv")]
+        validated, _, validate_err = run_captured(
+            ["validate", *pair, "--phase", "dev", "--history", str(history), "--record"]
+        )
+        evaluated, _, evaluate_err = run_captured(["evaluate", *pair])
+        logged = history.read_bytes()
+    assert validated in (0, 1, 2) and evaluated in (0, 1, 2)
+    assert "Traceback" not in validate_err + evaluate_err
+    assert (validated == 0) == (evaluated == 0)
+    assert (mutation == "none") == (evaluated == 0)
+    if validated == 0:
+        assert logged.startswith(prior) and logged.count(b"\n") == 2
+    else:
+        assert logged == prior
