@@ -321,7 +321,7 @@ class MetricReport:
             "duration_ratio": self.diagnostics.duration_ratio,
             "length_error_correlation": self.diagnostics.length_error_correlation,
             "top_error_words": [[word, count] for word, count in self.diagnostics.top_error_words],
-            "excluded_sequences": list(self.pose.excluded_ids) if self.pose else [],
+            "excluded_sequences": list(self.pose.excluded_ids) if self.pose is not None else [],
         }
         return doc
 

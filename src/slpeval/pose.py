@@ -278,12 +278,13 @@ def validate_sequence(seq: PoseSequence, layout: KeypointLayout | None = None) -
         return violations
     # one comparison: nan fails it as well as inf and huge finite values
     bad = ~(np.abs(seq.frames) <= MAX_COORDINATE)
-    for frame_idx, point_idx in zip(*np.nonzero(bad.any(axis=2))):
-        where = f"coordinate at frame {frame_idx}, keypoint {point_idx}"
-        if np.isfinite(seq.frames[frame_idx, point_idx]).all():
-            violations.append(f"out-of-range {where} (|x| > {MAX_COORDINATE:g})")
-        else:
-            violations.append(f"non-finite {where}")
+    if bad.any():  # the per-keypoint reduction costs ten times the comparison
+        for frame_idx, point_idx in zip(*np.nonzero(bad.any(axis=2))):
+            where = f"coordinate at frame {frame_idx}, keypoint {point_idx}"
+            if np.isfinite(seq.frames[frame_idx, point_idx]).all():
+                violations.append(f"out-of-range {where} (|x| > {MAX_COORDINATE:g})")
+            else:
+                violations.append(f"non-finite {where}")
     return violations
 
 
