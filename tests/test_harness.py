@@ -689,43 +689,83 @@ def place_past_bound(frames) -> None:
     frames[-1, -1, 1] = np.nextafter(MAX_COORDINATE, np.inf)
 
 
-def break_submission(fault: str, pred: Path, ref: Path, entry_id: str) -> Path:
-    """Apply ``fault`` to a pred/ref manifest pair; returns the file an error must name."""
-    side = ref if fault.endswith("-ref") else pred
-    victim = side.parent / "poses" / f"{entry_id}.pose"
-    if fault.startswith("collinear"):
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def synth_submission(root: Path) -> list[str]:
+    """Write one small synth corpus as ``root/pred`` and ``root/ref``; returns their flags."""
+    for name in ("pred", "ref"):
+        synth = ["synth", "corpus", "--count", "3", "--frames", "4", "--out", str(root / name)]
+        assert run_captured(synth)[0] == 0
+    return ["--pred", str(root / "pred" / "manifest.tsv"),
+            "--ref", str(root / "ref" / "manifest.tsv")]
+
+
+def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> Path:
+    """Apply one fault to the ``side`` ("pred" or "ref") copy of a synth submission.
+
+    Returns the file that a pose-file or empty-manifest fault must be named by.
+    """
+    manifest = root / side / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    victim = manifest.parent / lines[entry].split("\t")[1]
+    text = victim.read_text(encoding="utf-8")
+    if mutation == "collinear":
         rewrite_frames(victim, make_torso_collinear)
-        return victim
-    if fault == "out-of-range-pred":
+    elif mutation == "past-bound":
         rewrite_frames(victim, place_past_bound)
-        return victim
-    if fault.startswith("empty"):
-        for manifest in (ref, pred) if fault == "empty-both" else (ref,):
-            manifest.write_bytes(b"")
-        return side
-    raise AssertionError(fault)
+    elif mutation == "nan":
+        header, first, rest = text.split("\n", 2)
+        first = "nan " + first.split(" ", 1)[1]
+        victim.write_text(f"{header}\n{first}\n{rest}", encoding="utf-8")
+    elif mutation == "point-count":
+        frames = parse_pose_file(text, id="x").frames[:, :-1]
+        victim.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
+    elif mutation == "missing-frame":
+        victim.write_text(text[: text.rstrip("\n").rindex("\n") + 1], encoding="utf-8")
+    elif mutation == "missing-file":
+        victim.unlink()
+    elif mutation == "non-utf8":
+        victim.write_bytes(b"\xff" + victim.read_bytes())
+    elif mutation.startswith("empty"):
+        emptied = [root / "pred", root / "ref"] if mutation == "empty-both" else [root / "ref"]
+        for directory in emptied:
+            (directory / "manifest.tsv").write_bytes(b"")
+        return emptied[0] / "manifest.tsv"
+    elif mutation == "missing-id":
+        manifest.write_text("".join(lines[:entry] + lines[entry + 1:]), encoding="utf-8")
+    elif mutation == "unknown-id":
+        extra = "extra\t" + lines[entry].split("\t", 1)[1]
+        manifest.write_text("".join(lines) + extra, encoding="utf-8")
+    elif mutation == "duplicate-id":
+        manifest.write_text("".join(lines) + lines[entry], encoding="utf-8")
+    else:
+        assert mutation == "none"
+    return victim
 
 
 @pytest.mark.parametrize(
-    "fault", ["collinear-pred", "collinear-ref", "empty-ref", "empty-both", "out-of-range-pred"]
+    "mutation, side",
+    [("collinear", "pred"), ("collinear", "ref"), ("empty-ref", "ref"), ("empty-both", "pred"),
+     ("past-bound", "pred")],
 )
-def test_unscorable_submission_is_refused_and_not_recorded(fault, corpus_writer, tmp_path,
-                                                           capsys):
-    corpus = small_corpus()
-    ref = corpus_writer(corpus, "ref")
-    pred = corpus_writer(corpus, "pred")
-    named = break_submission(fault, pred, ref, corpus[1][0].id)
+def test_unscorable_submission_is_refused_and_not_recorded(mutation, side, tmp_path):
+    pair = synth_submission(tmp_path)
+    named = mutate_submission(mutation, tmp_path, side, 1)
     history = tmp_path / "h.log"
-    prior = format_record(record(1, phase="test"))
-    history.write_text(prior, encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli("validate", "--pred", str(pred), "--ref", str(ref), "--phase", "test",
-                   "--history", str(history), "--record") in (1, 2)
-    captured = capsys.readouterr()
-    assert str(named) in captured.out + captured.err
-    assert history.read_text(encoding="utf-8") == prior
-    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
-    assert capsys.readouterr().err.startswith(f"error: {named}: ")
+    prior = format_record(record(1, phase="test")).encode()
+    history.write_bytes(prior)
+    code, out, err = run_captured(
+        ["validate", *pair, "--phase", "test", "--history", str(history), "--record"]
+    )
+    assert code in (1, 2) and str(named) in out + err
+    assert history.read_bytes() == prior
+    code, _, err = run_captured(["evaluate", *pair])
+    assert code == 2 and err.startswith(f"error: {named}: ")
 
 
 def test_coordinates_at_the_bound_score_finite(corpus_writer):
@@ -921,53 +961,10 @@ def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
         assert err.getvalue().startswith("error: ")
 
 
-def run_captured(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> None:
-    """Apply one fault to the ``side`` ("pred" or "ref") copy of a synth corpus."""
-    manifest = root / side / "manifest.tsv"
-    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
-    victim = manifest.parent / lines[entry].split("\t")[1]
-    text = victim.read_text(encoding="utf-8")
-    if mutation == "collinear":
-        rewrite_frames(victim, make_torso_collinear)
-    elif mutation == "past-bound":
-        rewrite_frames(victim, place_past_bound)
-    elif mutation == "nan":
-        header, first, rest = text.split("\n", 2)
-        first = "nan " + first.split(" ", 1)[1]
-        victim.write_text(f"{header}\n{first}\n{rest}", encoding="utf-8")
-    elif mutation == "point-count":
-        frames = parse_pose_file(text, id="x").frames[:, :-1]
-        victim.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
-    elif mutation == "missing-frame":
-        victim.write_text(text[: text.rstrip("\n").rindex("\n") + 1], encoding="utf-8")
-    elif mutation == "missing-file":
-        victim.unlink()
-    elif mutation == "non-utf8":
-        victim.write_bytes(b"\xff" + victim.read_bytes())
-    elif mutation == "empty-ref":
-        (root / "ref" / "manifest.tsv").write_bytes(b"")
-    elif mutation == "missing-id":
-        manifest.write_text("".join(lines[:entry] + lines[entry + 1:]), encoding="utf-8")
-    elif mutation == "unknown-id":
-        extra = "extra\t" + lines[entry].split("\t", 1)[1]
-        manifest.write_text("".join(lines) + extra, encoding="utf-8")
-    elif mutation == "duplicate-id":
-        manifest.write_text("".join(lines) + lines[entry], encoding="utf-8")
-    else:
-        assert mutation == "none"
-
-
 @settings(max_examples=120, deadline=None)
 @given(
-    mutation=st.sampled_from(["none", "collinear", "empty-ref", "past-bound", "nan",
-                              "point-count", "missing-frame", "missing-file", "non-utf8",
+    mutation=st.sampled_from(["none", "collinear", "empty-ref", "empty-both", "past-bound",
+                              "nan", "point-count", "missing-frame", "missing-file", "non-utf8",
                               "missing-id", "unknown-id", "duplicate-id"]),
     side=st.sampled_from(["pred", "ref"]),
     entry=st.integers(0, 2),
@@ -975,15 +972,11 @@ def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> None:
 def test_validate_and_evaluate_agree(mutation, side, entry):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name in ("pred", "ref"):
-            synth = ["synth", "corpus", "--count", "3", "--frames", "4", "--out", str(root / name)]
-            assert run_captured(synth)[0] == 0
+        pair = synth_submission(root)
         mutate_submission(mutation, root, side, entry)
         history = root / "history.tsv"
         prior = format_record(record(1)).encode()
         history.write_bytes(prior)
-        pair = ["--pred", str(root / "pred" / "manifest.tsv"),
-                "--ref", str(root / "ref" / "manifest.tsv")]
         validated, _, validate_err = run_captured(
             ["validate", *pair, "--phase", "dev", "--history", str(history), "--record"]
         )
