@@ -674,19 +674,11 @@ def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {victim}: 'utf-8' codec can't decode")
 
 
-def rewrite_frames(pose_path: Path, edit) -> None:
-    """Rewrite a pose file with ``edit`` applied to a writable copy of its frames."""
+def set_frames(pose_path: Path, index, value) -> None:
+    """Rewrite a pose file with ``frames[index] = value``."""
     frames = parse_pose_file(pose_path.read_text(encoding="utf-8"), id="x").frames.copy()
-    edit(frames)
+    frames[index] = value
     pose_path.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
-
-
-def make_torso_collinear(frames) -> None:
-    frames[0, :3] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
-
-
-def place_past_bound(frames) -> None:
-    frames[-1, -1, 1] = np.nextafter(MAX_COORDINATE, np.inf)
 
 
 def run_captured(argv: list[str]) -> tuple[int, str, str]:
@@ -714,10 +706,10 @@ def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> Path:
     lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
     victim = manifest.parent / lines[entry].split("\t")[1]
     text = victim.read_text(encoding="utf-8")
-    if mutation == "collinear":
-        rewrite_frames(victim, make_torso_collinear)
+    if mutation == "collinear":  # neck, left and right shoulder of frame 0 on one line
+        set_frames(victim, np.s_[0, :3], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     elif mutation == "past-bound":
-        rewrite_frames(victim, place_past_bound)
+        set_frames(victim, np.s_[-1, -1, 1], np.nextafter(MAX_COORDINATE, np.inf))
     elif mutation == "nan":
         header, first, rest = text.split("\n", 2)
         first = "nan " + first.split(" ", 1)[1]
