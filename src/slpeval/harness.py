@@ -177,6 +177,14 @@ def _read_text(path: Path, hasher, label: bytes = b"") -> str:
     return decode_utf8(_read_bytes(path, hasher, label), path)
 
 
+def _named(path: Path, parse, text: str):
+    """``parse(text)``, with the message of a ``ManifestError`` led by ``path``."""
+    try:
+        return parse(text)
+    except ManifestError as err:
+        raise ManifestError(f"{path}: {err}") from None
+
+
 def load_submission(
     manifest_path: Path, layout: KeypointLayout, hasher, normalize: bool
 ) -> tuple[SubmissionManifest, dict[str, PoseSequence], list[tuple[str, Path, Exception | str]]]:
@@ -188,7 +196,7 @@ def load_submission(
     normalized is reported as ``(id, path, error)`` and left out of the
     sequences; only a bad or empty manifest raises.
     """
-    manifest = load_manifest(_read_text(manifest_path, hasher))
+    manifest = _named(manifest_path, load_manifest, _read_text(manifest_path, hasher))
     if not manifest.entries:
         raise ManifestError(f"{manifest_path}: manifest lists no entries")
     sequences: dict[str, PoseSequence] = {}
@@ -201,6 +209,8 @@ def load_submission(
             text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
             seq = parse_pose_file(text, id=entry.id, layout=layout)
             found = validate_sequence(seq, layout)
+            if len(found) > 1:  # one line a file, however many coordinates are bad
+                found = [f"{found[0]}, and {len(found) - 1} more"]
             if not found:
                 sequences[entry.id] = normalize_sequence(seq) if normalize else seq
         except (OSError, ValueError) as err:
@@ -395,7 +405,9 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             continue
         manifest_path = Path(manifest_path)
         if not (score_poses or (role == "pred" and config.backtranslate_command is not None)):
-            manifests[role] = load_manifest(_read_text(manifest_path, hasher, role.encode()))
+            manifests[role] = _named(
+                manifest_path, load_manifest, _read_text(manifest_path, hasher, role.encode())
+            )
             continue
         hasher.update(role.encode())
         manifests[role], sequences[role], problems = load_submission(
@@ -437,7 +449,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     if config.hypothesis_file is not None or config.backtranslate_command is not None:
         if hyp_text is not None:
             text_source = str(config.hypothesis_file)
-            hyp_map = load_sentence_file(hyp_text)
+            hyp_map = _named(config.hypothesis_file, load_sentence_file, hyp_text)
         else:
             text_source = str(config.pred_manifest)
             pred_manifest = manifests["pred"]
@@ -448,7 +460,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             sentences = run_backtranslation(config.backtranslate_command, pose_paths)
             hyp_map = dict(zip(pred_manifest.ids, sentences))
         if ref_text is not None:
-            ref_map = load_sentence_file(ref_text)
+            ref_map = _named(config.reference_text, load_sentence_file, ref_text)
         elif "ref" in manifests:
             ref_manifest = manifests["ref"]
             ref_map = {

@@ -3,13 +3,16 @@
 Coordinates live in a unitless canonical-skeleton space. A pose file is a
 plain-text format: a header line ``POSE v1 <num_frames> <num_keypoints> <dims>``
 followed by one whitespace-separated line of ``num_keypoints * dims`` decimal
-floats per frame, keypoint-major (``k0.x k0.y k0.z k1.x ...``). Scientific
-notation is accepted on read; writing always uses plain fixed notation chosen
-so that parsing a written file reproduces the exact same float values.
+floats per frame, keypoint-major (``k0.x k0.y k0.z k1.x ...``). A value may be
+anything ``float()`` reads, scientific notation included; writing always uses
+plain fixed notation chosen so that parsing a written file reproduces the
+exact same float values. Files in that written spelling take an exact
+vectorized reader; any other file is read line by line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +113,40 @@ DEFAULT_LAYOUT = KeypointLayout(
 #: coordinates, so that sum overflows float64 near 1e77.
 MAX_COORDINATE = 1e75
 
+#: the exact reader takes the data section in blocks of whole lines of at most
+#: this many bytes (a longer line is a block of its own), bounding its scratch
+_BLOCK = 256 * 1024
+
+
+def _midpoint_bits() -> tuple[int, int, int] | None:
+    """How to tell a long double that lies halfway between two float64 numbers.
+
+    Returns ``(word, mask, half)``: viewed as uint64 pairs, a long double
+    keeps the low bits of its significand in column ``word``, and it is a
+    float64 midpoint when those of them below float64 precision (``mask``)
+    equal ``half``. None unless the long double holds every integer below
+    10**18 and every 10**f for f <= 27 exactly in 16 bytes, which x87
+    extended (63 stored mantissa bits) and binary128 (112) do.
+    """
+    info = np.finfo(np.longdouble)
+    if info.nmant not in (63, 112) or info.dtype.itemsize != 16:
+        return None
+    probe = np.zeros(2, dtype=np.longdouble)
+    probe[0] = 1
+    probe[1] = np.nextafter(probe[0], probe[0] + 1)
+    words = probe.view(np.uint64).reshape(2, 2)
+    below = info.nmant - 52
+    return int(np.flatnonzero(words[0] != words[1])[0]), (1 << below) - 1, 1 << (below - 1)
+
+
+#: None where the exact reader cannot run; every file is then read line by line
+_MIDPOINT = _midpoint_bits()
+#: 10**0 .. 10**27, each exact in a long double that passes ``_midpoint_bits``
+_POW10 = np.concatenate(([1], np.cumprod(np.full(27, 10, dtype=np.longdouble))))
+#: a mantissa this far from zero may be a saturated int64 and is read by float()
+_MANTISSA_LIMIT = 10**18
+_NEWLINE, _SPACE, _MINUS, _DOT, _DIGIT_0, _DIGIT_9 = b"\n -.09"
+
 _LAYOUT_RANGE_KEYS = {"body": "body", "face": "face", "lhand": "left_hand", "rhand": "right_hand"}
 _LAYOUT_INDEX_KEYS = {"neck": "neck", "lshoulder": "left_shoulder", "rshoulder": "right_shoulder"}
 
@@ -201,39 +238,106 @@ def _format_value(x: float) -> str:
     return s
 
 
-def parse_pose_file(text: str, id: str, layout: KeypointLayout = DEFAULT_LAYOUT) -> PoseSequence:
-    """Parse POSE v1 file contents into a :class:`PoseSequence`.
+def _read_exact(text: str, start: int, rows: int, width: int) -> np.ndarray | None:
+    """The data section ``text[start:]`` as a flat float64 array, or None.
 
-    Raises :class:`PoseFormatError` naming the offending line (and token
-    column where applicable) on any deviation from the declared header.
+    Returns values only when the section is exactly ``rows`` lines of
+    ``width`` tokens matching ``-?[0-9]+[.][0-9]+``, one space apart, the last
+    newline optional, and every value is finite; each value then has the
+    bits ``float()`` gives. A token with ``f`` fraction digits is the integer
+    mantissa ``M`` of its digits over ``10**f``: both are exact in a long
+    double, whose one correctly rounded division is then rounded to float64.
+    That second rounding can differ from ``float()`` only when the long
+    double lies on a float64 midpoint; such tokens, and those with
+    ``|M| >= 10**18`` or ``f > 27``, are read by ``float()`` instead.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise PoseFormatError("empty file: expected 'POSE v1 <frames> <keypoints> <dims>' header")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "POSE" or header[1] != "v1":
-        raise PoseFormatError(
-            f"line 1: expected header 'POSE v1 <frames> <keypoints> <dims>', got {lines[0]!r}"
-        )
-    try:
-        num_frames, num_keypoints, dims = (int(tok) for tok in header[2:])
-    except ValueError:
-        raise PoseFormatError(f"line 1: non-integer header field in {lines[0]!r}") from None
-    if num_frames < 1 or num_keypoints < 1:
-        raise PoseFormatError(f"line 1: frame and keypoint counts must be positive, got {lines[0]!r}")
-    if dims != 3:
-        raise PoseFormatError(f"line 1: only 3-dimensional poses are supported, header declares {dims}")
+    word, mask, half = _MIDPOINT
+    end = len(text)
+    # a value takes at least three characters and a separator
+    if 4 * rows * width - 1 > end - start:
+        return None
+    out = np.empty(rows * width, dtype=np.float64)
+    done = 0
+    while start < end:
+        stop = end
+        if end - start > _BLOCK:
+            newline = text.rfind("\n", start, start + _BLOCK)
+            if newline < 0:
+                newline = text.find("\n", start + _BLOCK)
+            stop = end if newline < 0 else newline + 1
+        block = text[start:stop].encode("ascii")
+        start = stop
+        chars = np.frombuffer(block, dtype=np.uint8)
+        if chars.max() > _DIGIT_9:
+            return None
+        # the characters that are not digits, between a newline before the
+        # block and one after it that the last line of the file may lack
+        marks = np.flatnonzero(chars < _DIGIT_0)
+        if chars[-1] != _NEWLINE:
+            marks = np.append(marks, len(chars))
+        marks = np.insert(marks, 0, -1)
+        kinds = np.append(chars, np.uint8(_NEWLINE))[marks]  # -1 and len(chars) read it
+        # two marks touch only as a separator then a minus, as every minus must
+        touching = np.flatnonzero(marks[1:] == marks[:-1] + 1)
+        minus = kinds == _MINUS
+        if (
+            len(touching) != np.count_nonzero(minus)
+            or (kinds[touching] > _SPACE).any()
+            or (kinds[touching + 1] != _MINUS).any()
+        ):
+            return None
+        # the rest alternate separator, dot, separator: one dot a token
+        marks, kinds = marks[~minus], kinds[~minus]
+        seps, dots = marks[0::2], marks[1::2]
+        tokens = len(dots)
+        if (
+            len(seps) != tokens + 1
+            or tokens % width
+            or done + tokens > len(out)
+            or (kinds[1::2] != _DOT).any()
+        ):
+            return None
+        lines = kinds[2::2].reshape(-1, width)
+        if (lines[:, :-1] != _SPACE).any() or (lines[:, -1] != _NEWLINE).any():
+            return None
 
+        mantissas = np.fromstring(block.replace(b".", b""), dtype=np.int64, sep=" ")
+        fraction_digits = seps[1:] - dots - 1
+        slow = (
+            (mantissas >= _MANTISSA_LIMIT)  # an int64 overflow saturates, to either extreme
+            | (mantissas <= -_MANTISSA_LIMIT)
+            | (fraction_digits >= len(_POW10))
+        )
+        np.minimum(fraction_digits, len(_POW10) - 1, out=fraction_digits)
+        # the sign rides along: rounding to nearest is symmetric about zero
+        quotients = mantissas.astype(np.longdouble) / _POW10[fraction_digits]
+        values = quotients.astype(np.float64)
+        slow |= (quotients.view(np.uint64)[word::2] & mask) == half
+        # -0.0 has mantissa 0; its sign is the token's first character
+        zeros = np.flatnonzero(mantissas == 0)
+        values[zeros[chars[seps[zeros] + 1] == _MINUS]] = -0.0
+        for k in np.flatnonzero(slow).tolist():
+            value = float(block[seps[k] + 1 : seps[k + 1]])
+            if not math.isfinite(value):
+                return None
+            values[k] = value
+        out[done : done + len(values)] = values
+        done += len(values)
+    return out if done == len(out) else None
+
+
+def _read_lines(text: str, num_frames: int, expected: int) -> np.ndarray:
+    """The data lines of ``text`` parsed one by one; names the first format error."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     data_lines = lines[1:]
     if len(data_lines) != num_frames:
         raise PoseFormatError(
             f"frame count mismatch: header declares {num_frames} frames, file has {len(data_lines)}"
         )
 
-    expected = num_keypoints * dims
-    frames = np.empty((num_frames, expected), dtype=np.float64)
+    rows = []
     for i, line in enumerate(data_lines):
         lineno = i + 2
         tokens = line.split()
@@ -253,8 +357,42 @@ def parse_pose_file(text: str, id: str, layout: KeypointLayout = DEFAULT_LAYOUT)
         if not np.isfinite(row).all():
             col = int(np.flatnonzero(~np.isfinite(row))[0]) + 1
             raise PoseFormatError(f"line {lineno}, column {col}: non-finite value {tokens[col - 1]!r}")
-        frames[i] = row
+        rows.append(row)
+    # stacked only once every line has its values, so a header that declares
+    # more keypoints than the file holds allocates nothing
+    return np.stack(rows)
 
+
+def parse_pose_file(text: str, id: str, layout: KeypointLayout = DEFAULT_LAYOUT) -> PoseSequence:
+    """Parse POSE v1 file contents into a :class:`PoseSequence`.
+
+    Raises :class:`PoseFormatError` naming the offending line (and token
+    column where applicable) on any deviation from the declared header.
+    """
+    if not text:
+        raise PoseFormatError("empty file: expected 'POSE v1 <frames> <keypoints> <dims>' header")
+    header_end = text.find("\n")
+    header_line = text if header_end < 0 else text[:header_end]
+    header = header_line.split()
+    if len(header) != 5 or header[0] != "POSE" or header[1] != "v1":
+        raise PoseFormatError(
+            f"line 1: expected header 'POSE v1 <frames> <keypoints> <dims>', got {header_line!r}"
+        )
+    try:
+        num_frames, num_keypoints, dims = (int(tok) for tok in header[2:])
+    except ValueError:
+        raise PoseFormatError(f"line 1: non-integer header field in {header_line!r}") from None
+    if num_frames < 1 or num_keypoints < 1:
+        raise PoseFormatError(f"line 1: frame and keypoint counts must be positive, got {header_line!r}")
+    if dims != 3:
+        raise PoseFormatError(f"line 1: only 3-dimensional poses are supported, header declares {dims}")
+
+    expected = num_keypoints * dims
+    frames = None
+    if _MIDPOINT is not None and header_end >= 0 and text.isascii():
+        frames = _read_exact(text, header_end + 1, num_frames, expected)
+    if frames is None:
+        frames = _read_lines(text, num_frames, expected)
     return PoseSequence(id=id, frames=frames.reshape(num_frames, num_keypoints, dims), layout=layout)
 
 

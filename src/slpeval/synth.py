@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pose import DEFAULT_LAYOUT, KeypointLayout, PoseSequence
+from .pose import DEFAULT_LAYOUT, MAX_COORDINATE, KeypointLayout, PoseSequence
 
 __all__ = [
     "SynthSpec",
@@ -48,6 +48,15 @@ class SynthSpec:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        # a coordinate is at most max|rest pose| + amplitude. The rest pose
+        # grows by 0.15 a body keypoint at most, far below half the float64
+        # spacing at MAX_COORDINATE (7e58), so that sum passes the bound
+        # exactly when the amplitude does
+        if self.amplitude > MAX_COORDINATE:
+            raise ValueError(
+                f"amplitude must be at most {MAX_COORDINATE:g}, where validation bounds "
+                f"coordinates, got {self.amplitude}"
+            )
         # a huge finite frequency still overflows the phase to inf, and sin(inf) is nan
         if not math.isfinite(2.0 * math.pi * self.frequency * self.frame_count):
             raise ValueError(

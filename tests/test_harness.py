@@ -982,3 +982,58 @@ def test_validate_and_evaluate_agree(mutation, side, entry):
         assert logged.startswith(prior) and logged.count(b"\n") == 2
     else:
         assert logged == prior
+
+
+def test_validate_folds_each_files_coordinate_faults(corpus_writer):
+    corpus = small_corpus()
+    ref, pred = corpus_writer(corpus, "ref"), corpus_writer(corpus, "pred")
+    victim = pred.parent / "poses" / f"{corpus[1][0].id}.pose"
+    # every hand keypoint of all six frames
+    set_frames(victim, np.s_[:, 136:], np.nextafter(MAX_COORDINATE, np.inf))
+    report = validate_submission(pred, ref, DEVELOPMENT_RULES, [], now=NOW)
+    assert report.violations == (
+        f"prediction {corpus[1][0].id!r}: {victim}: out-of-range coordinate at frame 0, "
+        f"keypoint 136 (|x| > 1e+75), and {6 * 42 - 1} more",
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, argv, message",
+    [
+        ("manifest", ["validate", "--pred", "{bad}", "--ref", "{ref}", "--phase", "dev",
+                      "--history", "{history}"], "duplicate id 'a' in manifest"),
+        ("manifest", ["evaluate", "--pred", "{ref}", "--ref", "{bad}"],
+         "duplicate id 'a' in manifest"),
+        ("manifest", ["evaluate", "--hyp", "{hyp}", "--ref", "{bad}"],
+         "duplicate id 'a' in manifest"),
+        ("sentence", ["evaluate", "--hyp", "{bad}", "--ref", "{ref}"],
+         "sentence file line 2: expected 'id<TAB>sentence'"),
+        ("sentence", ["evaluate", "--hyp", "{hyp}", "--ref-text", "{bad}"],
+         "sentence file line 2: expected 'id<TAB>sentence'"),
+    ],
+)
+def test_manifest_and_sentence_file_errors_name_the_file(kind, argv, message, corpus_writer,
+                                                        sentence_writer, tmp_path, capsys):
+    corpus = small_corpus()
+    ref = corpus_writer(corpus, "ref")
+    hyp = sentence_writer(hyp_pairs(corpus), "hyp.tsv")
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_text({"manifest": "a\tx.pose\na\ty.pose\n", "sentence": "a\tone\nno tab\n"}[kind],
+                   encoding="utf-8")
+    paths = {"ref": ref, "hyp": hyp, "bad": bad, "history": tmp_path / "h.log"}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+def test_cli_synth_amplitude_keeps_coordinates_in_range(tmp_path, capsys):
+    too_far = tmp_path / "too-far"
+    assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", "--amplitude", "1e200",
+                   "--out", str(too_far)) == 2
+    assert "amplitude must be at most 1e+75" in capsys.readouterr().err
+    assert not too_far.exists()
+    at_bound = tmp_path / "at-bound"
+    assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", "--amplitude", "1e75",
+                   "--out", str(at_bound)) == 0
+    manifest = str(at_bound / "manifest.tsv")
+    assert run_cli("validate", "--pred", manifest, "--ref", manifest, "--phase", "dev",
+                   "--history", str(tmp_path / "h.log")) == 0

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import math
+import re
+from decimal import Decimal, localcontext
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import TINY_LAYOUT, flat_layout
+from slpeval import pose
 from slpeval.pose import (
     DEFAULT_LAYOUT,
     MAX_COORDINATE,
@@ -199,3 +205,186 @@ def test_validate_sequence_bounds_coordinates(tiny_layout):
 def test_validate_sequence_accepts_good_sequence(tiny_layout):
     seq = PoseSequence(id="s", frames=np.zeros((2, 6, 3)), layout=tiny_layout)
     assert validate_sequence(seq) == []
+
+
+# ------------------------------------------------- the exact reader against float()
+
+#: the ways a file is read: the exact reader as shipped, the exact reader with
+#: 64-byte blocks (so lines outrun a block), and the line-by-line reader alone
+READERS = {
+    "exact": {"_BLOCK": pose._BLOCK},
+    "small-blocks": {"_BLOCK": 64},
+    "lines": {"_MIDPOINT": None},
+}
+
+
+def read(text: str, reader: str) -> np.ndarray | str:
+    """``parse_pose_file``'s values, flat, or the message of its ``PoseFormatError``."""
+    with mock.patch.multiple(pose, **READERS[reader]):
+        try:
+            return parse_pose_file(text, id="x").frames.reshape(-1)
+        except PoseFormatError as err:
+            return str(err)
+
+
+def float_oracle(text: str) -> np.ndarray | None:
+    """``float()`` of each token of each data line; None for a file its header does not fit."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0].split()
+    rows = [line.split() for line in lines[1:]]
+    if len(rows) != int(header[2]) or any(len(row) != 3 * int(header[3]) for row in rows):
+        return None
+    try:
+        values = np.array([float(token) for row in rows for token in row])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def assert_reads_like_float(text: str, reader: str) -> None:
+    expected, got = float_oracle(text), read(text, reader)
+    if expected is None:
+        assert isinstance(got, str) and got == read(text, "lines")
+    else:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def tokens_file(tokens: list[str]) -> str:
+    """A POSE v1 file of one keypoint a line, padded with ``0.0`` to whole lines."""
+    tokens = tokens + ["0.0"] * (-len(tokens) % 3)
+    lines = [" ".join(tokens[i : i + 3]) for i in range(0, len(tokens), 3)]
+    return f"POSE v1 {len(lines)} 1 3\n" + "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e75, -1e75, 2.0**63, 0.1, 9007199254740993.0]
+)
+
+
+def digit_strings(most: int) -> st.SearchStrategy[str]:
+    """Strings of 1 to ``most`` decimal digits, every length equally likely."""
+    return st.integers(1, most).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 5)).map(lambda tk: (tk[0], tk[1], 3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | SPECIAL_FLOATS,
+    )
+)
+def test_written_files_read_like_float(reader, frames):
+    assert_reads_like_float(write_pose_file(PoseSequence(id="x", frames=frames)), reader)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=100, deadline=None)
+@given(
+    tokens=st.lists(
+        st.builds(
+            "{}{}.{}".format,
+            st.sampled_from(["", "-"]),
+            digit_strings(25),
+            digit_strings(30),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@example(tokens=["-922337203685477580.8"])  # its mantissa is the int64 minimum
+@example(tokens=["-99999999999999999999.9"])  # its mantissa saturates int64
+@example(tokens=["0." + "0" * 27 + "1"])  # 10**28 is not exact in a long double
+def test_decimal_tokens_read_like_float(reader, tokens):
+    assert_reads_like_float(tokens_file(tokens), reader)
+
+
+def near_midpoint(value: float, digits: int, offset: int, negative: bool) -> str:
+    """The midpoint above ``value`` to ``digits`` significant digits, ``offset`` units off."""
+    with localcontext() as ctx:
+        ctx.prec = 1100  # exact for every float64 midpoint
+        midpoint = (Decimal(value) + Decimal(math.nextafter(value, math.inf))) / 2
+        ctx.prec = digits
+        rounded = +midpoint
+        ctx.prec = 1100
+        token = rounded + offset * Decimal(1).scaleb(rounded.adjusted() - digits + 1)
+    text = f"{token:f}"
+    return ("-" if negative else "") + (text if "." in text else text + ".0")
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=100, deadline=None)
+@given(
+    tokens=st.lists(
+        st.builds(
+            near_midpoint,
+            st.floats(min_value=1e-9, max_value=1e17),
+            st.integers(17, 19),
+            st.integers(-3, 3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@example(tokens=["0.123456789012345678"])
+def test_tokens_near_float64_midpoints_read_like_float(reader, tokens):
+    assert_reads_like_float(tokens_file(tokens), reader)
+
+
+SEPARATOR_FAULTS = {"tab": (" ", "\t"), "cr": ("\n", "\r\n"), "double-space": (" ", "  "),
+                    "blank-line": ("\n", "\n\n")}
+#: each replaces one token; most are spellings that float() reads
+TOKEN_FAULTS = ["1e5", "+.5", "5.", "1_0", "١", "١.٥", "-0.0", "1__0", "nan", "-inf", "1e999",
+                "--1.0", "0.5.5", "-.5", "x", ""]
+
+
+def mutate(text: str, fault: str, at: int) -> str:
+    """``text`` with one fault at the ``at``-th place it fits, counted round."""
+    if fault == "no-final-newline":
+        return text.removesuffix("\n")
+    body = text.index("\n") + 1
+    old, new = SEPARATOR_FAULTS.get(fault, (r"[^ \n]+", fault))
+    spans = [match.span() for match in re.finditer(old, text[body:])]
+    if not spans:
+        return text
+    start, end = spans[at % len(spans)]
+    return text[: body + start] + new + text[body + end :]
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=100, deadline=None)
+@given(
+    frames=arrays(np.float64, st.sampled_from([(1, 1, 3), (2, 2, 3), (3, 1, 3)]),
+                  elements=st.floats(-10, 10)),
+    faults=st.lists(
+        st.tuples(st.sampled_from([*SEPARATOR_FAULTS, *TOKEN_FAULTS, "no-final-newline"]),
+                  st.integers(0, 100)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_files_read_like_float(reader, frames, faults):
+    text = write_pose_file(PoseSequence(id="x", frames=frames))
+    for fault, at in faults:
+        text = mutate(text, fault, at)
+    assert_reads_like_float(text, reader)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.text()
+    | st.builds(
+        "POSE v1 {} {} 3\n{}".format,
+        st.integers(-1, 3) | st.integers(0, 10**20),
+        st.integers(-1, 3) | st.integers(0, 10**20),
+        st.text(st.sampled_from("0123456789.- \n\t\re+_") | st.characters()),
+    )
+)
+def test_parse_raises_only_pose_format_error(reader, text):
+    read(text, reader)  # any other exception fails the test

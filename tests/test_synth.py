@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import TINY_LAYOUT
-from slpeval.pose import DEFAULT_LAYOUT, normalize_sequence, write_pose_file
+from slpeval.pose import (
+    DEFAULT_LAYOUT,
+    MAX_COORDINATE,
+    normalize_sequence,
+    validate_sequence,
+    write_pose_file,
+)
 from slpeval.pose_metrics import hand_travel, total_distance_ratio
 from slpeval.synth import (
     SynthSpec,
@@ -88,6 +94,14 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_parameters(value, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SynthSpec(frame_count=2, **{field: value})
+
+
+def test_spec_keeps_coordinates_in_range():
+    seq = synth_sequence(SynthSpec(frame_count=8, amplitude=MAX_COORDINATE, seed=4))
+    assert validate_sequence(seq) == []
+    for amplitude in (np.nextafter(MAX_COORDINATE, np.inf), 1e200):
+        with pytest.raises(ValueError, match="amplitude must be at most 1e\\+75"):
+            SynthSpec(frame_count=2, amplitude=amplitude)
 
 
 def test_perturb_zero_sigma_is_identity():
