@@ -31,15 +31,8 @@ from .harness import (
     render_report,
     validate_submission,
 )
-from .manifest import ManifestError, decode_utf8
-from .pose import (
-    DEFAULT_LAYOUT,
-    KeypointLayout,
-    LayoutError,
-    PoseFormatError,
-    parse_layout,
-    write_pose_file,
-)
+from .manifest import read_input
+from .pose import DEFAULT_LAYOUT, KeypointLayout, parse_layout, write_pose_file
 from .ranking import ScoreVector, pareto_fronts
 from .synth import synth_corpus
 
@@ -80,7 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append an accepted submission to the log",
     )
     va.add_argument("--layout", type=Path, help="keypoint layout descriptor")
-    va.add_argument("--now", help="ISO-8601 timestamp for quota checks (for auditing)")
+    va.add_argument(
+        "--now", type=datetime.fromisoformat,
+        help="ISO-8601 timestamp for quota checks (for auditing)",
+    )
 
     rk = sub.add_parser("rank", help="Pareto-rank entrants from score files")
     rk.add_argument(
@@ -114,7 +110,7 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _read_layout(path: Path | None) -> KeypointLayout:
-    return parse_layout(decode_utf8(path.read_bytes(), path)) if path else DEFAULT_LAYOUT
+    return read_input(path, parse_layout) if path else DEFAULT_LAYOUT
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -134,7 +130,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     rules = TEST_RULES if args.phase == "test" else DEVELOPMENT_RULES
-    now = datetime.fromisoformat(args.now) if args.now else datetime.now(timezone.utc)
+    now = args.now or datetime.now(timezone.utc)
     layout = _read_layout(args.layout)
     with contextlib.ExitStack() as stack:
         if args.record:
@@ -146,7 +142,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             data = log.read()
         else:
             data = args.history.read_bytes() if args.history.exists() else b""
-        history = load_history(decode_utf8(data, args.history))
+        history = read_input(args.history, load_history, data)
         report = validate_submission(args.pred, args.ref, rules, history, now=now, layout=layout)
         if not report.ok:
             for violation in report.violations:
@@ -161,25 +157,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_scores(text: str) -> list[ScoreVector]:
+    """The score vectors of one score file: a JSON object or list of ``{entrant, metrics}``."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    entries = []
+    for item in doc if isinstance(doc, list) else [doc]:
+        if not isinstance(item, dict) or "entrant" not in item or (
+            not isinstance(item.get("metrics"), dict)
+        ):
+            raise ValueError("each entry needs an 'entrant' and a 'metrics' object")
+        entries.append(ScoreVector.from_metrics(str(item["entrant"]), item["metrics"]))
+    return entries
+
+
 def _load_score_entries(paths: list[Path]) -> list[ScoreVector]:
-    entries: list[ScoreVector] = []
-    for path in paths:
-        try:
-            doc = json.loads(decode_utf8(path.read_bytes(), path))
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: {err}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-        items = doc if isinstance(doc, list) else [doc]
-        for item in items:
-            if not isinstance(item, dict) or "entrant" not in item or (
-                not isinstance(item.get("metrics"), dict)
-            ):
-                raise ValueError(f"{path}: each entry needs an 'entrant' and a 'metrics' object")
-            try:
-                entries.append(ScoreVector.from_metrics(str(item["entrant"]), item["metrics"]))
-            except ValueError as err:
-                raise ValueError(f"{path}: {err}") from None
+    entries = [entry for path in paths for entry in read_input(path, _parse_scores)]
     if not entries:
         raise ValueError("no score entries given")
     names = [entry.entrant for entry in entries]
@@ -247,14 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_rank(args)
         if args.command == "synth":
             return _cmd_synth_corpus(args)
-    except (
-        EvaluationError,
-        ManifestError,
-        PoseFormatError,
-        LayoutError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (EvaluationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

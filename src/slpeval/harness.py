@@ -17,7 +17,7 @@ import hashlib
 import json
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,9 +25,9 @@ from . import __version__
 from .manifest import (
     ManifestError,
     SubmissionManifest,
-    decode_utf8,
     load_manifest,
     load_sentence_file,
+    read_input,
     split_lines,
 )
 from .pose import (
@@ -173,16 +173,15 @@ def _read_bytes(path: Path, hasher, label: bytes = b"") -> bytes:
     return data
 
 
-def _read_text(path: Path, hasher, label: bytes = b"") -> str:
-    return decode_utf8(_read_bytes(path, hasher, label), path)
+def _read_entries(path: Path, parse, kind: str, hasher, label: bytes = b""):
+    """The manifest or sentence file at ``path``, read, digested and parsed.
 
-
-def _named(path: Path, parse, text: str):
-    """``parse(text)``, with the message of a ``ManifestError`` led by ``path``."""
-    try:
-        return parse(text)
-    except ManifestError as err:
-        raise ManifestError(f"{path}: {err}") from None
+    A file that lists no entries is refused with its path, like a malformed one.
+    """
+    entries = read_input(path, parse, _read_bytes(path, hasher, label))
+    if not entries:
+        raise ManifestError(f"{path}: {kind} lists no entries")
+    return entries
 
 
 def load_submission(
@@ -196,9 +195,7 @@ def load_submission(
     normalized is reported as ``(id, path, error)`` and left out of the
     sequences; only a bad or empty manifest raises.
     """
-    manifest = _named(manifest_path, load_manifest, _read_text(manifest_path, hasher))
-    if not manifest.entries:
-        raise ManifestError(f"{manifest_path}: manifest lists no entries")
+    manifest = _read_entries(manifest_path, load_manifest, "manifest", hasher)
     sequences: dict[str, PoseSequence] = {}
     problems: list[tuple[str, Path, Exception | str]] = []
     for entry in manifest:
@@ -395,7 +392,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     layout, layout_data = DEFAULT_LAYOUT, None
     if config.layout_file is not None:
         layout_data = Path(config.layout_file).read_bytes()
-        layout = parse_layout(decode_utf8(layout_data, config.layout_file))
+        layout = read_input(config.layout_file, parse_layout, layout_data)
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 
     manifests: dict[str, SubmissionManifest] = {}
@@ -404,23 +401,25 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         if manifest_path is None:
             continue
         manifest_path = Path(manifest_path)
-        if not (score_poses or (role == "pred" and config.backtranslate_command is not None)):
-            manifests[role] = _named(
-                manifest_path, load_manifest, _read_text(manifest_path, hasher, role.encode())
-            )
-            continue
         hasher.update(role.encode())
+        if not (score_poses or (role == "pred" and config.backtranslate_command is not None)):
+            manifests[role] = _read_entries(manifest_path, load_manifest, "manifest", hasher)
+            continue
         manifests[role], sequences[role], problems = load_submission(
             manifest_path, layout, hasher, normalize=score_poses and config.normalize
         )
         if problems:
             _, path, error = problems[0]
             raise EvaluationError(f"{path}: {error}")
-    hyp_text = ref_text = None
+    hyp_map = ref_map = None
     if config.hypothesis_file is not None:
-        hyp_text = _read_text(config.hypothesis_file, hasher, b"hyp")
+        hyp_map = _read_entries(
+            config.hypothesis_file, load_sentence_file, "sentence file", hasher, b"hyp"
+        )
     if config.reference_text is not None:
-        ref_text = _read_text(config.reference_text, hasher, b"ref-text")
+        ref_map = _read_entries(
+            config.reference_text, load_sentence_file, "sentence file", hasher, b"ref-text"
+        )
     if layout_data is not None:
         _digest_bytes(hasher, b"layout", layout_data)
     if config.backtranslate_command is not None:
@@ -446,12 +445,9 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     text_score: TextScore | None = None
     correlation: float | None = None
     frequent_errors: tuple[tuple[str, int], ...] = ()
-    if config.hypothesis_file is not None or config.backtranslate_command is not None:
-        if hyp_text is not None:
-            text_source = str(config.hypothesis_file)
-            hyp_map = _named(config.hypothesis_file, load_sentence_file, hyp_text)
-        else:
-            text_source = str(config.pred_manifest)
+    if hyp_map is not None or config.backtranslate_command is not None:
+        text_source = config.hypothesis_file or config.pred_manifest
+        if hyp_map is None:
             pred_manifest = manifests["pred"]
             pose_paths = [
                 _resolve(Path(config.pred_manifest).parent, entry.pose_path)
@@ -459,9 +455,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             ]
             sentences = run_backtranslation(config.backtranslate_command, pose_paths)
             hyp_map = dict(zip(pred_manifest.ids, sentences))
-        if ref_text is not None:
-            ref_map = _named(config.reference_text, load_sentence_file, ref_text)
-        elif "ref" in manifests:
+        if ref_map is None and "ref" in manifests:
             ref_manifest = manifests["ref"]
             ref_map = {
                 entry.id: entry.reference_sentence
@@ -473,7 +467,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
                     f"{config.ref_manifest}: manifest lacks reference sentences; "
                     "pass a reference text file instead"
                 )
-        else:
+        if ref_map is None:
             raise EvaluationError(
                 f"{text_source}: no reference sentences available "
                 "(need --ref-text or a reference manifest with sentences)"
@@ -511,13 +505,8 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             "version": __version__,
             "input_digest": hasher.hexdigest(),
             "config": {
-                "pred_manifest": str(config.pred_manifest) if config.pred_manifest else None,
-                "ref_manifest": str(config.ref_manifest) if config.ref_manifest else None,
-                "hypothesis_file": str(config.hypothesis_file) if config.hypothesis_file else None,
-                "backtranslate_command": config.backtranslate_command,
-                "reference_text": str(config.reference_text) if config.reference_text else None,
-                "layout_file": str(config.layout_file) if config.layout_file else None,
-                "normalize": config.normalize,
+                name: str(value) if isinstance(value, Path) else value
+                for name, value in asdict(config).items()
             },
         },
     )

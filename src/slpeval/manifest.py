@@ -12,14 +12,15 @@ id, never by line order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 __all__ = [
     "ManifestEntry",
     "ManifestError",
     "SubmissionManifest",
-    "decode_utf8",
     "load_manifest",
     "load_sentence_file",
+    "read_input",
     "split_lines",
 ]
 
@@ -59,12 +60,22 @@ class SubmissionManifest:
         return iter(self.entries)
 
 
-def decode_utf8(data: bytes, path: object) -> str:
-    """``data`` decoded as UTF-8; a decode error names the file it came from."""
+def read_input(path: Path, parse, data: bytes | None = None):
+    """``parse`` of the file at ``path`` (or of its bytes ``data``) decoded as UTF-8.
+
+    A decode error comes back as a ``ValueError``, and a ``ValueError`` from
+    ``parse`` keeps its class; either way the message is led by ``path``.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return parse(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
+    except ValueError as err:
+        # the same exception re-raised, so a subclass keeps its class and fields
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 def split_lines(text: str) -> list[str]:

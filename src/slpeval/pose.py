@@ -13,6 +13,7 @@ vectorized reader; any other file is read line by line.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +64,19 @@ class KeypointLayout:
 
     def __post_init__(self) -> None:
         ranges = (self.body, self.face, self.left_hand, self.right_hand)
-        covered: set[int] = set()
-        count = 0
-        for r in ranges:
-            covered.update(r)
-            count += len(r)
-        total = count
-        if covered != set(range(total)) or count != len(covered):
-            raise LayoutError(
-                "layout ranges must be disjoint and cover exactly "
-                f"[0, {total}): body={self.body} face={self.face} "
-                f"left_hand={self.left_hand} right_hand={self.right_hand}"
-            )
+        # each non-empty range as (lowest index, length, highest - lowest + 1): sorted,
+        # they tile [0, total) when each is contiguous and starts where the last ended
+        end = 0
+        for low, length, span in sorted(
+            (min(r[0], r[-1]), len(r), abs(r[-1] - r[0]) + 1) for r in ranges if r
+        ):
+            if low != end or span != length:
+                raise LayoutError(
+                    "layout ranges must be disjoint and cover exactly "
+                    f"[0, {self.total}): body={self.body} face={self.face} "
+                    f"left_hand={self.left_hand} right_hand={self.right_hand}"
+                )
+            end += length
         for name, idx in (
             ("neck", self.neck),
             ("lshoulder", self.left_shoulder),
@@ -171,6 +173,8 @@ def parse_layout(text: str) -> KeypointLayout:
                 if len(parts) != 3:
                     raise ValueError
                 start, length = int(parts[1]), int(parts[2])
+                if length > sys.maxsize:  # no range that long has a len()
+                    raise ValueError
                 fields[_LAYOUT_RANGE_KEYS[key]] = range(start, start + length)
             elif key in _LAYOUT_INDEX_KEYS:
                 if len(parts) != 2:

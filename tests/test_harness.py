@@ -208,6 +208,8 @@ def test_evaluate_requires_reference_sentences(corpus_writer, sentence_writer, t
                 pred_manifest=manifest_path, ref_manifest=manifest_path, hypothesis_file=hyp
             )
         )
+    with pytest.raises(EvaluationError, match=f"{hyp}: no reference sentences available"):
+        evaluate(EvaluationConfig(hypothesis_file=hyp))
 
 
 def test_evaluate_hypothesis_ids_must_match(corpus_writer, sentence_writer):
@@ -558,6 +560,12 @@ def test_cli_validate_records_and_enforces_quota(tmp_path, capsys):
     assert "quota" in out
     # the rejected attempt must not have been recorded
     assert len(history.read_text().splitlines()) == 3
+    with pytest.raises(SystemExit) as exited:
+        run_cli("validate", "--pred", str(manifest), "--ref", str(manifest), "--phase", "test",
+                "--history", str(history), "--record", "--now", "notatime")
+    assert exited.value.code == 2
+    assert "argument --now: invalid fromisoformat value: 'notatime'" in capsys.readouterr().err
+    assert len(history.read_text().splitlines()) == 3
 
 
 def test_cli_evaluate_with_backtranslate(tmp_path, capsys):
@@ -622,11 +630,19 @@ def test_cli_rank_leaderboard(tmp_path, capsys):
 
 
 def test_cli_rank_rejects_bad_entries(tmp_path, capsys):
+    from conftest import LEADERBOARD
+
     scores = tmp_path / "scores.json"
-    for entries in ([{"entrant": "x"}], [{"entrant": "x", "metrics": 5}]):
+    twice = [{"entrant": "x", "metrics": LEADERBOARD["team1"]}] * 2
+    for entries, message in (
+        ([{"entrant": "x"}], f"{scores}: each entry needs an 'entrant' and a 'metrics' object"),
+        ([{"entrant": "x", "metrics": 5}], f"{scores}: each entry needs"),
+        ([], "no score entries given"),
+        (twice, "duplicate entrant 'x'"),
+    ):
         scores.write_text(json.dumps(entries), encoding="utf-8")
         assert run_cli("rank", "--scores", str(scores)) == 2
-        assert "metrics" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_cli_reports_are_deterministic(tmp_path):
@@ -775,23 +791,24 @@ def test_coordinates_at_the_bound_score_finite(corpus_writer):
         assert score.dtw_mje > 1e75
 
 
-@pytest.mark.parametrize(
-    "kind, argv",
-    [
-        ("manifest", ["evaluate", "--hyp", "{hyp}", "--ref", "{bad}"]),
-        ("sentence", ["evaluate", "--hyp", "{bad}", "--ref", "{ref}"]),
-        ("sentence", ["evaluate", "--hyp", "{hyp}", "--ref-text", "{bad}"]),
-        ("layout", ["evaluate", "--pred", "{ref}", "--ref", "{ref}", "--layout", "{bad}"]),
-        ("layout", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
-                    "--history", "{history}", "--layout", "{bad}"]),
-        ("layout", ["synth", "corpus", "--count", "1", "--frames", "2", "--out", "{out}",
-                    "--layout", "{bad}"]),
-        ("history", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
-                     "--history", "{bad}"]),
-        ("history", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
-                     "--history", "{bad}", "--record"]),
-    ],
-)
+#: (kind of input file, a command line that reads it as {bad})
+INPUT_FILE_ARGV = [
+    ("manifest", ["evaluate", "--hyp", "{hyp}", "--ref", "{bad}"]),
+    ("sentence", ["evaluate", "--hyp", "{bad}", "--ref", "{ref}"]),
+    ("sentence", ["evaluate", "--hyp", "{hyp}", "--ref-text", "{bad}"]),
+    ("layout", ["evaluate", "--pred", "{ref}", "--ref", "{ref}", "--layout", "{bad}"]),
+    ("layout", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
+                "--history", "{history}", "--layout", "{bad}"]),
+    ("layout", ["synth", "corpus", "--count", "1", "--frames", "2", "--out", "{out}",
+                "--layout", "{bad}"]),
+    ("history", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
+                 "--history", "{bad}"]),
+    ("history", ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev",
+                 "--history", "{bad}", "--record"]),
+]
+
+
+@pytest.mark.parametrize("kind, argv", INPUT_FILE_ARGV)
 def test_non_utf8_input_file_is_named(kind, argv, corpus_writer, sentence_writer, tmp_path,
                                       capsys):
     corpus = small_corpus()
@@ -810,6 +827,30 @@ def test_non_utf8_input_file_is_named(kind, argv, corpus_writer, sentence_writer
     assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
     assert bad.read_bytes() == good[:3] + b"\xff" + good[3:]
+
+
+#: kind of input file -> (a malformed file of that kind, its parse error)
+MALFORMED_INPUT = {
+    "layout": (b"body 0 1\nneck 0\nlshoulder 0\nrhand 1 x\n",
+               "layout descriptor line 4: malformed entry 'rhand 1 x'"),
+    "history": (b"yesterday\tdevelopment\tdeadbeef\n",
+                "history line 1: bad timestamp 'yesterday'"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, argv", [row for row in INPUT_FILE_ARGV if row[0] in MALFORMED_INPUT]
+)
+def test_malformed_input_file_is_named(kind, argv, corpus_writer, tmp_path, capsys):
+    ref = corpus_writer(small_corpus(), "ref")
+    data, message = MALFORMED_INPUT[kind]
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(data)
+    paths = {"ref": ref, "bad": bad, "history": tmp_path / "h.log", "out": tmp_path / "out"}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert bad.read_bytes() == data
+    assert not paths["history"].exists() and not paths["out"].exists()
 
 
 def test_concurrent_test_phase_submissions_record_only_one(tmp_path):
@@ -1010,6 +1051,11 @@ def test_validate_folds_each_files_coordinate_faults(corpus_writer):
          "sentence file line 2: expected 'id<TAB>sentence'"),
         ("sentence", ["evaluate", "--hyp", "{hyp}", "--ref-text", "{bad}"],
          "sentence file line 2: expected 'id<TAB>sentence'"),
+        ("empty", ["evaluate", "--hyp", "{bad}", "--ref-text", "{bad}"],
+         "sentence file lists no entries"),
+        ("empty", ["evaluate", "--hyp", "{hyp}", "--ref", "{bad}"], "manifest lists no entries"),
+        ("empty", ["evaluate", "--pred", "{bad}", "--hyp", "{hyp}", "--ref-text", "{hyp}"],
+         "manifest lists no entries"),
     ],
 )
 def test_manifest_and_sentence_file_errors_name_the_file(kind, argv, message, corpus_writer,
@@ -1018,8 +1064,8 @@ def test_manifest_and_sentence_file_errors_name_the_file(kind, argv, message, co
     ref = corpus_writer(corpus, "ref")
     hyp = sentence_writer(hyp_pairs(corpus), "hyp.tsv")
     bad = tmp_path / f"bad-{kind}"
-    bad.write_text({"manifest": "a\tx.pose\na\ty.pose\n", "sentence": "a\tone\nno tab\n"}[kind],
-                   encoding="utf-8")
+    bad.write_text({"manifest": "a\tx.pose\na\ty.pose\n", "sentence": "a\tone\nno tab\n",
+                    "empty": "\n"}[kind], encoding="utf-8")
     paths = {"ref": ref, "hyp": hyp, "bad": bad, "history": tmp_path / "h.log"}
     assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")

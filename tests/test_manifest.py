@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SENTENCE_TEXT
+from slpeval.harness import load_history
 from slpeval.manifest import (
     ManifestError,
-    decode_utf8,
     load_manifest,
     load_sentence_file,
+    read_input,
 )
+from slpeval.pose import LayoutError, parse_layout
 
 
 def test_load_manifest_basic():
@@ -98,7 +101,50 @@ def test_sentence_file_round_trips_any_unicode_sentence(sentences, newline):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hyp.tsv"
         path.write_bytes(text.encode("utf-8"))
-        loaded = load_sentence_file(decode_utf8(path.read_bytes(), path))
+        loaded = read_input(path, load_sentence_file)
     # a line loses one trailing \r, so under LF a sentence's own final \r goes
     expected = [s if newline == "\r\n" else s.removesuffix("\r") for s in sentences]
     assert loaded == {f"s{i}": s for i, s in enumerate(expected)}
+
+
+@pytest.mark.parametrize(
+    "parse, data, error",
+    [(load_manifest, b"only-an-id\n", ManifestError), (parse_layout, b"body zero 3\n", LayoutError),
+     (json.loads, b"[1,", json.JSONDecodeError), (load_manifest, b"a\t\xff.pose\n", ValueError)],
+)
+def test_read_input_names_the_file_and_keeps_the_error_class(parse, data, error):
+    with pytest.raises(ValueError) as caught:
+        read_input(Path("in") / "put", parse, data)
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(f"{Path('in') / 'put'}: ")
+
+
+#: tokens the parsers look for, so drawn lines reach past their first check
+INPUT_TOKEN = st.one_of(
+    st.sampled_from(["body", "face", "lhand", "rhand", "neck", "lshoulder", "rshoulder", "#",
+                     "2026-03-02T12:00:00", "2026-03-02 12:00+01:00", "test"]),
+    st.integers().map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+)
+INPUT_LINE = st.tuples(st.lists(INPUT_TOKEN, max_size=4), st.sampled_from([" ", "\t"])).map(
+    lambda drawn: drawn[1].join(drawn[0])
+)
+#: a layout descriptor with all seven entries, so the layout's own checks run
+LAYOUT_TEXT = st.lists(st.integers(), min_size=11, max_size=11).map(
+    lambda v: "body {} {}\nface {} {}\nlhand {} {}\nrhand {} {}\nneck {}\nlshoulder {}\n"
+    "rshoulder {}\n".format(*v).encode()
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    parse=st.sampled_from([load_manifest, load_sentence_file, load_history, parse_layout]),
+    data=st.binary(max_size=64) | LAYOUT_TEXT
+    | st.lists(INPUT_LINE, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+)
+def test_read_input_raises_only_named_value_errors(parse, data):
+    path = Path("inputs") / "file"
+    try:
+        read_input(path, parse, data)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: ")

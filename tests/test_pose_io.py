@@ -76,6 +76,44 @@ def test_layout_rejects_neck_outside_body():
         )
 
 
+def tiles_exactly(ranges) -> bool:
+    """Oracle of the layout's range check: a set of every index the ranges hold."""
+    covered: set[int] = set()
+    count = 0
+    for r in ranges:
+        covered.update(r)
+        count += len(r)
+    return covered == set(range(count)) and count == len(covered)
+
+
+SMALL_RANGE = st.builds(range, st.integers(-3, 12), st.integers(-3, 12),
+                        st.sampled_from([1, 1, 2, -1, -2]))
+#: four ranges that do tile [0, total), each possibly reversed, in any order
+TILING = st.tuples(st.lists(st.integers(0, 5), min_size=4, max_size=4),
+                   st.lists(st.booleans(), min_size=4, max_size=4)).map(
+    lambda drawn: [range(sum(drawn[0][:i]), sum(drawn[0][: i + 1]))[:: -1 if flip else 1]
+                   for i, flip in enumerate(drawn[1])]
+).flatmap(st.permutations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges=st.tuples(SMALL_RANGE, SMALL_RANGE, SMALL_RANGE, SMALL_RANGE) | TILING)
+def test_layout_range_check_agrees_with_set_oracle(ranges):
+    anchor = ranges[0][0] if ranges[0] else 0
+    try:
+        KeypointLayout(*ranges, neck=anchor, left_shoulder=anchor, right_shoulder=anchor)
+        tiled = True
+    except LayoutError as err:
+        tiled = "disjoint" not in str(err)  # a body with no indices fails only the neck check
+    assert tiled == tiles_exactly(ranges)
+
+
+def test_layout_of_a_trillion_keypoints_constructs_at_once():
+    layout = parse_layout("body 0 8\nface 8 1000000000000\nlhand 1000000000008 21\n"
+                          "rhand 1000000000029 21\nneck 0\nlshoulder 1\nrshoulder 2\n")
+    assert layout.total == 10**12 + 50
+
+
 def test_parse_layout_round_trip():
     text = """
     # comment line
@@ -100,6 +138,8 @@ def test_parse_layout_missing_entry():
 def test_parse_layout_malformed_line():
     with pytest.raises(LayoutError, match="line 1"):
         parse_layout("body zero 3")
+    with pytest.raises(LayoutError, match="line 1"):  # longer than len() can measure
+        parse_layout("body 0 " + "9" * 30)
 
 
 def test_sequence_frames_are_read_only(tiny_layout):
