@@ -173,19 +173,8 @@ def _parse_scores(text: str) -> list[ScoreVector]:
     return entries
 
 
-def _load_score_entries(paths: list[Path]) -> list[ScoreVector]:
-    entries = [entry for path in paths for entry in read_input(path, _parse_scores)]
-    if not entries:
-        raise ValueError("no score entries given")
-    names = [entry.entrant for entry in entries]
-    if len(set(names)) != len(names):
-        dupe = next(n for n in names if names.count(n) > 1)
-        raise ValueError(f"duplicate entrant {dupe!r}")
-    return entries
-
-
 def _cmd_rank(args: argparse.Namespace) -> int:
-    entries = _load_score_entries(args.scores)
+    entries = [entry for path in args.scores for entry in read_input(path, _parse_scores)]
     ranking = pareto_fronts(entries)
     if args.format == "table":
         lines = []

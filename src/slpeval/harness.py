@@ -186,33 +186,35 @@ def _read_entries(path: Path, parse, kind: str, hasher, label: bytes = b""):
 
 def load_submission(
     manifest_path: Path, layout: KeypointLayout, hasher, normalize: bool
-) -> tuple[SubmissionManifest, dict[str, PoseSequence], list[tuple[str, Path, Exception | str]]]:
+) -> tuple[SubmissionManifest, dict[str, PoseSequence], list[tuple[str, str]]]:
     """Read, digest, parse, validate and optionally normalize a manifest's pose files.
 
     Each file is read once. ``hasher`` receives the manifest's length and
     bytes, then for each readable pose file its entry id, length and bytes.
     A pose file that cannot be read, decoded, parsed, validated or
-    normalized is reported as ``(id, path, error)`` and left out of the
-    sequences; only a bad or empty manifest raises.
+    normalized is reported as ``(id, problem)``, the problem naming the
+    file once, and left out of the sequences; only a bad or empty manifest
+    raises.
     """
     manifest = _read_entries(manifest_path, load_manifest, "manifest", hasher)
     sequences: dict[str, PoseSequence] = {}
-    problems: list[tuple[str, Path, Exception | str]] = []
+    problems: list[tuple[str, str]] = []
     for entry in manifest:
-        path = _resolve(manifest_path.parent, entry.pose_path)
+        path = where = _resolve(manifest_path.parent, entry.pose_path)
         try:
-            # the bytes are freed once decoded; the problem names the path, so
-            # the decode error is kept without it
+            # the bytes are freed once decoded
             text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
             seq = parse_pose_file(text, id=entry.id, layout=layout)
-            found = validate_sequence(seq, layout)
+            found = validate_sequence(seq)
             if len(found) > 1:  # one line a file, however many coordinates are bad
                 found = [f"{found[0]}, and {len(found) - 1} more"]
             if not found:
                 sequences[entry.id] = normalize_sequence(seq) if normalize else seq
-        except (OSError, ValueError) as err:
+        except OSError as err:  # its own text repeats the path
+            where, found = f"cannot read {path}", [err.strerror or err]
+        except ValueError as err:
             found = [err]
-        problems.extend((entry.id, path, problem) for problem in found)
+        problems.extend((entry.id, f"{where}: {problem}") for problem in found)
     return manifest, sequences, problems
 
 
@@ -250,9 +252,7 @@ def validate_submission(
     violations.extend(f"prediction has unknown id {i!r}" for i in extra)
 
     for role, problems in (("prediction", pred_problems), ("reference", ref_problems)):
-        for entry_id, path, error in problems:
-            where = f"cannot read {path}" if isinstance(error, OSError) else path
-            violations.append(f"{role} {entry_id!r}: {where}: {error}")
+        violations.extend(f"{role} {entry_id!r}: {problem}" for entry_id, problem in problems)
     violations.extend(_quota_violations(rules, history, now))
     return ValidationReport(violations=tuple(violations), digest=hasher.hexdigest())
 
@@ -368,7 +368,7 @@ def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
         raise EvaluationError(
             f"back-translation command exited with status {proc.returncode}{suffix}"
         )
-    sentences = split_lines(proc.stdout.decode("utf-8"))
+    sentences = read_input("back-translation output", split_lines, proc.stdout)
     if len(sentences) != len(pose_paths):
         raise EvaluationError(
             f"back-translation produced {len(sentences)} sentences "
@@ -409,8 +409,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             manifest_path, layout, hasher, normalize=score_poses and config.normalize
         )
         if problems:
-            _, path, error = problems[0]
-            raise EvaluationError(f"{path}: {error}")
+            raise EvaluationError(problems[0][1])
     hyp_map = ref_map = None
     if config.hypothesis_file is not None:
         hyp_map = _read_entries(

@@ -60,11 +60,12 @@ class SubmissionManifest:
         return iter(self.entries)
 
 
-def read_input(path: Path, parse, data: bytes | None = None):
+def read_input(path: Path | str, parse, data: bytes | None = None):
     """``parse`` of the file at ``path`` (or of its bytes ``data``) decoded as UTF-8.
 
     A decode error comes back as a ``ValueError``, and a ``ValueError`` from
-    ``parse`` keeps its class; either way the message is led by ``path``.
+    ``parse`` keeps its class; either way the message is led by ``path``,
+    which with ``data`` given may be any label naming the input.
     """
     if data is None:
         data = Path(path).read_bytes()

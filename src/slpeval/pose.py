@@ -411,12 +411,11 @@ def write_pose_file(seq: PoseSequence) -> str:
     return "\n".join(out)
 
 
-def validate_sequence(seq: PoseSequence, layout: KeypointLayout | None = None) -> list[str]:
-    """Check a sequence against a layout; returns violations (empty = valid)."""
-    layout = layout if layout is not None else seq.layout
+def validate_sequence(seq: PoseSequence) -> list[str]:
+    """Check a sequence against its layout; returns violations (empty = valid)."""
     violations: list[str] = []
-    if seq.num_keypoints != layout.total:
-        violations.append(f"point count {seq.num_keypoints} ≠ {layout.total}")
+    if seq.num_keypoints != seq.layout.total:
+        violations.append(f"point count {seq.num_keypoints} ≠ {seq.layout.total}")
         return violations
     # one comparison: nan fails it as well as inf and huge finite values
     bad = ~(np.abs(seq.frames) <= MAX_COORDINATE)

@@ -11,6 +11,7 @@ one; fronts are peeled iteratively and never favour a single metric.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -61,27 +62,26 @@ CANONICAL_METRICS = tuple(metric.name for metric in METRICS)
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """One entrant's values for the canonical metric set, in canonical order."""
+    """One entrant's nine metric values, stored as floats in ``METRICS`` order."""
 
     entrant: str
-    values: tuple[tuple[str, float], ...]
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        names = tuple(name for name, _ in self.values)
-        if names != CANONICAL_METRICS:
-            got = set(names)
-            want = set(CANONICAL_METRICS)
-            missing = sorted(want - got)
-            extra = sorted(got - want)
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extra:
-                detail.append(f"unknown {extra}")
+        if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
-                f"score vector for {self.entrant!r} must carry exactly the canonical "
-                f"metrics {list(CANONICAL_METRICS)}" + (": " + ", ".join(detail) if detail else "")
+                f"score vector for {self.entrant!r} must carry one value for each of the "
+                f"canonical metrics {list(CANONICAL_METRICS)}, got {len(self.values)}"
             )
+        for name, value in zip(CANONICAL_METRICS, self.values):
+            # bool is an int, and NaN would tie with every value
+            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise ValueError(
+                    f"score vector for {self.entrant!r}: metric {name!r} must be a finite "
+                    f"number, got {value!r}"
+                )
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @classmethod
     def from_metrics(cls, entrant: str, metrics: dict[str, float]) -> "ScoreVector":
@@ -92,21 +92,10 @@ class ScoreVector:
             raise ValueError(
                 f"score vector for {entrant!r}: missing {missing}, unknown {extra}"
             )
-        values = []
-        for name in CANONICAL_METRICS:
-            value = metrics[name]
-            # bool is an int, and NaN would tie with every value
-            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if isinstance(value, bool) or not finite:
-                raise ValueError(
-                    f"score vector for {entrant!r}: metric {name!r} must be a finite "
-                    f"number, got {value!r}"
-                )
-            values.append((name, float(value)))
-        return cls(entrant=entrant, values=tuple(values))
+        return cls(entrant, tuple(metrics[name] for name in CANONICAL_METRICS))
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self.values)
+        return dict(zip(CANONICAL_METRICS, self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +114,15 @@ def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
     """Partition entrants into fronts by non-dominated sorting (Deb et al., 2002).
 
     The dominance matrix is built once; each entrant counts how many others
-    dominate it and joins the front after the last of them is peeled.
+    dominate it and joins the front after the last of them is peeled. An
+    empty list or an entrant named twice is refused.
     """
     if not entries:
-        raise ValueError("at least one score vector is required")
+        raise ValueError("no score entries given")
+    counts = Counter(entry.entrant for entry in entries)
+    for name, count in counts.items():  # in order of first appearance
+        if count > 1:
+            raise ValueError(f"duplicate entrant {name!r}")
     matrix = dominance_matrix(entries)
     dominators = matrix.sum(axis=0)
     left = np.ones(len(entries), dtype=bool)
@@ -143,7 +137,7 @@ def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
 
 def dominance_matrix(entries: list[ScoreVector]) -> np.ndarray:
     """Pairwise (N, N) bool array in input order: cell [i, j] means i dominates j."""
-    values = np.array([[value for _, value in entry.values] for entry in entries])
+    values = np.array([entry.values for entry in entries])
     no_worse = np.ones((len(entries), len(entries)), dtype=bool)
     better = np.zeros_like(no_worse)
     for metric, column in zip(METRICS, values.T):

@@ -327,6 +327,20 @@ def test_backtranslation_config_rules(corpus_writer, sentence_writer):
         EvaluationConfig(backtranslate_command="cat")
 
 
+def test_cli_names_backtranslation_output_that_is_not_utf8(
+    corpus_writer, sentence_writer, capsys
+):
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "pred")
+    ref_text = hook_references(corpus, sentence_writer)
+    hook = hook_command("import sys; sys.stdout.buffer.write(b'\\xff\\n')")
+    assert run_cli("evaluate", "--pred", str(manifest), "--backtranslate", hook,
+                   "--ref-text", str(ref_text)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: back-translation output: 'utf-8' codec can't decode byte 0xff"
+    )
+
+
 def test_run_backtranslation_rejects_empty_command():
     with pytest.raises(EvaluationError, match="empty"):
         run_backtranslation("", [])
@@ -454,7 +468,9 @@ def test_validate_reports_broken_pose_files(corpus_writer):
     missing = pred_manifest.parent / "poses" / f"{corpus[0][0].id}.pose"
     missing.unlink()
     report = validate_submission(pred_manifest, ref_manifest, DEVELOPMENT_RULES, [], now=NOW)
-    assert any("cannot read" in v for v in report.violations)
+    [unread] = [v for v in report.violations if "cannot read" in v]
+    assert unread.startswith(f"prediction {corpus[0][0].id!r}: cannot read {missing}: ")
+    assert unread.count(str(missing)) == 1
 
 
 def test_test_phase_allows_three_total(corpus_writer):
@@ -606,7 +622,12 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
                  "--phase", "development", "--history", str(tmp_path / "h.log"))
     assert rc == 1
     out = capsys.readouterr().out
-    assert "missing id" in out and "cannot read" in out
+    missing = tmp_path / "missing.pose"
+    assert "missing id" in out and f"cannot read {missing}: " in out
+    assert out.count(str(missing)) == 1
+    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count(str(missing)) == 1
 
 
 def test_cli_rank_leaderboard(tmp_path, capsys):

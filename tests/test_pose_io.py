@@ -224,8 +224,8 @@ def test_parse_rejects_non_finite():
 
 
 def test_validate_sequence_checks_point_count(tiny_layout):
-    seq = PoseSequence(id="s", frames=np.zeros((1, 5, 3)), layout=flat_layout(5))
-    problems = validate_sequence(seq, tiny_layout)
+    seq = PoseSequence(id="s", frames=np.zeros((1, 5, 3)), layout=tiny_layout)
+    problems = validate_sequence(seq)
     assert problems and "point count" in problems[0]
 
 

@@ -66,11 +66,15 @@ def test_from_metrics_requires_exact_metric_set():
         ScoreVector.from_metrics("x", good)
 
 
-@pytest.mark.parametrize("value", [None, float("nan"), float("inf"), "nan", "1.0", True, [1.0]])
+@pytest.mark.parametrize(
+    "value", [None, float("nan"), float("inf"), "nan", "1.0", True, [1.0], float("-inf")]
+)
 def test_from_metrics_accepts_only_finite_numbers(value):
     metrics = dict(LEADERBOARD["team1"], **{"Total Distance": value})
     with pytest.raises(ValueError, match="'x'.*'Total Distance'.*finite number"):
         ScoreVector.from_metrics("x", metrics)
+    with pytest.raises(ValueError, match="'x'.*'Total Distance'.*finite number"):
+        ScoreVector("x", tuple(metrics[name] for name in CANONICAL_METRICS))
 
 
 def test_from_metrics_accepts_ints_as_floats():
@@ -79,9 +83,8 @@ def test_from_metrics_accepts_ints_as_floats():
 
 
 def test_score_vector_enforces_canonical_order():
-    values = tuple(reversed([(n, 1.0) for n in CANONICAL_METRICS]))
-    with pytest.raises(ValueError, match="canonical"):
-        ScoreVector(entrant="x", values=values)
+    with pytest.raises(ValueError, match="'x'.*canonical metrics.*got 8"):
+        ScoreVector(entrant="x", values=(1.0,) * 8)
 
 
 def test_as_dict_round_trip():
@@ -156,6 +159,14 @@ def test_front_members_keep_submission_order():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         pareto_fronts([])
+
+
+def test_duplicate_entrants_rejected():
+    with pytest.raises(ValueError, match="^duplicate entrant 'good'$"):
+        pareto_fronts([vector("good"), vector("good")])
+    # the first name that repeats, in input order, as rank reports it
+    with pytest.raises(ValueError, match="^duplicate entrant 'a'$"):
+        pareto_fronts([vector("a"), vector("b"), vector("b", WER=40.0), vector("a")])
 
 
 def test_leaderboard_snapshot_structure():
