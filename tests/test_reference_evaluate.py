@@ -1,0 +1,108 @@
+"""End-to-end oracle: ``evaluate`` on a drawn corpus equals a plain loop over the oracles.
+
+The loop pairs sequences in reference-manifest order, normalizes (or not)
+with ``normalize_sequence``, aligns with the per-cell ``reference_dtw_align``
+and measures travel with ``hand_travel``. Floats are compared with ``==``, so
+pairing order, exclusion order and the normalize flag are all pinned.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import TINY_LAYOUT
+from slpeval.cli import main
+from slpeval.pose import PoseSequence, normalize_sequence, write_pose_file
+from slpeval.pose_metrics import ZERO_TRAVEL_EPSILON, hand_travel
+from test_pose_metrics import reference_dtw_align
+
+#: TINY_LAYOUT as a layout descriptor
+TINY_LAYOUT_TEXT = "body 0 3\nface 3 1\nlhand 4 1\nrhand 5 1\nneck 0\nlshoulder 1\nrshoulder 2\n"
+#: frame 0's neck, left and right shoulder: never collinear
+TORSO = np.array([[0.0, 0.0, 0.0], [1.0, 0.25, 0.0], [-1.0, 0.5, 0.125]])
+#: small integers make DTW ties likely; the floats give free-form values
+COORDINATE = st.one_of(st.integers(-2, 2).map(float), st.floats(-10.0, 10.0, width=64))
+
+
+@st.composite
+def pose_frames(draw, static_hands: bool = False) -> np.ndarray:
+    frames = draw(arrays(np.float64, (draw(st.integers(1, 6)), 6, 3), elements=COORDINATE))
+    frames[0, :3] = TORSO
+    if static_hands:  # zero reference travel: the hands never move
+        frames[:, 4:] = frames[0, 4:]
+    return frames
+
+
+@st.composite
+def corpora(draw):
+    """``(ids in reference order, ids in prediction order, pred frames, ref frames)``."""
+    ids = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    refs = {i: draw(pose_frames(static_hands=draw(st.booleans()))) for i in ids}
+    preds = {i: draw(pose_frames()) for i in ids}
+    return ids, draw(st.permutations(ids)), preds, refs
+
+
+def write_manifest(root: Path, order: list[str], frames: dict[str, np.ndarray]) -> Path:
+    (root / "poses").mkdir(parents=True)
+    for i in order:
+        seq = PoseSequence(id=i, frames=frames[i], layout=TINY_LAYOUT)
+        (root / "poses" / f"{i}.pose").write_text(write_pose_file(seq), encoding="utf-8")
+    manifest = root / "manifest.tsv"
+    manifest.write_text("".join(f"{i}\tposes/{i}.pose\n" for i in order), encoding="utf-8")
+    return manifest
+
+
+def reference_pose_sections(ids, preds, refs, normalize: bool) -> tuple[dict, float]:
+    """The report's ``pose`` section and duration ratio, by a loop in reference order."""
+    mje_sum = ratio_sum = frame_sum = 0.0
+    ratio_count = 0
+    excluded = []
+    for i in ids:
+        pred = PoseSequence(id=i, frames=preds[i], layout=TINY_LAYOUT)
+        ref = PoseSequence(id=i, frames=refs[i], layout=TINY_LAYOUT)
+        if normalize:
+            pred, ref = normalize_sequence(pred), normalize_sequence(ref)
+        path = reference_dtw_align(pred, ref)
+        mje_sum += path.total_cost / len(path.steps)
+        ref_travel = hand_travel(ref)
+        if ref_travel < ZERO_TRAVEL_EPSILON:
+            excluded.append(i)
+        else:
+            ratio_sum += hand_travel(pred) / ref_travel
+            ratio_count += 1
+        frame_sum += pred.num_frames / ref.num_frames
+    pose = {
+        "dtw_mje": mje_sum / len(ids),
+        "total_distance": ratio_sum / ratio_count if ratio_count else None,
+        "excluded_ids": excluded,
+    }
+    return pose, frame_sum / len(ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=corpora(), normalize=st.booleans())
+def test_evaluate_pose_sections_equal_the_reference_loop(corpus, normalize):
+    ids, pred_order, preds, refs = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        layout = root / "layout.txt"
+        layout.write_text(TINY_LAYOUT_TEXT, encoding="utf-8")
+        argv = ["evaluate", "--pred", str(write_manifest(root / "pred", pred_order, preds)),
+                "--ref", str(write_manifest(root / "ref", ids, refs)), "--layout", str(layout)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv if normalize else [*argv, "--no-normalize"])
+    assert code == 0
+    report = json.loads(out.getvalue())
+    pose, ratio = reference_pose_sections(ids, preds, refs, normalize)
+    assert report["pose"] == pose
+    assert report["diagnostics"]["duration_ratio"] == ratio
