@@ -169,19 +169,16 @@ def _parse_scores(text: str) -> list[ScoreVector]:
             not isinstance(item.get("metrics"), dict)
         ):
             raise ValueError("each entry needs an 'entrant' and a 'metrics' object")
-        entries.append(ScoreVector.from_metrics(str(item["entrant"]), item["metrics"]))
+        entries.append(ScoreVector.from_metrics(item["entrant"], item["metrics"]))
     return entries
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     entries = [entry for path in args.scores for entry in read_input(path, _parse_scores)]
     ranking = pareto_fronts(entries)
-    if args.format == "table":
-        lines = []
-        for front_index, members in enumerate(ranking.fronts, start=1):
-            for name in members:
-                lines.append(f"{front_index}  {name}")
-        text = "\n".join(lines) + "\n"
+    if args.format == "table":  # one "front  entrant" line per entrant
+        text = "".join(f"{front_index}  {name}\n"
+                       for front_index, front in enumerate(ranking.fronts, 1) for name in front)
     else:
         doc = {
             "fronts": [list(front) for front in ranking.fronts],

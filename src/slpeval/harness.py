@@ -20,9 +20,11 @@ import subprocess
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .manifest import (
+    ManifestEntry,
     ManifestError,
     SubmissionManifest,
     load_manifest,
@@ -33,13 +35,13 @@ from .manifest import (
 from .pose import (
     DEFAULT_LAYOUT,
     KeypointLayout,
-    PoseSequence,
     normalize_sequence,
     parse_layout,
     parse_pose_file,
+    torso_rotation,
     validate_sequence,
 )
-from .pose_metrics import PoseScore, corpus_pose_metrics
+from .pose_metrics import PairScore, PoseScore, aggregate_pairs, duration_ratio, score_pair
 from .ranking import METRICS, Metric
 from .text_metrics import (
     TextScore,
@@ -63,7 +65,6 @@ __all__ = [
     "evaluate",
     "format_record",
     "load_history",
-    "load_submission",
     "render_report",
     "run_backtranslation",
     "validate_submission",
@@ -184,44 +185,41 @@ def _read_entries(path: Path, parse, kind: str, hasher, label: bytes = b""):
     return entries
 
 
-def load_submission(
-    manifest_path: Path, layout: KeypointLayout, hasher, normalize: bool
-) -> tuple[SubmissionManifest, dict[str, PoseSequence], list[tuple[str, str]]]:
-    """Read, digest, parse, validate and optionally normalize a manifest's pose files.
+def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hasher, prepare):
+    """Read, digest, parse and validate one entry's pose file, then ``prepare`` the sequence.
 
-    Each file is read once. ``hasher`` receives the manifest's length and
-    bytes, then for each readable pose file its entry id, length and bytes.
-    A pose file that cannot be read, decoded, parsed, validated or
-    normalized is reported as ``(id, problem)``, the problem naming the
-    file once, and left out of the sequences; only a bad or empty manifest
-    raises.
+    ``hasher`` receives the entry id, the file's length and its bytes.
+    Returns ``prepare(sequence)``, or the sequence when ``prepare`` is None.
+    A file that cannot be read, decoded, parsed, validated or prepared
+    raises :class:`EvaluationError` with one line naming the file and its problem.
     """
-    manifest = _read_entries(manifest_path, load_manifest, "manifest", hasher)
-    sequences: dict[str, PoseSequence] = {}
-    problems: list[tuple[str, str]] = []
-    for entry in manifest:
-        path = where = _resolve(manifest_path.parent, entry.pose_path)
-        try:
-            # the bytes are freed once decoded
-            text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
-            seq = parse_pose_file(text, id=entry.id, layout=layout)
-            found = validate_sequence(seq)
-            if len(found) > 1:  # one line a file, however many coordinates are bad
-                found = [f"{found[0]}, and {len(found) - 1} more"]
-            if not found:
-                sequences[entry.id] = normalize_sequence(seq) if normalize else seq
-        except OSError as err:  # its own text repeats the path
-            where, found = f"cannot read {path}", [err.strerror or err]
-        except ValueError as err:
-            found = [err]
-        problems.extend((entry.id, f"{where}: {problem}") for problem in found)
-    return manifest, sequences, problems
+    path = where = _resolve(Path(manifest_path).parent, entry.pose_path)
+    try:
+        # the bytes are freed once decoded
+        text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
+        seq = parse_pose_file(text, id=entry.id, layout=layout)
+        found = validate_sequence(seq)
+        if not found:
+            return seq if prepare is None else prepare(seq)
+        # one line a file, however many coordinates are bad
+        problem = found[0] if len(found) == 1 else f"{found[0]}, and {len(found) - 1} more"
+    except OSError as err:  # its own text repeats the path
+        where, problem = f"cannot read {path}", err.strerror or err
+    except ValueError as err:
+        problem = err
+    raise EvaluationError(f"{where}: {problem}")
 
 
 def _id_coverage(ref_ids, pred_ids) -> tuple[list[str], list[str]]:
     """The ids ``pred_ids`` lacks and the ones it adds to ``ref_ids``, each in file order."""
     ref_set, pred_set = set(ref_ids), set(pred_ids)
     return [i for i in ref_ids if i not in pred_set], [i for i in pred_ids if i not in ref_set]
+
+
+def _require_same_ids(ref_ids, pred_ids, mismatch: str) -> None:
+    missing, extra = _id_coverage(ref_ids, pred_ids)
+    if missing or extra:
+        raise EvaluationError(f"{mismatch} (first offender {(missing + extra)[0]!r})")
 
 
 def validate_submission(
@@ -234,25 +232,29 @@ def validate_submission(
 ) -> ValidationReport:
     """Check id coverage, pose file health, and submission quotas.
 
+    Each side's pose files are checked one at a time, and none is kept.
     Violations are data, not exceptions; the submission log is never
     mutated here (recording an accepted submission is the caller's append).
     """
     now = now if now is not None else datetime.now(timezone.utc)
     hasher = hashlib.sha256()
-    # challenge scoring always normalizes, so a torso it cannot normalize is a violation
-    pred_manifest, _, pred_problems = load_submission(
-        pred_manifest_path, layout, hasher, normalize=True
-    )
-    ref_manifest, _, ref_problems = load_submission(
-        ref_manifest_path, layout, hashlib.sha256(), normalize=True
-    )
+    manifests, problems = [], []
+    for role, path, role_hasher in (
+        ("prediction", pred_manifest_path, hasher),
+        ("reference", ref_manifest_path, hashlib.sha256()),
+    ):
+        manifests.append(_read_entries(path, load_manifest, "manifest", role_hasher))
+        for entry in manifests[-1]:
+            try:  # scoring normalizes, and of that only frame 0's torso rotation can fail
+                _load_pose(path, entry, layout, role_hasher,
+                           lambda seq: torso_rotation(seq.frames[0], seq.layout))
+            except EvaluationError as err:
+                problems.append(f"{role} {entry.id!r}: {err}")
 
-    missing, extra = _id_coverage(ref_manifest.ids, pred_manifest.ids)
+    missing, extra = _id_coverage(manifests[1].ids, manifests[0].ids)
     violations = [f"prediction missing id {i!r}" for i in missing]
     violations.extend(f"prediction has unknown id {i!r}" for i in extra)
-
-    for role, problems in (("prediction", pred_problems), ("reference", ref_problems)):
-        violations.extend(f"{role} {entry_id!r}: {problem}" for entry_id, problem in problems)
+    violations.extend(problems)
     violations.extend(_quota_violations(rules, history, now))
     return ValidationReport(violations=tuple(violations), digest=hasher.hexdigest())
 
@@ -281,9 +283,7 @@ class EvaluationConfig:
                 "pass either a hypothesis file or a back-translation command, not both"
             )
         if self.backtranslate_command is not None and self.pred_manifest is None:
-            raise ValueError(
-                "back-translation needs a prediction manifest to supply pose files"
-            )
+            raise ValueError("back-translation needs a prediction manifest to supply pose files")
 
 
 @dataclass(frozen=True)
@@ -333,20 +333,6 @@ class MetricReport:
         return doc
 
 
-def duration_ratio(preds: list[PoseSequence], refs: list[PoseSequence]) -> float:
-    """Mean over paired sequences of prediction length over reference length."""
-    if len(preds) != len(refs):
-        raise ValueError(f"corpus sizes differ: {len(preds)} vs {len(refs)}")
-    if not refs:
-        raise ValueError("empty corpus")
-    total = 0.0
-    for pred, ref in zip(preds, refs):
-        if pred.id != ref.id:
-            raise ValueError(f"id mismatch: {pred.id!r} paired with {ref.id!r}")
-        total += pred.num_frames / ref.num_frames
-    return total / len(preds)
-
-
 def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
     """Run a user-supplied pose-to-text command over a list of pose files.
 
@@ -384,9 +370,10 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     (a file, or a back-translation command run over the prediction pose
     files) plus reference sentences (from ``reference_text`` or the
     reference manifest's third field). Pose files are read only when poses
-    are scored or back-translated. Each input file is read once, and those
-    bytes feed ``input_digest``. Any parse or validation failure aborts with
-    the first offending file named.
+    are scored or back-translated, one prediction and its reference at a
+    time, after the manifests' ids are checked. Each input file is read
+    once, and those bytes feed ``input_digest``. The first failure aborts
+    the run, naming its file.
     """
     hasher = hashlib.sha256()
     layout, layout_data = DEFAULT_LAYOUT, None
@@ -395,51 +382,48 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         layout = read_input(config.layout_file, parse_layout, layout_data)
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 
+    ref_part: list[bytes] = []  # hashed after the prediction part, which its pose files end
     manifests: dict[str, SubmissionManifest] = {}
-    sequences: dict[str, dict[str, PoseSequence]] = {}
-    for role, manifest_path in (("pred", config.pred_manifest), ("ref", config.ref_manifest)):
-        if manifest_path is None:
-            continue
-        manifest_path = Path(manifest_path)
-        hasher.update(role.encode())
-        if not (score_poses or (role == "pred" and config.backtranslate_command is not None)):
-            manifests[role] = _read_entries(manifest_path, load_manifest, "manifest", hasher)
-            continue
-        manifests[role], sequences[role], problems = load_submission(
-            manifest_path, layout, hasher, normalize=score_poses and config.normalize
-        )
-        if problems:
-            raise EvaluationError(problems[0][1])
+    for role, path, role_hasher in (
+        ("pred", config.pred_manifest, hasher),
+        ("ref", config.ref_manifest, SimpleNamespace(update=ref_part.append)),
+    ):
+        if path is not None:
+            role_hasher.update(role.encode())
+            manifests[role] = _read_entries(Path(path), load_manifest, "manifest", role_hasher)
+    if score_poses:
+        _require_same_ids(manifests["ref"].ids, manifests["pred"].ids,
+                          f"{config.pred_manifest}: id set mismatch with reference manifest")
+    pairs: dict[str, PairScore] = {}
+    if score_poses or config.backtranslate_command is not None:
+        prepare = normalize_sequence if score_poses and config.normalize else None
+        # in reference-manifest order, each reference pose file with a hasher of its own
+        refs = {e.id: (e, hashlib.sha256()) for e in manifests["ref"]} if score_poses else {}
+        for entry in manifests["pred"]:
+            pred = _load_pose(config.pred_manifest, entry, layout, hasher, prepare)
+            if score_poses:
+                ref_entry, ref_hasher = refs[entry.id]
+                ref = _load_pose(config.ref_manifest, ref_entry, layout, ref_hasher, prepare)
+                pairs[entry.id] = score_pair(pred, ref)
+        ref_part.extend(ref_hasher.digest() for _, ref_hasher in refs.values())
+    hasher.update(b"".join(ref_part))
     hyp_map = ref_map = None
     if config.hypothesis_file is not None:
-        hyp_map = _read_entries(
-            config.hypothesis_file, load_sentence_file, "sentence file", hasher, b"hyp"
-        )
+        hyp_map = _read_entries(config.hypothesis_file, load_sentence_file, "sentence file",
+                                hasher, b"hyp")
     if config.reference_text is not None:
-        ref_map = _read_entries(
-            config.reference_text, load_sentence_file, "sentence file", hasher, b"ref-text"
-        )
+        ref_map = _read_entries(config.reference_text, load_sentence_file, "sentence file",
+                                hasher, b"ref-text")
     if layout_data is not None:
         _digest_bytes(hasher, b"layout", layout_data)
     if config.backtranslate_command is not None:
         _digest_bytes(hasher, b"backtranslate", config.backtranslate_command.encode())
     hasher.update(b"normalize" if config.normalize else b"raw")
 
-    pose_score: PoseScore | None = None
-    ratio: float | None = None
-    if score_poses:
-        pred_seqs, ref_seqs = sequences["pred"], sequences["ref"]
-        ref_ids = manifests["ref"].ids
-        missing, extra = _id_coverage(ref_ids, manifests["pred"].ids)
-        if missing or extra:
-            raise EvaluationError(
-                f"{config.pred_manifest}: id set mismatch with reference manifest "
-                f"(first offender {(missing + extra)[0]!r})"
-            )
-        refs = [ref_seqs[i] for i in ref_ids]
-        preds = [pred_seqs[i] for i in ref_ids]
-        pose_score = corpus_pose_metrics(preds, refs)
-        ratio = duration_ratio(preds, refs)
+    # summed in reference-manifest order, whatever order the predictions came in
+    pose_score, ratio = (
+        aggregate_pairs([pairs[i] for i in manifests["ref"].ids]) if score_poses else (None, None)
+    )
 
     text_score: TextScore | None = None
     correlation: float | None = None
@@ -447,20 +431,14 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     if hyp_map is not None or config.backtranslate_command is not None:
         text_source = config.hypothesis_file or config.pred_manifest
         if hyp_map is None:
-            pred_manifest = manifests["pred"]
-            pose_paths = [
-                _resolve(Path(config.pred_manifest).parent, entry.pose_path)
-                for entry in pred_manifest
-            ]
+            pred_manifest, pred_dir = manifests["pred"], Path(config.pred_manifest).parent
+            pose_paths = [_resolve(pred_dir, entry.pose_path) for entry in pred_manifest]
             sentences = run_backtranslation(config.backtranslate_command, pose_paths)
             hyp_map = dict(zip(pred_manifest.ids, sentences))
         if ref_map is None and "ref" in manifests:
             ref_manifest = manifests["ref"]
-            ref_map = {
-                entry.id: entry.reference_sentence
-                for entry in ref_manifest
-                if entry.reference_sentence is not None
-            }
+            ref_map = {entry.id: entry.reference_sentence
+                       for entry in ref_manifest if entry.reference_sentence is not None}
             if len(ref_map) != len(ref_manifest):
                 raise EvaluationError(
                     f"{config.ref_manifest}: manifest lacks reference sentences; "
@@ -471,24 +449,16 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
                 f"{text_source}: no reference sentences available "
                 "(need --ref-text or a reference manifest with sentences)"
             )
-        missing, extra = _id_coverage(ref_map, hyp_map)
-        if missing or extra:
-            raise EvaluationError(
-                f"{text_source}: hypothesis ids do not match reference ids "
-                f"(first offender {(missing + extra)[0]!r})"
-            )
+        _require_same_ids(ref_map, hyp_map,
+                          f"{text_source}: hypothesis ids do not match reference ids")
         ids = list(ref_map)
         hyps = TokenizedCorpus.from_raw([hyp_map[i] for i in ids])
         refs_text = TokenizedCorpus.from_raw([ref_map[i] for i in ids])
         text_score = text_scores(hyps, refs_text)
         frequent_errors = tuple(top_error_words(text_score.wer, TOP_ERROR_WORD_COUNT))
-        scored = [
-            (s.ref_tokens, 100.0 * s.errors / s.ref_tokens)
-            for s in text_score.wer.per_sentence
-            if s.ref_tokens > 0
-        ]
+        scored = [s for s in text_score.wer.per_sentence if s.ref_tokens > 0]
         correlation = length_error_correlation(
-            [length for length, _ in scored], [rate for _, rate in scored]
+            [s.ref_tokens for s in scored], [100.0 * s.errors / s.ref_tokens for s in scored]
         )
 
     report = MetricReport(
@@ -546,9 +516,7 @@ def render_report(report: MetricReport, format: str = "structured") -> str:
         row = "  ".join(value.ljust(w) for (_, value), w in zip(cells, widths))
         lines = [header.rstrip(), row.rstrip()]
         if diags:
-            lines.append("")
-            for name, value in diags:
-                lines.append(f"{name}: {value}")
+            lines += ["", *(f"{name}: {value}" for name, value in diags)]
         diag = report.diagnostics
         if diag.top_error_words:
             lines.append(

@@ -29,6 +29,7 @@ __all__ = [
     "parse_layout",
     "parse_pose_file",
     "normalize_sequence",
+    "torso_rotation",
     "validate_sequence",
     "write_pose_file",
 ]
@@ -429,7 +430,7 @@ def validate_sequence(seq: PoseSequence) -> list[str]:
     return violations
 
 
-def _torso_rotation(frame: np.ndarray, layout: KeypointLayout) -> np.ndarray:
+def torso_rotation(frame: np.ndarray, layout: KeypointLayout) -> np.ndarray:
     """Rotation matrix mapping the torso of ``frame`` onto the canonical axes.
 
     The shoulder line (right shoulder to left shoulder) maps to +x and the
@@ -465,7 +466,7 @@ def normalize_sequence(seq: PoseSequence) -> PoseSequence:
     applied rigidly to the whole sequence, so relative inter-keypoint
     distances are preserved and within-sequence torso motion is kept.
     """
-    rot = _torso_rotation(seq.frames[0], seq.layout)
+    rot = torso_rotation(seq.frames[0], seq.layout)
     necks = seq.frames[:, seq.layout.neck, :]
     frames = (seq.frames - necks[:, None, :]) @ rot.T
     return PoseSequence(id=seq.id, frames=frames, layout=seq.layout)

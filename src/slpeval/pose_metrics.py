@@ -16,12 +16,16 @@ from .pose import PoseSequence
 
 __all__ = [
     "AlignmentPath",
+    "PairScore",
     "PoseScore",
     "ZeroReferenceTravelError",
+    "aggregate_pairs",
     "corpus_pose_metrics",
     "dtw_align",
     "dtw_mje",
+    "duration_ratio",
     "hand_travel",
+    "score_pair",
     "total_distance_ratio",
 ]
 
@@ -155,12 +159,46 @@ def total_distance_ratio(pred: PoseSequence, ref: PoseSequence) -> float:
     return hand_travel(pred) / ref_travel
 
 
-def corpus_pose_metrics(preds: list[PoseSequence], refs: list[PoseSequence]) -> PoseScore:
-    """Aggregate per-sequence metrics over an id-paired corpus.
+@dataclass(frozen=True)
+class PairScore:
+    """One id's pose numbers; ``travel_ratio`` is None when its reference hands stay still."""
 
-    DTW-MJE averages over all sequences; the travel ratio averages over the
-    sequences whose reference actually moves, the rest are reported excluded.
+    id: str
+    dtw_mje: float
+    travel_ratio: float | None
+    frame_ratio: float
+
+
+def score_pair(pred: PoseSequence, ref: PoseSequence) -> PairScore:
+    """DTW-MJE, hand-travel ratio and frame-count ratio of one prediction."""
+    try:
+        travel = total_distance_ratio(pred, ref)
+    except ZeroReferenceTravelError:
+        travel = None
+    return PairScore(ref.id, dtw_mje(pred, ref), travel, pred.num_frames / ref.num_frames)
+
+
+def aggregate_pairs(pairs: list[PairScore]) -> tuple[PoseScore, float]:
+    """Corpus pose score and duration ratio, each summed over ``pairs`` in their order.
+
+    A pair whose reference hands stay still is left out of the travel ratio and excluded.
     """
+    mje_sum = ratio_sum = frame_sum = 0.0
+    excluded: list[str] = []
+    for pair in pairs:
+        mje_sum += pair.dtw_mje
+        if pair.travel_ratio is None:
+            excluded.append(pair.id)
+        else:
+            ratio_sum += pair.travel_ratio
+        frame_sum += pair.frame_ratio
+    moving = len(pairs) - len(excluded)
+    score = PoseScore(mje_sum / len(pairs), ratio_sum / moving if moving else None, tuple(excluded))
+    return score, frame_sum / len(pairs)
+
+
+def _score_corpus(preds: list[PoseSequence], refs: list[PoseSequence]) -> tuple[PoseScore, float]:
+    """:func:`aggregate_pairs` over two lists paired by position, which must agree on ids."""
     if len(preds) != len(refs):
         raise ValueError(f"corpus sizes differ: {len(preds)} predictions vs {len(refs)} references")
     if not refs:
@@ -168,22 +206,14 @@ def corpus_pose_metrics(preds: list[PoseSequence], refs: list[PoseSequence]) -> 
     for pred, ref in zip(preds, refs):
         if pred.id != ref.id:
             raise ValueError(f"id mismatch: prediction {pred.id!r} paired with reference {ref.id!r}")
+    return aggregate_pairs([score_pair(pred, ref) for pred, ref in zip(preds, refs)])
 
-    mje_sum = 0.0
-    ratio_sum = 0.0
-    ratio_count = 0
-    excluded: list[str] = []
-    for pred, ref in zip(preds, refs):
-        mje_sum += dtw_mje(pred, ref)
-        try:
-            ratio_sum += total_distance_ratio(pred, ref)
-            ratio_count += 1
-        except ZeroReferenceTravelError:
-            excluded.append(ref.id)
 
-    ratio = ratio_sum / ratio_count if ratio_count else None
-    return PoseScore(
-        dtw_mje=mje_sum / len(preds),
-        total_distance_ratio=ratio,
-        excluded_ids=tuple(excluded),
-    )
+def corpus_pose_metrics(preds: list[PoseSequence], refs: list[PoseSequence]) -> PoseScore:
+    """DTW-MJE and hand-travel ratio of an id-paired corpus (see :func:`aggregate_pairs`)."""
+    return _score_corpus(preds, refs)[0]
+
+
+def duration_ratio(preds: list[PoseSequence], refs: list[PoseSequence]) -> float:
+    """Mean over paired sequences of prediction length over reference length."""
+    return _score_corpus(preds, refs)[1]

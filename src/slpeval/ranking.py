@@ -68,6 +68,8 @@ class ScoreVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.entrant, str) or not self.entrant:
+            raise ValueError(f"entrant must be a non-empty string, got {self.entrant!r}")
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
                 f"score vector for {self.entrant!r} must carry one value for each of the "

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -625,6 +626,9 @@ def test_cli_validate_reports_violations(tmp_path, capsys):
     missing = tmp_path / "missing.pose"
     assert "missing id" in out and f"cannot read {missing}: " in out
     assert out.count(str(missing)) == 1
+    # evaluate reports an id mismatch first, so give it every id
+    pred.write_text(f"seq0000\tmissing.pose\nseq0001\t{corpus_dir}/poses/seq0001.pose\n",
+                    encoding="utf-8")
     assert run_cli("evaluate", "--pred", str(pred), "--ref", str(manifest)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {missing}: ") and err.count(str(missing)) == 1
@@ -666,6 +670,35 @@ def test_cli_rank_rejects_bad_entries(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("entrant", [None, ["a"], "", 5], ids=["null", "list", "empty", "number"])
+def test_cli_rank_refuses_an_entrant_that_is_not_a_name(tmp_path, capsys, entrant):
+    from conftest import LEADERBOARD
+
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps([{"entrant": entrant, "metrics": LEADERBOARD["team1"]}]),
+                      encoding="utf-8")
+    assert run_cli("rank", "--scores", str(scores)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scores}: entrant must be a non-empty string")
+
+
+def test_cli_rank_ranks_a_team_named_none(tmp_path, capsys):
+    from conftest import LEADERBOARD
+
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps([{"entrant": "None", "metrics": LEADERBOARD["team1"]},
+                                 {"entrant": "team2", "metrics": LEADERBOARD["team2"]}]),
+                     encoding="utf-8")
+    assert run_cli("rank", "--scores", str(named)) == 0
+    assert json.loads(capsys.readouterr().out)["fronts"] == [["None", "team2"]]
+    # a null entrant is refused in its own file, not taken for a second "None"
+    unnamed = tmp_path / "unnamed.json"
+    unnamed.write_text(json.dumps([{"entrant": None, "metrics": LEADERBOARD["team3"]}]),
+                       encoding="utf-8")
+    assert run_cli("rank", "--scores", str(named), str(unnamed)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {unnamed}: entrant must be")
+
+
 def test_cli_reports_are_deterministic(tmp_path):
     corpus_dir = tmp_path / "corpus"
     run_cli("synth", "corpus", "--count", "3", "--frames", "6", "--seed", "9",
@@ -694,6 +727,42 @@ def test_text_only_evaluate_reads_no_pose_files(corpus_writer, sentence_writer, 
         hasher.update(role + len(data).to_bytes(8, "big") + data)
     hasher.update(b"normalize")
     assert report["provenance"]["input_digest"] == hasher.hexdigest()
+
+
+def test_pose_and_text_digest_follows_its_definition(corpus_writer, sentence_writer, capsys):
+    corpus = small_corpus()
+    ref = corpus_writer(corpus, "ref")
+    pred = corpus_writer(corpus[::-1], "pred")  # listed in the other order
+    hyp = sentence_writer(hyp_pairs(corpus), "hyp.tsv")
+    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref), "--hyp", str(hyp)) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    def item(label: bytes, data: bytes) -> bytes:
+        return label + len(data).to_bytes(8, "big") + data
+
+    def pose_items(manifest: Path) -> list[bytes]:
+        entries = [line.split("\t") for line in manifest.read_text(encoding="utf-8").splitlines()]
+        return [item(i.encode(), (manifest.parent / path).read_bytes()) for i, path, _ in entries]
+
+    hasher = hashlib.sha256(item(b"pred", pred.read_bytes()) + b"".join(pose_items(pred)))
+    hasher.update(item(b"ref", ref.read_bytes()))
+    for pose in pose_items(ref):  # each reference pose file hashed on its own
+        hasher.update(hashlib.sha256(pose).digest())
+    hasher.update(item(b"hyp", hyp.read_bytes()) + b"normalize")
+    assert report["provenance"]["input_digest"] == hasher.hexdigest()
+
+
+def test_evaluate_reports_an_id_mismatch_before_a_broken_pose_file(corpus_writer, capsys):
+    corpus = small_corpus()
+    ref, pred = corpus_writer(corpus, "ref"), corpus_writer(corpus, "pred")
+    victim = pred.parent / "poses" / f"{corpus[0][0].id}.pose"
+    victim.write_text("POSE v1 1 1 3\n0 nan 0\n", encoding="utf-8")
+    with pred.open("a", encoding="utf-8") as manifest:
+        manifest.write(f"extra\tposes/{corpus[1][0].id}.pose\n")
+    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {pred}: id set mismatch with reference manifest "
+                   "(first offender 'extra')\n")
 
 
 def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
@@ -1044,6 +1113,30 @@ def test_validate_and_evaluate_agree(mutation, side, entry):
         assert logged.startswith(prior) and logged.count(b"\n") == 2
     else:
         assert logged == prior
+
+
+def traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_and_validate_hold_one_pair_at_a_time(tmp_path):
+    run_cli("synth", "corpus", "--count", "32", "--frames", "120", "--out", str(tmp_path))
+    full = tmp_path / "manifest.tsv"
+    first_8 = tmp_path / "first_8.tsv"
+    first_8.write_text("".join(full.read_text(encoding="utf-8").splitlines(True)[:8]),
+                       encoding="utf-8")
+    one_sequence = 120 * 178 * 3 * 8
+    for run in (
+        lambda m: evaluate(EvaluationConfig(pred_manifest=m, ref_manifest=m)),
+        lambda m: validate_submission(m, m, DEVELOPMENT_RULES, [], now=NOW),
+    ):
+        assert traced_peak(lambda: run(full)) - traced_peak(lambda: run(first_8)) <= one_sequence
 
 
 def test_validate_folds_each_files_coordinate_faults(corpus_writer):
