@@ -1,9 +1,12 @@
 """End-to-end oracle: ``evaluate`` on a drawn corpus equals a plain loop over the oracles.
 
-The loop pairs sequences in reference-manifest order, normalizes (or not)
-with ``normalize_sequence``, aligns with the per-cell ``reference_dtw_align``
-and measures travel with ``hand_travel``. Floats are compared with ``==``, so
-pairing order, exclusion order and the normalize flag are all pinned.
+The pose loop pairs sequences in reference-manifest order, normalizes (or
+not) with ``normalize_sequence``, aligns with the per-cell
+``reference_dtw_align`` and measures travel with ``hand_travel``. The text
+loop scores the sentences in reference order with the per-sentence Counter
+BLEU and chrF, the LCS dynamic programme and the brute-force edit cost.
+Floats are compared with ``==``, so pairing order, exclusion order, the
+normalize flag and the choice of reference sentences are all pinned.
 """
 
 from __future__ import annotations
@@ -23,7 +26,15 @@ from conftest import TINY_LAYOUT
 from slpeval.cli import main
 from slpeval.pose import PoseSequence, normalize_sequence, write_pose_file
 from slpeval.pose_metrics import ZERO_TRAVEL_EPSILON, hand_travel
+from slpeval.text_metrics import TokenizedCorpus, length_error_correlation
 from test_pose_metrics import reference_dtw_align
+from test_text_metrics import (
+    brute_force_edit_cost,
+    oracle_sentence,
+    reference_bleu_corpus,
+    reference_chrf,
+    reference_rouge_l,
+)
 
 #: TINY_LAYOUT as a layout descriptor
 TINY_LAYOUT_TEXT = "body 0 3\nface 3 1\nlhand 4 1\nrhand 5 1\nneck 0\nlshoulder 1\nrshoulder 2\n"
@@ -106,3 +117,76 @@ def test_evaluate_pose_sections_equal_the_reference_loop(corpus, normalize):
     pose, ratio = reference_pose_sections(ids, preds, refs, normalize)
     assert report["pose"] == pose
     assert report["diagnostics"]["duration_ratio"] == ratio
+
+
+# ---------------------------------------------------------------- text
+
+#: a sentence fills the rest of one line, so it holds no line break
+line_sentence = oracle_sentence.filter(lambda s: "\n" not in s and "\r" not in s)
+
+
+@st.composite
+def text_corpora(draw):
+    """``(ids in reference order, ids in hypothesis order, hyps, refs, reference source)``.
+
+    With both sources the manifest carries sentences of its own, which ``--ref-text``
+    must override.
+    """
+    ids = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    refs = {i: draw(line_sentence) for i in ids}
+    if not any(TokenizedCorpus.from_raw(list(refs.values())).sentences):
+        refs[draw(st.sampled_from(ids))] = draw(st.sampled_from(["a", "ä b", "日本"]))
+    hyps = {i: draw(st.one_of(st.just(""), line_sentence)) for i in ids}
+    return ids, draw(st.permutations(ids)), hyps, refs, draw(st.sampled_from(["text", "manifest", "both"]))
+
+
+def reference_text_sections(ids, hyps, refs) -> tuple[dict, float | None]:
+    """The report's ``text`` section and length-error correlation, by the oracles."""
+    h = TokenizedCorpus.from_raw([hyps[i] for i in ids])
+    r = TokenizedCorpus.from_raw([refs[i] for i in ids])
+    costs = [brute_force_edit_cost(hyp, ref) for hyp, ref in zip(h.sentences, r.sentences)]
+    ref_tokens = sum(len(ref) for ref in r.sentences)
+    text = dict(zip(["bleu1", "bleu2", "bleu3", "bleu4"], reference_bleu_corpus(h, r)))
+    text.update(chrf=reference_chrf(h, r), rouge=reference_rouge_l(h, r))
+    text["wer"] = {"rate": 100.0 * sum(costs) / ref_tokens, "errors": sum(costs),
+                   "ref_tokens": ref_tokens}
+    scored = [(len(ref), cost) for ref, cost in zip(r.sentences, costs) if ref]
+    correlation = length_error_correlation(
+        [length for length, _ in scored], [100.0 * cost / length for length, cost in scored]
+    )
+    return text, correlation
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=text_corpora())
+def test_evaluate_text_sections_equal_the_oracles(corpus):
+    ids, hyp_order, hyps, refs, source = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        hyp_file = root / "hyp.tsv"
+        hyp_file.write_text("".join(f"{i}\t{hyps[i]}\n" for i in hyp_order), encoding="utf-8")
+        argv = ["evaluate", "--hyp", str(hyp_file)]
+        if source != "manifest":
+            ref_text = root / "ref.tsv"
+            ref_text.write_text("".join(f"{i}\t{refs[i]}\n" for i in ids), encoding="utf-8")
+            argv += ["--ref-text", str(ref_text)]
+        if source != "text":
+            # the manifest's own sentences lose to --ref-text
+            shadow = refs if source == "manifest" else {i: f"x{i} {refs[i]}" for i in ids}
+            manifest = root / "manifest.tsv"
+            manifest.write_text("".join(f"{i}\tposes/{i}.pose\t{shadow[i]}\n" for i in ids),
+                                encoding="utf-8")
+            argv += ["--ref", str(manifest)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    report = json.loads(out.getvalue())
+    text, correlation = reference_text_sections(ids, hyps, refs)
+    got = report["text"]
+    wer = got["wer"]
+    got["wer"] = {"rate": wer["rate"],
+                  "errors": wer["substitutions"] + wer["deletions"] + wer["insertions"],
+                  "ref_tokens": wer["ref_tokens"]}
+    assert got == text
+    assert report["diagnostics"]["length_error_correlation"] == correlation
