@@ -37,7 +37,6 @@ from .pose import (
 from .pose_metrics import (
     PoseScore,
     ZeroReferenceTravelError,
-    corpus_pose_metrics,
     dtw_align,
     dtw_mje,
     total_distance_ratio,
@@ -68,7 +67,6 @@ __all__ = [
     "__version__",
     "bleu_corpus",
     "chrf",
-    "corpus_pose_metrics",
     "dominance_matrix",
     "dtw_align",
     "dtw_mje",

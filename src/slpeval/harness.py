@@ -41,7 +41,7 @@ from .pose import (
     torso_rotation,
     validate_sequence,
 )
-from .pose_metrics import PairScore, PoseScore, aggregate_pairs, duration_ratio, score_pair
+from .pose_metrics import PairScore, PoseScore, aggregate_pairs, score_pair
 from .ranking import METRICS, Metric
 from .text_metrics import (
     TextScore,
@@ -61,7 +61,6 @@ __all__ = [
     "ReportDiagnostics",
     "SubmissionRecord",
     "ValidationReport",
-    "duration_ratio",
     "evaluate",
     "format_record",
     "load_history",
@@ -241,7 +240,8 @@ def validate_submission(
     manifests, problems = [], []
     for role, path, role_hasher in (
         ("prediction", pred_manifest_path, hasher),
-        ("reference", ref_manifest_path, hashlib.sha256()),
+        # the digest covers the prediction side alone, so the reference bytes are not hashed
+        ("reference", ref_manifest_path, SimpleNamespace(update=lambda data: None)),
     ):
         manifests.append(_read_entries(path, load_manifest, "manifest", role_hasher))
         for entry in manifests[-1]:
@@ -454,7 +454,11 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         ids = list(ref_map)
         hyps = TokenizedCorpus.from_raw([hyp_map[i] for i in ids])
         refs_text = TokenizedCorpus.from_raw([ref_map[i] for i in ids])
-        text_score = text_scores(hyps, refs_text)
+        try:  # the corpora are paired and not empty, so only blank references fail here
+            text_score = text_scores(hyps, refs_text)
+        except ValueError as err:
+            ref_source = config.reference_text or config.ref_manifest
+            raise EvaluationError(f"{ref_source}: {err}") from None
         frequent_errors = tuple(top_error_words(text_score.wer, TOP_ERROR_WORD_COUNT))
         scored = [s for s in text_score.wer.per_sentence if s.ref_tokens > 0]
         correlation = length_error_correlation(

@@ -20,10 +20,8 @@ __all__ = [
     "PoseScore",
     "ZeroReferenceTravelError",
     "aggregate_pairs",
-    "corpus_pose_metrics",
     "dtw_align",
     "dtw_mje",
-    "duration_ratio",
     "hand_travel",
     "score_pair",
     "total_distance_ratio",
@@ -170,7 +168,9 @@ class PairScore:
 
 
 def score_pair(pred: PoseSequence, ref: PoseSequence) -> PairScore:
-    """DTW-MJE, hand-travel ratio and frame-count ratio of one prediction."""
+    """DTW-MJE, hand-travel ratio and frame-count ratio of one prediction and its reference."""
+    if pred.id != ref.id:
+        raise ValueError(f"id mismatch: prediction {pred.id!r} paired with reference {ref.id!r}")
     try:
         travel = total_distance_ratio(pred, ref)
     except ZeroReferenceTravelError:
@@ -183,6 +183,8 @@ def aggregate_pairs(pairs: list[PairScore]) -> tuple[PoseScore, float]:
 
     A pair whose reference hands stay still is left out of the travel ratio and excluded.
     """
+    if not pairs:
+        raise ValueError("empty corpus")
     mje_sum = ratio_sum = frame_sum = 0.0
     excluded: list[str] = []
     for pair in pairs:
@@ -195,25 +197,3 @@ def aggregate_pairs(pairs: list[PairScore]) -> tuple[PoseScore, float]:
     moving = len(pairs) - len(excluded)
     score = PoseScore(mje_sum / len(pairs), ratio_sum / moving if moving else None, tuple(excluded))
     return score, frame_sum / len(pairs)
-
-
-def _score_corpus(preds: list[PoseSequence], refs: list[PoseSequence]) -> tuple[PoseScore, float]:
-    """:func:`aggregate_pairs` over two lists paired by position, which must agree on ids."""
-    if len(preds) != len(refs):
-        raise ValueError(f"corpus sizes differ: {len(preds)} predictions vs {len(refs)} references")
-    if not refs:
-        raise ValueError("empty corpus")
-    for pred, ref in zip(preds, refs):
-        if pred.id != ref.id:
-            raise ValueError(f"id mismatch: prediction {pred.id!r} paired with reference {ref.id!r}")
-    return aggregate_pairs([score_pair(pred, ref) for pred, ref in zip(preds, refs)])
-
-
-def corpus_pose_metrics(preds: list[PoseSequence], refs: list[PoseSequence]) -> PoseScore:
-    """DTW-MJE and hand-travel ratio of an id-paired corpus (see :func:`aggregate_pairs`)."""
-    return _score_corpus(preds, refs)[0]
-
-
-def duration_ratio(preds: list[PoseSequence], refs: list[PoseSequence]) -> float:
-    """Mean over paired sequences of prediction length over reference length."""
-    return _score_corpus(preds, refs)[1]

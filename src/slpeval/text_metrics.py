@@ -153,26 +153,22 @@ def _clipped_counts(
     return [tuple(int(v) for v in row) for row in totals]
 
 
-def bleu_corpus(
-    hyps: TokenizedCorpus, refs: TokenizedCorpus, max_n: int = 4
-) -> tuple[float, ...]:
-    """Corpus BLEU-1..max_n as percentages.
+def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ...]:
+    """Corpus BLEU-1..4 as percentages.
 
     BLEU-n is the geometric mean of the clipped modified precisions of orders
     1..n times the brevity penalty exp(1 - r/c) when the hypothesis corpus is
     shorter than the reference corpus.
     """
-    if not 1 <= max_n <= 4:
-        raise ValueError(f"max_n must be in 1..4, got {max_n}")
     _check_paired(hyps, refs)
 
-    counts = _clipped_counts(hyps.sentences, refs.sentences, max_n)
+    counts = _clipped_counts(hyps.sentences, refs.sentences, 4)
     precisions = [m / t if t else 0.0 for m, t, _ in counts]
     _, hyp_len, ref_len = counts[0]
     brevity = 1.0 if hyp_len >= ref_len or hyp_len == 0 else math.exp(1.0 - ref_len / hyp_len)
 
     scores = []
-    for n in range(1, max_n + 1):
+    for n in range(1, len(precisions) + 1):
         if any(p == 0.0 for p in precisions[:n]):
             scores.append(0.0)
         else:
@@ -339,7 +335,7 @@ def length_error_correlation(
 
 def text_scores(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> TextScore:
     """All four text metrics over one id-aligned corpus pair."""
-    bleu = bleu_corpus(hyps, refs, max_n=4)
+    bleu = bleu_corpus(hyps, refs)
     return TextScore(
         bleu=bleu,  # type: ignore[arg-type]
         chrf=chrf(hyps, refs),

@@ -20,13 +20,12 @@ from slpeval.harness import (
     TEST_RULES,
     EvaluationConfig,
     SubmissionRecord,
-    duration_ratio,
     evaluate,
     render_report,
     validate_submission,
 )
 from slpeval.pose import PoseSequence, normalize_sequence, write_pose_file
-from slpeval.pose_metrics import corpus_pose_metrics, dtw_align, dtw_mje
+from slpeval.pose_metrics import aggregate_pairs, dtw_align, dtw_mje, score_pair
 from slpeval.ranking import ScoreVector, dominance_matrix, pareto_fronts
 from slpeval.synth import SynthSpec, mean_pose_baseline, synth_corpus, synth_sequence
 from slpeval.text_metrics import TokenizedCorpus, bleu_corpus, chrf, rouge_l, wer
@@ -143,11 +142,11 @@ def test_criterion_06_mean_pose_baseline_direction():
     refs = [seq for seq, _ in synth_corpus(count=10, frame_count=15, seed=42)]
 
     static_preds = mean_pose_baseline(refs)
-    static_score = corpus_pose_metrics(static_preds, refs)
+    static_score, _ = aggregate_pairs([score_pair(p, r) for p, r in zip(static_preds, refs)])
     assert static_score.total_distance_ratio == 0.0
 
     moving_preds = mean_pose_baseline(refs, per_frame_index=True)
-    moving_score = corpus_pose_metrics(moving_preds, refs)
+    moving_score, _ = aggregate_pairs([score_pair(p, r) for p, r in zip(moving_preds, refs)])
     assert 0.0 < moving_score.total_distance_ratio < 1.0
 
 
@@ -177,8 +176,8 @@ def test_criterion_08_duration_ratio_is_exact():
     doubled = [
         synth_sequence(SynthSpec(frame_count=24, seed=900 + i), id=f"d{i}") for i in range(6)
     ]
-    assert duration_ratio(refs, refs) == 1.0
-    assert duration_ratio(doubled, refs) == 2.0
+    assert aggregate_pairs([score_pair(r, r) for r in refs])[1] == 1.0
+    assert aggregate_pairs([score_pair(d, r) for d, r in zip(doubled, refs)])[1] == 2.0
 
 
 def test_criterion_09_reports_are_byte_identical(fifty_sequence_corpus):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -136,3 +137,18 @@ def test_rank_report(inputs, capsys):
 def test_every_exported_name_exists(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_names_only_exports_that_exist():
+    """Each backticked name in README's list of lower-level exports resolves on
+    ``slpeval``, or as the dotted path written there."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Lower-level pieces are exported too")
+    names = re.findall(r"`([^`]+)`", readme[start : readme.index("\n\n", start)])
+    assert len(names) > 10
+    missing = []
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        if not hasattr(importlib.import_module(module or "slpeval"), attr):
+            missing.append(name)
+    assert missing == []

@@ -27,7 +27,6 @@ from slpeval.harness import (
     EvaluationConfig,
     EvaluationError,
     SubmissionRecord,
-    duration_ratio,
     evaluate,
     format_record,
     load_history,
@@ -36,6 +35,7 @@ from slpeval.harness import (
     validate_submission,
 )
 from slpeval.pose import MAX_COORDINATE, PoseSequence, parse_pose_file, write_pose_file
+from slpeval.pose_metrics import aggregate_pairs, score_pair
 from slpeval.synth import SynthSpec, perturb, synth_corpus, synth_sequence
 
 NOW = datetime(2026, 3, 2, 12, 0, tzinfo=timezone.utc)
@@ -59,8 +59,8 @@ def record(days_ago: int = 0, phase: str = "development", digest: str = "d") -> 
 def test_duration_ratio_identity_and_double():
     ref = synth_sequence(SynthSpec(frame_count=10, seed=1), id="a")
     pred = synth_sequence(SynthSpec(frame_count=20, seed=1), id="a")
-    assert duration_ratio([ref], [ref]) == 1.0
-    assert duration_ratio([pred], [ref]) == 2.0
+    assert aggregate_pairs([score_pair(ref, ref)])[1] == 1.0
+    assert aggregate_pairs([score_pair(pred, ref)])[1] == 2.0
 
 
 def test_duration_ratio_averages():
@@ -72,18 +72,8 @@ def test_duration_ratio_averages():
         synth_sequence(SynthSpec(frame_count=10, seed=1), id="a"),
         synth_sequence(SynthSpec(frame_count=30, seed=2), id="b"),
     ]
-    assert duration_ratio(preds, refs) == pytest.approx(2.0)
-
-
-def test_duration_ratio_rejects_mismatches():
-    a = synth_sequence(SynthSpec(frame_count=4, seed=1), id="a")
-    b = synth_sequence(SynthSpec(frame_count=4, seed=1), id="b")
-    with pytest.raises(ValueError, match="id"):
-        duration_ratio([a], [b])
-    with pytest.raises(ValueError, match="sizes"):
-        duration_ratio([a], [a, a])
-    with pytest.raises(ValueError, match="empty"):
-        duration_ratio([], [])
+    _, ratio = aggregate_pairs([score_pair(p, r) for p, r in zip(preds, refs)])
+    assert ratio == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -555,6 +545,23 @@ def test_cli_evaluate_missing_file_is_usage_error(tmp_path, capsys):
                  "--ref", str(tmp_path / "nope.tsv"))
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hyp_sentence, message", [
+    ("a", "empty reference corpus: no reference tokens"),
+    ("", "empty corpora: no character n-grams on either side"),
+], ids=["no-reference-tokens", "no-characters"])
+@pytest.mark.parametrize("source, ref_text", [
+    ("--ref-text", "a\t\n"),
+    ("--ref", "a\tposes/a.pose\t \n"),
+], ids=["ref-text", "manifest"])
+def test_cli_names_the_source_of_blank_references(source, ref_text, hyp_sentence, message,
+                                                  sentence_writer, tmp_path, capsys):
+    hyp = sentence_writer([("a", hyp_sentence)], "hyp.tsv")
+    ref = tmp_path / "ref.tsv"
+    ref.write_text(ref_text, encoding="utf-8")
+    assert run_cli("evaluate", "--hyp", str(hyp), source, str(ref)) == 2
+    assert capsys.readouterr().err == f"error: {ref}: {message}\n"
 
 
 def test_cli_validate_records_and_enforces_quota(tmp_path, capsys):

@@ -14,10 +14,11 @@ from slpeval.pose import DEFAULT_LAYOUT, PoseSequence
 from slpeval.pose_metrics import (
     AlignmentPath,
     ZeroReferenceTravelError,
-    corpus_pose_metrics,
+    aggregate_pairs,
     dtw_align,
     dtw_mje,
     hand_travel,
+    score_pair,
     total_distance_ratio,
 )
 from slpeval.synth import SynthSpec, synth_sequence
@@ -312,7 +313,7 @@ def make_pair(seed: int, frame_count: int = 5):
 
 def test_corpus_self_evaluation():
     refs = [synth_sequence(SynthSpec(frame_count=5, seed=s), id=f"id{s}") for s in range(4)]
-    score = corpus_pose_metrics(refs, refs)
+    score, _ = aggregate_pairs([score_pair(ref, ref) for ref in refs])
     assert score.dtw_mje == 0.0
     assert score.total_distance_ratio == pytest.approx(1.0, abs=1e-12)
     assert score.excluded_ids == ()
@@ -328,7 +329,7 @@ def test_corpus_excludes_static_references():
         seq_of(moving, layout, id="a"),
         seq_of(np.ones((3, 6, 3)), layout, id="b"),
     ]
-    score = corpus_pose_metrics(preds, [a_ref, b_ref])
+    score, _ = aggregate_pairs([score_pair(preds[0], a_ref), score_pair(preds[1], b_ref)])
     assert score.excluded_ids == ("b",)
     assert score.total_distance_ratio == pytest.approx(1.0)
 
@@ -336,7 +337,7 @@ def test_corpus_excludes_static_references():
 def test_corpus_all_static_references_yfield_no_ratio():
     layout = TINY_LAYOUT
     static = seq_of(np.zeros((2, 6, 3)), layout, id="a")
-    score = corpus_pose_metrics([static], [static])
+    score, _ = aggregate_pairs([score_pair(static, static)])
     assert score.total_distance_ratio is None
     assert score.excluded_ids == ("a",)
 
@@ -344,16 +345,13 @@ def test_corpus_all_static_references_yfield_no_ratio():
 def test_corpus_rejects_id_mismatch():
     a = seq_of(np.zeros((2, 6, 3)), TINY_LAYOUT, id="a")
     b = seq_of(np.zeros((2, 6, 3)), TINY_LAYOUT, id="b")
-    with pytest.raises(ValueError, match="id"):
-        corpus_pose_metrics([a], [b])
+    with pytest.raises(ValueError, match="^id mismatch: prediction 'a' paired with reference 'b'$"):
+        score_pair(a, b)
 
 
-def test_corpus_rejects_size_mismatch_and_empty():
-    a = seq_of(np.zeros((2, 6, 3)), TINY_LAYOUT, id="a")
-    with pytest.raises(ValueError, match="sizes"):
-        corpus_pose_metrics([a], [a, a])
-    with pytest.raises(ValueError, match="empty"):
-        corpus_pose_metrics([], [])
+def test_aggregate_rejects_empty_corpus():
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        aggregate_pairs([])
 
 
 def test_corpus_mje_is_mean_of_sequence_mjes():
@@ -365,6 +363,6 @@ def test_corpus_mje_is_mean_of_sequence_mjes():
         pred = seq_of(rng.normal(size=(5, 6, 3)), layout, id=f"s{i}")
         refs.append(ref)
         preds.append(pred)
-    score = corpus_pose_metrics(preds, refs)
+    score, _ = aggregate_pairs([score_pair(p, r) for p, r in zip(preds, refs)])
     expected = np.mean([dtw_mje(p, r) for p, r in zip(preds, refs)])
     assert score.dtw_mje == pytest.approx(expected, abs=1e-12)

@@ -137,7 +137,8 @@ def text_corpora(draw):
     if not any(TokenizedCorpus.from_raw(list(refs.values())).sentences):
         refs[draw(st.sampled_from(ids))] = draw(st.sampled_from(["a", "ä b", "日本"]))
     hyps = {i: draw(st.one_of(st.just(""), line_sentence)) for i in ids}
-    return ids, draw(st.permutations(ids)), hyps, refs, draw(st.sampled_from(["text", "manifest", "both"]))
+    source = draw(st.sampled_from(["text", "manifest", "both"]))
+    return ids, draw(st.permutations(ids)), hyps, refs, source
 
 
 def reference_text_sections(ids, hyps, refs) -> tuple[dict, float | None]:
@@ -171,7 +172,7 @@ def test_evaluate_text_sections_equal_the_oracles(corpus):
             ref_text.write_text("".join(f"{i}\t{refs[i]}\n" for i in ids), encoding="utf-8")
             argv += ["--ref-text", str(ref_text)]
         if source != "text":
-            # the manifest's own sentences lose to --ref-text
+            # with both sources, the manifest's own sentences must lose to --ref-text
             shadow = refs if source == "manifest" else {i: f"x{i} {refs[i]}" for i in ids}
             manifest = root / "manifest.tsv"
             manifest.write_text("".join(f"{i}\tposes/{i}.pose\t{shadow[i]}\n" for i in ids),
