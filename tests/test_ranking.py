@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import LEADERBOARD
+from slpeval.cli import main
 from slpeval.ranking import (
     CANONICAL_METRICS,
     ScoreVector,
@@ -216,3 +225,77 @@ def test_fronts_match_oracle_on_random_sets():
             for i in range(size)
         ]
         assert matrix.tolist() == expected
+
+
+# ---------------------------------------------------------------- structured output
+
+
+def oracle_rank_json(items: list[dict]) -> str:
+    """``rank --format structured`` for score-file ``items``, by the plain JSON encoder.
+
+    The whole document, the dominance matrix as nested lists of bools
+    included, goes through one ``json.dumps``; fronts and matrix come from
+    the oracles above.
+    """
+    entries = [ScoreVector.from_metrics(item["entrant"], item["metrics"]) for item in items]
+    scores = [entry.as_dict() for entry in entries]
+    doc = {
+        "fronts": oracle_fronts(entries),
+        "dominance": {
+            "entrants": [entry.entrant for entry in entries],
+            "matrix": [[oracle_dominates(a, b) for b in scores] for a in scores],
+        },
+        "scores": {entry.entrant: score for entry, score in zip(entries, scores)},
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+#: names JSON must escape, that spell the matrix key, or that are not ASCII;
+#: no character of category Cc, Zl or Zp, which entrant names may not hold
+ENTRANT_NAME = st.one_of(
+    st.sampled_from(['"matrix": []', '"matrix": [', "matrix", '"', "\\", "ä", "\U0001d11e"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=8),
+)
+
+
+@st.composite
+def score_items(draw):
+    """Score-file entries on a small integer grid: each entrant has a level and per-metric
+    steps of 0 or 1, so a higher level always dominates and equal levels often tie."""
+    names = draw(st.lists(ENTRANT_NAME, min_size=1, max_size=12, unique=True))
+    tie = draw(st.booleans())
+    items = []
+    for name in names:
+        level = 0 if tie else draw(st.integers(0, 2))
+        steps = [level + (0 if tie else draw(st.integers(0, 1))) for _ in CANONICAL_METRICS]
+        metrics = {}
+        for metric, step in zip(CANONICAL_METRICS, steps):  # a higher step is better
+            if metric in _HIGHER:
+                metrics[metric] = step
+            elif metric == "Total Distance":
+                metrics[metric] = 1 + draw(st.sampled_from([-1, 1])) * (3 - step)
+            else:
+                metrics[metric] = 3 - step
+        items.append({"entrant": name, "metrics": metrics})
+    return items
+
+
+ONE_ENTRANT = [{"entrant": '"matrix": []', "metrics": dict(LEADERBOARD["team1"])}]
+ALL_TIED = [{"entrant": name, "metrics": dict(LEADERBOARD["team1"])} for name in "abc"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=score_items())
+@example(items=ONE_ENTRANT)
+@example(items=ALL_TIED)
+def test_structured_rank_output_equals_the_plain_encoder(items):
+    expected = oracle_rank_json(items)
+    with tempfile.TemporaryDirectory() as tmp:
+        scores, out = Path(tmp) / "scores.json", Path(tmp) / "ranking.json"
+        scores.write_text(json.dumps(items), encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["rank", "--scores", str(scores)]) == 0
+        assert stdout.getvalue() == expected
+        assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
