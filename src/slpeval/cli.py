@@ -19,6 +19,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .harness import (
     DEVELOPMENT_RULES,
     TEST_RULES,
@@ -173,6 +175,17 @@ def _parse_scores(text: str) -> list[ScoreVector]:
     return entries
 
 
+def _matrix_rows(matrix: np.ndarray) -> str:
+    """The rows of a non-empty bool matrix as ``json.dumps(..., indent=2)`` writes them two
+    levels deep, each line led by its newline: a fixed-width byte grid joined in one pass."""
+    grid = np.full((len(matrix), len(matrix) + 2), b"\n      [", dtype="S15")
+    grid[:, 1:-1] = np.where(matrix, b"\n        true,", b"\n        false,")
+    grid[:, -2] = np.where(matrix[:, -1], b"\n        true", b"\n        false")
+    grid[:, -1] = b"\n      ],"
+    grid[-1, -1] = b"\n      ]"
+    return grid.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
     entries = [entry for path in args.scores for entry in read_input(path, _parse_scores)]
     ranking = pareto_fronts(entries)
@@ -182,13 +195,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     else:
         doc = {
             "fronts": [list(front) for front in ranking.fronts],
-            "dominance": {
-                "entrants": [entry.entrant for entry in entries],
-                "matrix": ranking.dominance.tolist(),
-            },
+            "dominance": {"entrants": [entry.entrant for entry in entries], "matrix": []},
             "scores": {entry.entrant: entry.as_dict() for entry in entries},
         }
         text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        # the encoder escapes every '"' inside a string, so only the key reads '"matrix": ['
+        split = text.index('"matrix": [') + len('"matrix": [')
+        text = f"{text[:split]}{_matrix_rows(ranking.dominance)}\n    {text[split:]}"
     _emit(text, args.out)
     return 0
 

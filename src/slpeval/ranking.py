@@ -11,6 +11,7 @@ one; fronts are peeled iteratively and never favour a single metric.
 from __future__ import annotations
 
 import sys
+import unicodedata
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -70,6 +71,9 @@ class ScoreVector:
     def __post_init__(self) -> None:
         if not isinstance(self.entrant, str) or not self.entrant:
             raise ValueError(f"entrant must be a non-empty string, got {self.entrant!r}")
+        # Cc, Zl and Zp hold every line boundary of str.splitlines: one would forge table lines
+        if any(unicodedata.category(char) in ("Cc", "Zl", "Zp") for char in self.entrant):
+            raise ValueError(f"entrant {self.entrant!r} holds a control or line-break character")
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
                 f"score vector for {self.entrant!r} must carry one value for each of the "

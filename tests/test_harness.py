@@ -689,6 +689,24 @@ def test_cli_rank_refuses_an_entrant_that_is_not_a_name(tmp_path, capsys, entran
     assert err.startswith(f"error: {scores}: entrant must be a non-empty string")
 
 
+@pytest.mark.parametrize("breaker", ["\n", "\r", "\x85", "\u2028"],
+                         ids=["line-feed", "carriage-return", "next-line", "line-separator"])
+def test_cli_rank_refuses_an_entrant_that_breaks_a_line(tmp_path, capsys, breaker):
+    from conftest import LEADERBOARD
+
+    # taken as a name, this one would print a forged front-1 line "1  winner" in the table
+    entrant = f"worst{breaker}1  winner"
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps([
+        {"entrant": "best", "metrics": dict(LEADERBOARD["team1"], **{"BLEU-1": 99.0})},
+        {"entrant": entrant, "metrics": LEADERBOARD["team1"]},
+    ]), encoding="utf-8")
+    assert run_cli("rank", "--scores", str(scores), "--format", "table") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scores}: entrant {entrant!r} holds a control")
+
+
 def test_cli_rank_ranks_a_team_named_none(tmp_path, capsys):
     from conftest import LEADERBOARD
 

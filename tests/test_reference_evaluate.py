@@ -6,7 +6,9 @@ not) with ``normalize_sequence``, aligns with the per-cell
 loop scores the sentences in reference order with the per-sentence Counter
 BLEU and chrF, the LCS dynamic programme and the brute-force edit cost.
 Floats are compared with ``==``, so pairing order, exclusion order, the
-normalize flag and the choice of reference sentences are all pinned.
+normalize flag and the choice of reference sentences are all pinned. Each
+pose value is written in a drawn spelling that reads back bit for bit, so
+both of the pose reader's paths are exercised.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import TINY_LAYOUT
 from slpeval.cli import main
-from slpeval.pose import PoseSequence, normalize_sequence, write_pose_file
+from slpeval.pose import PoseSequence, normalize_sequence
 from slpeval.pose_metrics import ZERO_TRAVEL_EPSILON, hand_travel
 from slpeval.text_metrics import TokenizedCorpus, length_error_correlation
 from test_pose_metrics import reference_dtw_align
@@ -41,7 +43,13 @@ TINY_LAYOUT_TEXT = "body 0 3\nface 3 1\nlhand 4 1\nrhand 5 1\nneck 0\nlshoulder 
 #: frame 0's neck, left and right shoulder: never collinear
 TORSO = np.array([[0.0, 0.0, 0.0], [1.0, 0.25, 0.0], [-1.0, 0.5, 0.125]])
 #: small integers make DTW ties likely; the floats give free-form values
-COORDINATE = st.one_of(st.integers(-2, 2).map(float), st.floats(-10.0, 10.0, width=64))
+COORDINATE = st.one_of(st.integers(-2, 2).map(float), st.just(-0.0),
+                       st.floats(-10.0, 10.0, width=64))
+#: token spellings that ``float()`` reads back bit for bit: repr (mostly the spelling
+#: ``write_pose_file`` writes), 18 significant digits with an exponent, and integral values
+#: without a dot; a file with one of the latter two takes the pose reader's line-by-line path
+SPELLINGS = (repr, lambda x: format(x, ".17e"),
+             lambda x: format(x, ".0f") if x.is_integer() else repr(x))
 
 
 @st.composite
@@ -62,11 +70,20 @@ def corpora(draw):
     return ids, draw(st.permutations(ids)), preds, refs
 
 
-def write_manifest(root: Path, order: list[str], frames: dict[str, np.ndarray]) -> Path:
+@st.composite
+def pose_texts(draw, frames: np.ndarray) -> str:
+    """A POSE v1 file of ``frames``, each value in a drawn spelling (half the files repr only)."""
+    spellings = st.sampled_from(draw(st.sampled_from([SPELLINGS[:1], SPELLINGS])))
+    lines = [f"POSE v1 {len(frames)} 6 3"]
+    for row in frames.reshape(len(frames), -1).tolist():
+        lines.append(" ".join(draw(spellings)(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_manifest(draw, root: Path, order: list[str], frames: dict[str, np.ndarray]) -> Path:
     (root / "poses").mkdir(parents=True)
     for i in order:
-        seq = PoseSequence(id=i, frames=frames[i], layout=TINY_LAYOUT)
-        (root / "poses" / f"{i}.pose").write_text(write_pose_file(seq), encoding="utf-8")
+        (root / "poses" / f"{i}.pose").write_text(draw(pose_texts(frames[i])), encoding="utf-8")
     manifest = root / "manifest.tsv"
     manifest.write_text("".join(f"{i}\tposes/{i}.pose\n" for i in order), encoding="utf-8")
     return manifest
@@ -100,15 +117,16 @@ def reference_pose_sections(ids, preds, refs, normalize: bool) -> tuple[dict, fl
 
 
 @settings(max_examples=60, deadline=None)
-@given(corpus=corpora(), normalize=st.booleans())
-def test_evaluate_pose_sections_equal_the_reference_loop(corpus, normalize):
+@given(corpus=corpora(), normalize=st.booleans(), data=st.data())
+def test_evaluate_pose_sections_equal_the_reference_loop(corpus, normalize, data):
     ids, pred_order, preds, refs = corpus
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         layout = root / "layout.txt"
         layout.write_text(TINY_LAYOUT_TEXT, encoding="utf-8")
-        argv = ["evaluate", "--pred", str(write_manifest(root / "pred", pred_order, preds)),
-                "--ref", str(write_manifest(root / "ref", ids, refs)), "--layout", str(layout)]
+        pred = write_manifest(data.draw, root / "pred", pred_order, preds)
+        ref = write_manifest(data.draw, root / "ref", ids, refs)
+        argv = ["evaluate", "--pred", str(pred), "--ref", str(ref), "--layout", str(layout)]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv if normalize else [*argv, "--no-normalize"])
