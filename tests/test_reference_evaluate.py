@@ -4,7 +4,8 @@ The pose loop pairs sequences in reference-manifest order, normalizes (or
 not) with ``normalize_sequence``, aligns with the per-cell
 ``reference_dtw_align`` and measures travel with ``hand_travel``. The text
 loop scores the sentences in reference order with the per-sentence Counter
-BLEU and chrF, the LCS dynamic programme and the brute-force edit cost.
+BLEU and chrF, the LCS dynamic programme, the brute-force edit cost and the
+WER alignment oracle's S/D/I split and error words.
 Floats are compared with ``==``, so pairing order, exclusion order, the
 normalize flag and the choice of reference sentences are all pinned. Each
 pose value is written in a drawn spelling that reads back bit for bit, so
@@ -35,7 +36,9 @@ from test_text_metrics import (
     oracle_sentence,
     reference_bleu_corpus,
     reference_chrf,
+    reference_edits,
     reference_rouge_l,
+    reference_top_error_words,
 )
 
 #: TINY_LAYOUT as a layout descriptor
@@ -159,21 +162,25 @@ def text_corpora(draw):
     return ids, draw(st.permutations(ids)), hyps, refs, source
 
 
-def reference_text_sections(ids, hyps, refs) -> tuple[dict, float | None]:
-    """The report's ``text`` section and length-error correlation, by the oracles."""
+def reference_text_sections(ids, hyps, refs) -> tuple[dict, dict]:
+    """The report's ``text`` section and its text diagnostics, by the oracles."""
     h = TokenizedCorpus.from_raw([hyps[i] for i in ids])
     r = TokenizedCorpus.from_raw([refs[i] for i in ids])
     costs = [brute_force_edit_cost(hyp, ref) for hyp, ref in zip(h.sentences, r.sentences)]
     ref_tokens = sum(len(ref) for ref in r.sentences)
     text = dict(zip(["bleu1", "bleu2", "bleu3", "bleu4"], reference_bleu_corpus(h, r)))
     text.update(chrf=reference_chrf(h, r), rouge=reference_rouge_l(h, r))
-    text["wer"] = {"rate": 100.0 * sum(costs) / ref_tokens, "errors": sum(costs),
-                   "ref_tokens": ref_tokens}
+    edits = [reference_edits(hyp, ref) for hyp, ref in zip(h.sentences, r.sentences)]
+    text["wer"] = {"rate": 100.0 * sum(costs) / ref_tokens, "ref_tokens": ref_tokens}
+    for name, *counts in zip(["substitutions", "deletions", "insertions"], *edits):
+        text["wer"][name] = sum(counts)
     scored = [(len(ref), cost) for ref, cost in zip(r.sentences, costs) if ref]
     correlation = length_error_correlation(
         [length for length, _ in scored], [100.0 * cost / length for length, cost in scored]
     )
-    return text, correlation
+    # the report keeps the ten most frequent
+    words = [[word, count] for word, count in reference_top_error_words(h, r, 10)]
+    return text, {"length_error_correlation": correlation, "top_error_words": words}
 
 
 @settings(max_examples=100, deadline=None)
@@ -201,11 +208,6 @@ def test_evaluate_text_sections_equal_the_oracles(corpus):
             code = main(argv)
     assert code == 0
     report = json.loads(out.getvalue())
-    text, correlation = reference_text_sections(ids, hyps, refs)
-    got = report["text"]
-    wer = got["wer"]
-    got["wer"] = {"rate": wer["rate"],
-                  "errors": wer["substitutions"] + wer["deletions"] + wer["insertions"],
-                  "ref_tokens": wer["ref_tokens"]}
-    assert got == text
-    assert report["diagnostics"]["length_error_correlation"] == correlation
+    text, diagnostics = reference_text_sections(ids, hyps, refs)
+    assert report["text"] == text
+    assert {key: report["diagnostics"][key] for key in diagnostics} == diagnostics

@@ -325,9 +325,10 @@ def test_mismatched_corpus_sizes_raise():
 
 
 # ---------------------------------------------------------------- oracle
-# The per-sentence Counter implementations of BLEU and chrF and the
-# O(|a|·|b|) LCS dynamic programme, kept verbatim as the oracle that the
-# library's counting must match exactly.
+# The per-sentence Counter implementations of BLEU and chrF, the
+# O(|a|·|b|) LCS dynamic programme and the WER alignment with its
+# op-by-op backtrace, kept verbatim as the oracles that the library's
+# counting must match exactly.
 
 
 def _reference_ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
@@ -424,6 +425,62 @@ def reference_rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     return 100.0 * f_sum / len(hyps)
 
 
+def reference_align_sentence(hyp: tuple[str, ...], ref: tuple[str, ...]) -> list[tuple]:
+    """Every aligned token pair ``(op, ref_token, hyp_token)``, matches included.
+
+    The full Levenshtein table, then a backtrace that on cost ties prefers
+    substitution, then deletion, then insertion.
+    """
+    rows = len(ref) + 1
+    cols = len(hyp) + 1
+    dist = [[0] * cols for _ in range(rows)]
+    for i in range(1, rows):
+        dist[i][0] = i
+    for j in range(1, cols):
+        dist[0][j] = j
+    for i in range(1, rows):
+        for j in range(1, cols):
+            if ref[i - 1] == hyp[j - 1]:
+                dist[i][j] = dist[i - 1][j - 1]
+            else:
+                dist[i][j] = 1 + min(dist[i - 1][j - 1], dist[i - 1][j], dist[i][j - 1])
+
+    ops: list[tuple] = []
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
+            ops.append(("match", ref[i - 1], hyp[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
+            ops.append(("sub", ref[i - 1], hyp[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            ops.append(("del", ref[i - 1], None))
+            i -= 1
+        else:
+            ops.append(("ins", None, hyp[j - 1]))
+            j -= 1
+    ops.reverse()
+    return ops
+
+
+def reference_edits(hyp: tuple[str, ...], ref: tuple[str, ...]) -> tuple[int, int, int, int]:
+    """``(substitutions, deletions, insertions, ref_tokens)`` of one sentence pair."""
+    counts = Counter(op for op, _, _ in reference_align_sentence(hyp, ref))
+    return counts["sub"], counts["del"], counts["ins"], len(ref)
+
+
+def reference_top_error_words(hyps: TokenizedCorpus, refs: TokenizedCorpus, k: int) -> list:
+    """Reference tokens substituted or deleted, most often first, ties lexicographically."""
+    counts: Counter[str] = Counter(
+        ref_token
+        for hyp, ref in zip(hyps.sentences, refs.sentences)
+        for op, ref_token, _ in reference_align_sentence(hyp, ref)
+        if op in ("sub", "del")
+    )
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
 def _outcome(metric, *args) -> str:
     """``repr`` of a metric's value, or its ValueError message."""
     try:
@@ -478,6 +535,34 @@ def test_text_metrics_match_reference_exactly(batch_units, corpora):
 )
 def test_lcs_length_matches_reference(a, b):
     assert _lcs_length(a, b) == reference_lcs_length(a, b)
+
+
+#: sentences over three or four words, so equal-cost alignments are frequent
+tie_corpora = st.sampled_from(["abc", "abcd"]).flatmap(
+    lambda alphabet: st.lists(
+        st.tuples(*[st.lists(st.sampled_from(alphabet), max_size=6).map(" ".join)] * 2),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=tie_corpora)
+@example(pairs=[("a b", "b a")])
+@example(pairs=[("a a b", "b a a"), ("", "c")])
+def test_wer_edits_and_error_words_match_the_alignment_oracle(pairs):
+    h, r = corpus(*(hyp for hyp, _ in pairs)), corpus(*(ref for _, ref in pairs))
+    expected = [reference_edits(hyp, ref) for hyp, ref in zip(h.sentences, r.sentences)]
+    if not sum(tokens for *_, tokens in expected):
+        with pytest.raises(ValueError, match="reference"):
+            wer(h, r)
+        return
+    result = wer(h, r)
+    assert [
+        (s.substitutions, s.deletions, s.insertions, s.ref_tokens) for s in result.per_sentence
+    ] == expected
+    assert top_error_words(result, 50) == reference_top_error_words(h, r, 50)
 
 
 @pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 50])
