@@ -23,7 +23,7 @@ from .harness import (
     run_backtranslation,
     validate_submission,
 )
-from .manifest import ManifestEntry, ManifestError, SubmissionManifest, load_manifest
+from .manifest import ManifestEntry, ManifestError, load_manifest
 from .pose import (
     DEFAULT_LAYOUT,
     KeypointLayout,
@@ -60,7 +60,6 @@ __all__ = [
     "PoseScore",
     "PoseSequence",
     "ScoreVector",
-    "SubmissionManifest",
     "TextScore",
     "TokenizedCorpus",
     "ZeroReferenceTravelError",

@@ -17,7 +17,7 @@ import hashlib
 import json
 import shlex
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,7 +26,6 @@ from . import __version__
 from .manifest import (
     ManifestEntry,
     ManifestError,
-    SubmissionManifest,
     load_manifest,
     load_sentence_file,
     read_input,
@@ -244,14 +243,14 @@ def validate_submission(
         ("reference", ref_manifest_path, SimpleNamespace(update=lambda data: None)),
     ):
         manifests.append(_read_entries(path, load_manifest, "manifest", role_hasher))
-        for entry in manifests[-1]:
+        for entry in manifests[-1].values():
             try:  # scoring normalizes, and of that only frame 0's torso rotation can fail
                 _load_pose(path, entry, layout, role_hasher,
                            lambda seq: torso_rotation(seq.frames[0], seq.layout))
             except EvaluationError as err:
                 problems.append(f"{role} {entry.id!r}: {err}")
 
-    missing, extra = _id_coverage(manifests[1].ids, manifests[0].ids)
+    missing, extra = _id_coverage(manifests[1], manifests[0])
     violations = [f"prediction missing id {i!r}" for i in missing]
     violations.extend(f"prediction has unknown id {i!r}" for i in extra)
     violations.extend(problems)
@@ -288,9 +287,9 @@ class EvaluationConfig:
 
 @dataclass(frozen=True)
 class ReportDiagnostics:
-    duration_ratio: float | None = None
-    length_error_correlation: float | None = None
-    top_error_words: tuple[tuple[str, int], ...] = ()
+    duration_ratio: float | None
+    length_error_correlation: float | None
+    top_error_words: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ class MetricReport:
     pose: PoseScore | None
     text: TextScore | None
     diagnostics: ReportDiagnostics
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     def metric_values(self) -> list[tuple[Metric, float | None]]:
         """(registry metric, value) for each metric this report scored, in table order."""
@@ -383,7 +382,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 
     ref_part: list[bytes] = []  # hashed after the prediction part, which its pose files end
-    manifests: dict[str, SubmissionManifest] = {}
+    manifests: dict[str, dict[str, ManifestEntry]] = {}
     for role, path, role_hasher in (
         ("pred", config.pred_manifest, hasher),
         ("ref", config.ref_manifest, SimpleNamespace(update=ref_part.append)),
@@ -392,14 +391,14 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             role_hasher.update(role.encode())
             manifests[role] = _read_entries(Path(path), load_manifest, "manifest", role_hasher)
     if score_poses:
-        _require_same_ids(manifests["ref"].ids, manifests["pred"].ids,
+        _require_same_ids(manifests["ref"], manifests["pred"],
                           f"{config.pred_manifest}: id set mismatch with reference manifest")
     pairs: dict[str, PairScore] = {}
     if score_poses or config.backtranslate_command is not None:
         prepare = normalize_sequence if score_poses and config.normalize else None
         # in reference-manifest order, each reference pose file with a hasher of its own
-        refs = {e.id: (e, hashlib.sha256()) for e in manifests["ref"]} if score_poses else {}
-        for entry in manifests["pred"]:
+        refs = {i: (e, hashlib.sha256()) for i, e in manifests["ref"].items()} if score_poses else {}
+        for entry in manifests["pred"].values():
             pred = _load_pose(config.pred_manifest, entry, layout, hasher, prepare)
             if score_poses:
                 ref_entry, ref_hasher = refs[entry.id]
@@ -422,7 +421,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
 
     # summed in reference-manifest order, whatever order the predictions came in
     pose_score, ratio = (
-        aggregate_pairs([pairs[i] for i in manifests["ref"].ids]) if score_poses else (None, None)
+        aggregate_pairs([pairs[i] for i in manifests["ref"]]) if score_poses else (None, None)
     )
 
     text_score: TextScore | None = None
@@ -432,13 +431,13 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         text_source = config.hypothesis_file or config.pred_manifest
         if hyp_map is None:
             pred_manifest, pred_dir = manifests["pred"], Path(config.pred_manifest).parent
-            pose_paths = [_resolve(pred_dir, entry.pose_path) for entry in pred_manifest]
+            pose_paths = [_resolve(pred_dir, entry.pose_path) for entry in pred_manifest.values()]
             sentences = run_backtranslation(config.backtranslate_command, pose_paths)
-            hyp_map = dict(zip(pred_manifest.ids, sentences))
+            hyp_map = dict(zip(pred_manifest, sentences))
         if ref_map is None and "ref" in manifests:
             ref_manifest = manifests["ref"]
             ref_map = {entry.id: entry.reference_sentence
-                       for entry in ref_manifest if entry.reference_sentence is not None}
+                       for entry in ref_manifest.values() if entry.reference_sentence is not None}
             if len(ref_map) != len(ref_manifest):
                 raise EvaluationError(
                     f"{config.ref_manifest}: manifest lacks reference sentences; "

@@ -17,7 +17,6 @@ from pathlib import Path
 __all__ = [
     "ManifestEntry",
     "ManifestError",
-    "SubmissionManifest",
     "load_manifest",
     "load_sentence_file",
     "read_input",
@@ -34,30 +33,6 @@ class ManifestEntry:
     id: str
     pose_path: str
     reference_sentence: str | None = None
-
-
-@dataclass(frozen=True)
-class SubmissionManifest:
-    """Ordered manifest entries with unique ids; order drives aggregation."""
-
-    entries: tuple[ManifestEntry, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for entry in self.entries:
-            if entry.id in seen:
-                raise ManifestError(f"duplicate id {entry.id!r} in manifest")
-            seen.add(entry.id)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(entry.id for entry in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def read_input(path: Path | str, parse, data: bytes | None = None):
@@ -91,9 +66,12 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def load_manifest(text: str) -> SubmissionManifest:
-    """Parse manifest text; entries keep file order, duplicate ids are rejected."""
-    entries: list[ManifestEntry] = []
+def load_manifest(text: str) -> dict[str, ManifestEntry]:
+    """Parse manifest text into an id-keyed mapping in file order.
+
+    The first problem in line order is reported: a malformed line or a repeated id.
+    """
+    entries: dict[str, ManifestEntry] = {}
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
@@ -102,9 +80,12 @@ def load_manifest(text: str) -> SubmissionManifest:
             raise ManifestError(
                 f"manifest line {lineno}: expected 'id<TAB>pose_path[<TAB>sentence]', got {line!r}"
             )
+        mid = parts[0].strip()
+        if mid in entries:
+            raise ManifestError(f"duplicate id {mid!r} in manifest")
         sentence = parts[2] if len(parts) == 3 else None
-        entries.append(ManifestEntry(id=parts[0].strip(), pose_path=parts[1].strip(), reference_sentence=sentence))
-    return SubmissionManifest(entries=tuple(entries))
+        entries[mid] = ManifestEntry(id=mid, pose_path=parts[1].strip(), reference_sentence=sentence)
+    return entries
 
 
 def load_sentence_file(text: str) -> dict[str, str]:

@@ -8,7 +8,7 @@ values below 1 indicate under-articulated, "regressed to the mean" motion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class PoseScore:
 
     dtw_mje: float
     total_distance_ratio: float | None
-    excluded_ids: tuple[str, ...] = field(default=())
+    excluded_ids: tuple[str, ...]
 
 
 def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
@@ -142,8 +142,6 @@ def dtw_mje(pred: PoseSequence, ref: PoseSequence) -> float:
 def hand_travel(seq: PoseSequence) -> float:
     """Total 3D distance travelled by the hand keypoints across the sequence."""
     hands = seq.frames[:, seq.layout.hand_indices, :]
-    if hands.shape[0] < 2:
-        return 0.0
     return float(np.linalg.norm(np.diff(hands, axis=0), axis=2).sum())
 
 

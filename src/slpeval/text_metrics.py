@@ -8,8 +8,8 @@ sentence pair and count them for the whole corpus in numpy, in batches of
 about ``_BATCH_UNITS`` units. ROUGE-L averages per-sentence LCS F1, with the
 LCS length from a bit-parallel recurrence (Hyyrö 2004). WER is token-level
 Levenshtein with unit costs, with the full substitution/deletion/insertion
-decomposition and per-sentence alignment traces retained, so rates above 100
-are possible and expected for verbose hypotheses.
+decomposition, so rates above 100 are possible and expected for verbose
+hypotheses.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from itertools import chain
 import numpy as np
 
 __all__ = [
-    "EditOp",
     "SentenceEdits",
     "TextScore",
     "TokenizedCorpus",
@@ -42,9 +41,6 @@ CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 #: sentence pairs are counted in batches of about this many units
 _BATCH_UNITS = 4096
-
-#: one aligned token pair: (op, ref_token, hyp_token); absent side is None
-EditOp = tuple[str, str | None, str | None]
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -74,7 +70,8 @@ class SentenceEdits:
     deletions: int
     insertions: int
     ref_tokens: int
-    ops: tuple[EditOp, ...]
+    #: the substituted or deleted reference tokens, in reference order
+    error_words: tuple[str, ...]
 
     @property
     def errors(self) -> int:
@@ -245,35 +242,29 @@ def _align_sentence(hyp: tuple[str, ...], ref: tuple[str, ...]) -> SentenceEdits
             else:
                 dist[i][j] = 1 + min(dist[i - 1][j - 1], dist[i - 1][j], dist[i][j - 1])
 
-    # backtrace; on cost ties prefer substitution, then deletion, then insertion
-    ops: list[EditOp] = []
+    # backtrace; on cost ties prefer the diagonal (match or substitution), then
+    # deletion, then insertion
+    subs = dels = ins = 0
+    error_words: list[str] = []
     i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
-            ops.append(("match", ref[i - 1], hyp[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
-            ops.append(("sub", ref[i - 1], hyp[j - 1]))
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            if ref[i - 1] != hyp[j - 1]:
+                subs += 1
+                error_words.append(ref[i - 1])
             i, j = i - 1, j - 1
         elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            ops.append(("del", ref[i - 1], None))
+            dels += 1
+            error_words.append(ref[i - 1])
             i -= 1
         else:
-            ops.append(("ins", None, hyp[j - 1]))
+            ins += 1
             j -= 1
-    ops.reverse()
-    counts = Counter(op for op, _, _ in ops)
-    return SentenceEdits(
-        substitutions=counts["sub"],
-        deletions=counts["del"],
-        insertions=counts["ins"],
-        ref_tokens=len(ref),
-        ops=tuple(ops),
-    )
+    return SentenceEdits(subs, dels, ins, len(ref), tuple(reversed(error_words)))
 
 
 def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
-    """Word error rate with full error decomposition and alignment traces."""
+    """Word error rate with its substitution/deletion/insertion decomposition per sentence."""
     _check_paired(hyps, refs)
     per_sentence = tuple(
         _align_sentence(hyp, ref) for hyp, ref in zip(hyps.sentences, refs.sentences)
@@ -299,11 +290,7 @@ def top_error_words(breakdown: WerBreakdown, k: int) -> list[tuple[str, int]]:
 
     Sorted by descending count, ties lexicographically; the top ``k`` returned.
     """
-    counts: Counter[str] = Counter()
-    for sentence in breakdown.per_sentence:
-        for op, ref_token, _ in sentence.ops:
-            if op in ("sub", "del"):
-                counts[ref_token] += 1
+    counts = Counter(chain.from_iterable(s.error_words for s in breakdown.per_sentence))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 

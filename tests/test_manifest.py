@@ -21,8 +21,9 @@ from slpeval.pose import LayoutError, parse_layout
 
 def test_load_manifest_basic():
     manifest = load_manifest("a\tposes/a.pose\tmorgen regen\nb\tposes/b.pose\n")
-    assert manifest.ids == ("a", "b")
-    first, second = tuple(manifest)
+    assert list(manifest) == ["a", "b"]
+    first, second = manifest.values()
+    assert first.id == "a"
     assert first.pose_path == "poses/a.pose"
     assert first.reference_sentence == "morgen regen"
     assert second.reference_sentence is None
@@ -30,18 +31,25 @@ def test_load_manifest_basic():
 
 def test_manifest_sentence_keeps_tabs_verbatim():
     manifest = load_manifest("a\ta.pose\tleft\tright part\n")
-    (entry,) = tuple(manifest)
+    (entry,) = manifest.values()
     assert entry.reference_sentence == "left\tright part"
 
 
 def test_manifest_skips_blank_lines():
     manifest = load_manifest("\na\ta.pose\n\n")
-    assert manifest.ids == ("a",)
+    assert list(manifest) == ["a"]
 
 
 def test_manifest_rejects_duplicate_ids():
-    with pytest.raises(ManifestError, match="duplicate"):
+    with pytest.raises(ManifestError, match="^duplicate id 'a' in manifest$"):
         load_manifest("a\tone.pose\na\ttwo.pose\n")
+
+
+def test_manifest_reports_the_first_problem_in_line_order():
+    with pytest.raises(ManifestError, match="^duplicate id 'a'"):
+        load_manifest("a\tone.pose\na\ttwo.pose\nonly-an-id\n")
+    with pytest.raises(ManifestError, match="^manifest line 2:"):
+        load_manifest("a\tone.pose\nonly-an-id\na\ttwo.pose\n")
 
 
 def test_manifest_rejects_missing_fields():
@@ -52,7 +60,7 @@ def test_manifest_rejects_missing_fields():
 def test_manifest_len_and_iteration():
     manifest = load_manifest("a\ta.pose\nb\tb.pose\n")
     assert len(manifest) == 2
-    assert [e.id for e in manifest] == ["a", "b"]
+    assert [e.id for e in manifest.values()] == ["a", "b"]
 
 
 def test_sentence_file_round_trip():
@@ -83,8 +91,8 @@ INLINE_SEPARATORS = "\u2028\u2029\x85\x1c\x1d\x1e\v\f"
 def test_only_newline_ends_a_line():
     sentence = "sonnig" + INLINE_SEPARATORS + "und warm"
     manifest = load_manifest(f"a\ta.pose\t{sentence}\nb\tb.pose\n")
-    assert manifest.ids == ("a", "b")
-    assert next(iter(manifest)).reference_sentence == sentence
+    assert list(manifest) == ["a", "b"]
+    assert manifest["a"].reference_sentence == sentence
     assert load_sentence_file(f"a\t{sentence}\nb\tx\n") == {"a": sentence, "b": "x"}
 
 
