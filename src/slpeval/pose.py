@@ -47,6 +47,18 @@ class DegenerateTorsoError(ValueError):
     """Raised when neck and shoulders are collinear and no torso plane exists."""
 
 
+def _share_a_term(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether two increasing arithmetic progressions ``(first, step, last)`` share a term."""
+    (a0, da, a1), (b0, db, b1) = a, b
+    low, high, g = max(a0, b0), min(a1, b1), math.gcd(da, db)
+    if low > high or (b0 - a0) % g:
+        return False
+    # a0 + da * t is b0 modulo db; the common terms repeat every lcm(da, db) from there
+    t = (b0 - a0) // g * pow(da // g, -1, db // g) % (db // g)
+    first, lcm = a0 + da * t, da // g * db
+    return low + (first - low) % lcm <= high
+
+
 @dataclass(frozen=True)
 class KeypointLayout:
     """Named index ranges over the keypoints of a skeleton.
@@ -65,19 +77,17 @@ class KeypointLayout:
 
     def __post_init__(self) -> None:
         ranges = (self.body, self.face, self.left_hand, self.right_hand)
-        # each non-empty range as (lowest index, length, highest - lowest + 1): sorted,
-        # they tile [0, total) when each is contiguous and starts where the last ended
-        end = 0
-        for low, length, span in sorted(
-            (min(r[0], r[-1]), len(r), abs(r[-1] - r[0]) + 1) for r in ranges if r
+        # their lengths sum to total, so they tile [0, total) when each lies inside it
+        # and no two share an index; each non-empty one as (lowest, step, highest)
+        terms = [(min(r[0], r[-1]), abs(r.step), max(r[0], r[-1])) for r in ranges if r]
+        if any(low < 0 or high >= self.total for low, _, high in terms) or any(
+            _share_a_term(a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
         ):
-            if low != end or span != length:
-                raise LayoutError(
-                    "layout ranges must be disjoint and cover exactly "
-                    f"[0, {self.total}): body={self.body} face={self.face} "
-                    f"left_hand={self.left_hand} right_hand={self.right_hand}"
-                )
-            end += length
+            raise LayoutError(
+                "layout ranges must be disjoint and cover exactly "
+                f"[0, {self.total}): body={self.body} face={self.face} "
+                f"left_hand={self.left_hand} right_hand={self.right_hand}"
+            )
         for name, idx in (
             ("neck", self.neck),
             ("lshoulder", self.left_shoulder),

@@ -98,6 +98,8 @@ TILING = st.tuples(st.lists(st.integers(0, 5), min_size=4, max_size=4),
 
 @settings(max_examples=300, deadline=None)
 @given(ranges=st.tuples(SMALL_RANGE, SMALL_RANGE, SMALL_RANGE, SMALL_RANGE) | TILING)
+@example(ranges=(range(0, 0), range(0, 0), range(0, 3, 2), range(1, 2)))  # interleaved, tiles
+@example(ranges=(range(0, 0), range(0, 0), range(0, 4, 2), range(1, 6, 2)))  # 4 left out
 def test_layout_range_check_agrees_with_set_oracle(ranges):
     anchor = ranges[0][0] if ranges[0] else 0
     try:
