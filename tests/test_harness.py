@@ -1222,3 +1222,33 @@ def test_cli_synth_amplitude_keeps_coordinates_in_range(tmp_path, capsys):
     manifest = str(at_bound / "manifest.tsv")
     assert run_cli("validate", "--pred", manifest, "--ref", manifest, "--phase", "dev",
                    "--history", str(tmp_path / "h.log")) == 0
+
+
+#: a property that fails, then a test that passes
+FAILING_PROPERTY = """
+from hypothesis import given
+from hypothesis import strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_falsified_property_fails_only_its_own_test(tmp_path):
+    # reporting a falsifying example imports modules that warn on import; under the
+    # project's warning filters the session must still run every test
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider",
+         "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 1, proc.stdout[-3000:]
+    assert "1 failed, 1 passed" in proc.stdout
