@@ -104,11 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(pieces: list[str], out: Path | None) -> None:
+    """Write ``pieces`` one after another, each as it is: joining them would widen all
+    of them to the widest character any of them holds."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as stream:
+            stream.writelines(pieces)
 
 
 def _read_layout(path: Path | None) -> KeypointLayout:
@@ -126,7 +129,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         normalize=not args.no_normalize,
     )
     report = evaluate(config)
-    _emit(render_report(report, args.format), args.out)
+    _emit([render_report(report, args.format)], args.out)
     return 0
 
 
@@ -190,8 +193,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     entries = [entry for path in args.scores for entry in read_input(path, _parse_scores)]
     ranking = pareto_fronts(entries)
     if args.format == "table":  # one "front  entrant" line per entrant
-        text = "".join(f"{front_index}  {name}\n"
-                       for front_index, front in enumerate(ranking.fronts, 1) for name in front)
+        pieces = [f"{front_index}  {name}\n"
+                  for front_index, front in enumerate(ranking.fronts, 1) for name in front]
     else:
         doc = {
             "fronts": [list(front) for front in ranking.fronts],
@@ -201,8 +204,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
         # the encoder escapes every '"' inside a string, so only the key reads '"matrix": ['
         split = text.index('"matrix": [') + len('"matrix": [')
-        text = f"{text[:split]}{_matrix_rows(ranking.dominance)}\n    {text[split:]}"
-    _emit(text, args.out)
+        pieces = [text[:split], _matrix_rows(ranking.dominance), "\n    ", text[split:]]
+    _emit(pieces, args.out)
     return 0
 
 

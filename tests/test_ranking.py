@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,3 +300,23 @@ def test_structured_rank_output_equals_the_plain_encoder(items):
         assert stdout.getvalue() == expected
         assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_one_astral_name_does_not_widen_the_ranking_output(tmp_path):
+    # a str holds every character at the width of its widest, so one astral entrant name in
+    # the same string as the ASCII matrix text would make that text four bytes a character
+    rng = np.random.Generator(np.random.PCG64(5))
+    items = [{"entrant": f"team{i}", "metrics": dict(zip(CANONICAL_METRICS, map(float, row)))}
+             for i, row in enumerate(rng.uniform(1.0, 2.0, (300, len(CANONICAL_METRICS))))]
+    peaks = []
+    for name in ("team0", "team\U0001d11e"):
+        items[0]["entrant"] = name
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps(items), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["rank", "--scores", str(scores), "--out", str(tmp_path / "out.json")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
