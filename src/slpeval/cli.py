@@ -105,8 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(pieces: list[str], out: Path | None) -> None:
-    """Write ``pieces`` one after another, each as it is: joining them would widen all
-    of them to the widest character any of them holds."""
+    # piece by piece: one joined str would store every character at the widest one's width
     if out is None:
         sys.stdout.writelines(pieces)
     else:

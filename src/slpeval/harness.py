@@ -464,7 +464,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             [s.ref_tokens for s in scored], [100.0 * s.errors / s.ref_tokens for s in scored]
         )
 
-    report = MetricReport(
+    return MetricReport(
         pose=pose_score,
         text=text_score,
         diagnostics=ReportDiagnostics(
@@ -482,7 +482,6 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
             },
         },
     )
-    return report
 
 
 def _diagnostic_cells(report: MetricReport) -> list[tuple[str, str]]:

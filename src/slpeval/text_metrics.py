@@ -228,13 +228,9 @@ def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
 
 
 def _align_sentence(hyp: tuple[str, ...], ref: tuple[str, ...]) -> SentenceEdits:
-    rows = len(ref) + 1
-    cols = len(hyp) + 1
-    dist = [[0] * cols for _ in range(rows)]
-    for i in range(1, rows):
-        dist[i][0] = i
-    for j in range(1, cols):
-        dist[0][j] = j
+    rows, cols = len(ref) + 1, len(hyp) + 1
+    dist = [[i] + [0] * (cols - 1) for i in range(rows)]
+    dist[0] = list(range(cols))
     for i in range(1, rows):
         for j in range(1, cols):
             if ref[i - 1] == hyp[j - 1]:
@@ -322,9 +318,8 @@ def length_error_correlation(
 
 def text_scores(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> TextScore:
     """All four text metrics over one id-aligned corpus pair."""
-    bleu = bleu_corpus(hyps, refs)
     return TextScore(
-        bleu=bleu,  # type: ignore[arg-type]
+        bleu=bleu_corpus(hyps, refs),  # type: ignore[arg-type]
         chrf=chrf(hyps, refs),
         rouge=rouge_l(hyps, refs),
         wer=wer(hyps, refs),
