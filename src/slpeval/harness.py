@@ -397,14 +397,14 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     if score_poses or config.backtranslate_command is not None:
         prepare = normalize_sequence if score_poses and config.normalize else None
         # in reference-manifest order, each reference pose file with a hasher of its own
-        refs = {i: (e, hashlib.sha256()) for i, e in manifests["ref"].items()} if score_poses else {}
+        ref_hashers = {i: hashlib.sha256() for i in manifests["ref"]} if score_poses else {}
         for entry in manifests["pred"].values():
             pred = _load_pose(config.pred_manifest, entry, layout, hasher, prepare)
             if score_poses:
-                ref_entry, ref_hasher = refs[entry.id]
-                ref = _load_pose(config.ref_manifest, ref_entry, layout, ref_hasher, prepare)
+                ref = _load_pose(config.ref_manifest, manifests["ref"][entry.id], layout,
+                                 ref_hashers[entry.id], prepare)
                 pairs[entry.id] = score_pair(pred, ref)
-        ref_part.extend(ref_hasher.digest() for _, ref_hasher in refs.values())
+        ref_part.extend(ref_hasher.digest() for ref_hasher in ref_hashers.values())
     hasher.update(b"".join(ref_part))
     hyp_map = ref_map = None
     if config.hypothesis_file is not None:

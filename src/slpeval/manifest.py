@@ -80,11 +80,11 @@ def load_manifest(text: str) -> dict[str, ManifestEntry]:
             raise ManifestError(
                 f"manifest line {lineno}: expected 'id<TAB>pose_path[<TAB>sentence]', got {line!r}"
             )
-        mid = parts[0].strip()
-        if mid in entries:
-            raise ManifestError(f"duplicate id {mid!r} in manifest")
+        entry_id = parts[0].strip()
+        if entry_id in entries:
+            raise ManifestError(f"duplicate id {entry_id!r} in manifest")
         sentence = parts[2] if len(parts) == 3 else None
-        entries[mid] = ManifestEntry(id=mid, pose_path=parts[1].strip(), reference_sentence=sentence)
+        entries[entry_id] = ManifestEntry(entry_id, parts[1].strip(), sentence)
     return entries
 
 
