@@ -5,7 +5,8 @@ not) with ``normalize_sequence``, aligns with the per-cell
 ``reference_dtw_align`` and measures travel with ``hand_travel``. The text
 loop scores the sentences in reference order with the per-sentence Counter
 BLEU and chrF, the LCS dynamic programme, the brute-force edit cost and the
-WER alignment oracle's S/D/I split and error words.
+WER alignment oracle's S/D/I split and error words, whether the hypotheses come
+from a sentence file or from a ``--backtranslate`` command.
 Floats are compared with ``==``, so pairing order, exclusion order, the
 normalize flag and the choice of reference sentences are all pinned. Each
 pose value is written in a drawn spelling that reads back bit for bit, so
@@ -17,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -209,5 +212,44 @@ def test_evaluate_text_sections_equal_the_oracles(corpus):
     assert code == 0
     report = json.loads(out.getvalue())
     text, diagnostics = reference_text_sections(ids, hyps, refs)
+    assert report["text"] == text
+    assert {key: report["diagnostics"][key] for key in diagnostics} == diagnostics
+
+
+#: a back-translation command: each pose path on stdin becomes the sentence
+#: that the JSON file named by its one argument maps the path's stem to
+BACKTRANSLATE_HOOK = (
+    "import json, pathlib, sys\n"
+    "sentences = json.loads(pathlib.Path(sys.argv[1]).read_text(encoding='utf-8'))\n"
+    "for line in sys.stdin.buffer:\n"
+    "    stem = pathlib.Path(line.decode('utf-8').rstrip('\\n')).stem\n"
+    "    sys.stdout.buffer.write(sentences[stem].encode('utf-8') + b'\\n')\n"
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpus=text_corpora(), data=st.data())
+def test_evaluate_backtranslated_text_sections_equal_the_oracles(corpus, data):
+    ids, pred_order, hyps, refs, _ = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        frames = {i: data.draw(pose_frames()) for i in ids}
+        pred = write_manifest(data.draw, root / "pred", pred_order, frames)
+        layout = root / "layout.txt"
+        layout.write_text(TINY_LAYOUT_TEXT, encoding="utf-8")
+        sentences = root / "sentences.json"
+        sentences.write_text(json.dumps(hyps), encoding="utf-8")
+        ref_text = root / "ref.tsv"
+        ref_text.write_text("".join(f"{i}\t{refs[i]}\n" for i in ids), encoding="utf-8")
+        hook = shlex.join([sys.executable, "-c", BACKTRANSLATE_HOOK, str(sentences)])
+        argv = ["evaluate", "--pred", str(pred), "--backtranslate", hook,
+                "--ref-text", str(ref_text), "--layout", str(layout)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code == 0
+    report = json.loads(out.getvalue())
+    text, diagnostics = reference_text_sections(ids, hyps, refs)
+    assert "pose" not in report
     assert report["text"] == text
     assert {key: report["diagnostics"][key] for key in diagnostics} == diagnostics

@@ -469,6 +469,13 @@ def reference_edits(hyp: tuple[str, ...], ref: tuple[str, ...]) -> tuple[int, in
     return counts["sub"], counts["del"], counts["ins"], len(ref)
 
 
+def reference_error_words(hyp: tuple[str, ...], ref: tuple[str, ...]) -> tuple[str, ...]:
+    """The substituted or deleted reference tokens of one sentence pair, in reference order."""
+    return tuple(
+        ref_token for op, ref_token, _ in reference_align_sentence(hyp, ref) if op in ("sub", "del")
+    )
+
+
 def reference_top_error_words(hyps: TokenizedCorpus, refs: TokenizedCorpus, k: int) -> list:
     """Reference tokens substituted or deleted, most often first, ties lexicographically."""
     counts: Counter[str] = Counter(
@@ -546,27 +553,80 @@ tie_corpora = st.sampled_from(["abc", "abcd"]).flatmap(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(pairs=tie_corpora)
-@example(pairs=[("a b", "b a")])
-@example(pairs=[("a a b", "b a a"), ("", "c")])
-def test_wer_edits_and_error_words_match_the_alignment_oracle(pairs):
-    h, r = corpus(*(hyp for hyp, _ in pairs)), corpus(*(ref for _, ref in pairs))
-    expected = [reference_edits(hyp, ref) for hyp, ref in zip(h.sentences, r.sentences)]
-    if not sum(tokens for *_, tokens in expected):
+def assert_wer_matches_the_alignment_oracle(h: TokenizedCorpus, r: TokenizedCorpus) -> None:
+    pairs = list(zip(h.sentences, r.sentences))
+    expected = [(*reference_edits(hyp, ref), reference_error_words(hyp, ref)) for hyp, ref in pairs]
+    if not sum(len(ref) for _, ref in pairs):
         with pytest.raises(ValueError, match="reference"):
             wer(h, r)
         return
     result = wer(h, r)
     assert [
-        (s.substitutions, s.deletions, s.insertions, s.ref_tokens) for s in result.per_sentence
+        (s.substitutions, s.deletions, s.insertions, s.ref_tokens, s.error_words)
+        for s in result.per_sentence
     ] == expected
     assert top_error_words(result, 50) == reference_top_error_words(h, r, 50)
 
 
+@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
+@settings(max_examples=300, deadline=None)
+@given(pairs=tie_corpora)
+@example(pairs=[("a b", "b a")])
+@example(pairs=[("a a b", "b a a"), ("", "c")])
+def test_wer_edits_and_error_words_match_the_alignment_oracle(batch_units, pairs):
+    h, r = corpus(*(hyp for hyp, _ in pairs)), corpus(*(ref for _, ref in pairs))
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        assert_wer_matches_the_alignment_oracle(h, r)
+
+
+@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
+def test_wer_matches_the_alignment_oracle_across_lengths(batch_units):
+    # one long pair among many short ones, with empty hypotheses and empty
+    # references, so pairs of very different sizes share the corpus
+    rng = np.random.Generator(np.random.PCG64(15))
+    words = np.array(["a", "b", "c", "d", "e"])
+    pairs = [(" ".join(rng.choice(words, 60)), " ".join(rng.choice(words, 60)))]
+    for _ in range(200):
+        hyp, ref = (" ".join(rng.choice(words, int(rng.integers(0, 7)))) for _ in range(2))
+        pairs.append((hyp, ref))
+    pairs += [("", "a b c"), ("a b", ""), ("", ""), ("c " * 12, "c")]
+    order = rng.permutation(len(pairs))
+    h = corpus(*(pairs[k][0] for k in order))
+    r = corpus(*(pairs[k][1] for k in order))
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        assert_wer_matches_the_alignment_oracle(h, r)
+
+
+def test_bleu_matches_reference_over_a_large_vocabulary():
+    # 40,000 distinct tokens: order-4 n-gram ids outgrow 64 bits without renumbering
+    rng = np.random.Generator(np.random.PCG64(40))
+    ref = [f"w{i}" for i in range(40_000)]
+    hyp = [tok if rng.random() < 0.9 else f"w{int(rng.integers(0, 40_000))}" for tok in ref]
+    h, r = corpus(" ".join(hyp[:-300])), corpus(" ".join(ref))
+    assert bleu_corpus(h, r) == reference_bleu_corpus(h, r)
+
+
+def test_bleu_keeps_apart_four_grams_whose_ids_agree_modulo_2_to_the_64():
+    # tokens w0..w39999 get ids 0..39999, so without a dense renumbering a 4-gram
+    # (a, b, c, d) has id a*V**3 + b*V**2 + c*V + d and pair 4's "w0 w0 w0 w0" would
+    # wrap onto pair 0's 4-gram whose id is 4 * V**4 modulo 2**63
+    size = 40_000
+    words = [f"w{i}" for i in range(size)]
+    offset, digits = 4 * size**4 % 2**63, []
+    for _ in range(4):
+        offset, digit = divmod(offset, size)
+        digits.insert(0, words[digit])
+    hyps = [" ".join(words), "w1", "w2", "w3", "w0 w0 w0 w0"]
+    refs = [" ".join(words + digits), "w1", "w2", "w3", "w1 w2"]
+    h, r = corpus(*hyps), corpus(*refs)
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", 10**6):
+        assert bleu_corpus(h, r) == reference_bleu_corpus(h, r)
+
+
 @pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 50])
 def test_text_metrics_are_pinned_on_a_synth_corpus(batch_units):
-    # float.hex of the per-sentence Counter / DP implementation's values
+    # float.hex of the per-sentence Counter / DP implementation's values, and
+    # WER's counts and error words from its per-sentence Python table
     refs = [synth_sentence(i) for i in range(300)]
     hyps = [synth_sentence(i if i % 4 else 1000 + i, 2, 12) for i in range(300)]
     h, r = corpus(*hyps), corpus(*refs)
@@ -579,3 +639,10 @@ def test_text_metrics_are_pinned_on_a_synth_corpus(batch_units):
         ]
         assert chrf(h, r).hex() == "0x1.26b0002aafd69p+6"
         assert rouge_l(h, r).hex() == "0x1.15e99a70d2bd7p+6"
+        result = wer(h, r)
+    assert (result.substitutions, result.deletions, result.insertions) == (354, 136, 454)
+    assert result.rate.hex() == "0x1.9e431fe08b4dfp+5"
+    assert top_error_words(result, 10) == [
+        ("osten", 30), ("schnee", 29), ("regen", 26), ("gewitter", 25), ("grad", 25),
+        ("kalt", 25), ("nacht", 24), ("frisch", 23), ("stark", 23), ("teilweise", 23),
+    ]
