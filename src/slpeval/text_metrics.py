@@ -5,11 +5,12 @@ percentages. BLEU pools n-gram counts over the corpus (no smoothing: a zero
 precision at any order zeroes the score). CHRF pools character n-gram counts
 per order and averages the per-order F-scores. Both clip n-gram matches per
 sentence pair and count them for the whole corpus in numpy, in batches of
-about ``_BATCH_UNITS`` units. ROUGE-L averages per-sentence LCS F1, with the
-LCS length from a bit-parallel recurrence (Hyyrö 2004). WER is token-level
-Levenshtein with unit costs, with the full substitution/deletion/insertion
-decomposition, so rates above 100 are possible and expected for verbose
-hypotheses.
+about ``_BATCH_UNITS`` units, one sort per order and batch. ROUGE-L averages
+per-sentence LCS F1, with the LCS length from a bit-parallel recurrence (Hyyrö
+2004). WER is token-level Levenshtein with unit costs, with the full
+substitution/deletion/insertion decomposition, so rates above 100 are possible
+and expected for verbose hypotheses; batches of its tables fill a row at a
+time in numpy and are traced back together.
 """
 
 from __future__ import annotations
@@ -110,8 +111,11 @@ def _clipped_counts(
 
     A hypothesis n-gram matches at most as often as it occurs in the paired
     reference. Every unit gets a dense id; an n-gram's id is the (n-1)-gram
-    id at its position times the vocabulary size plus its last unit's id,
-    renumbered densely per order and batch.
+    id at its position times the vocabulary size plus its last unit's id.
+    Each kept n-gram gets the key ``(pair * span + gram) * 2 + side``, side 0
+    for the hypothesis and 1 for the reference, and the keys of an order and
+    batch are sorted once: a hypothesis run followed by a run of its key + 1
+    is a match.
     """
     vocab = {u: i for i, u in enumerate(dict.fromkeys(chain(*hyp_units, *ref_units)))}
     lengths = np.array([[len(u) for u in side] for side in (hyp_units, ref_units)], np.int64)
@@ -128,24 +132,30 @@ def _clipped_counts(
             np.int64,
             batch.sum(),
         )
-        pair = np.tile(np.arange(stop - start), 2).repeat(batch)
-        left = np.cumsum(batch).repeat(batch) - np.arange(len(units))
         split = batch[: stop - start].sum()
+        pair = np.tile(np.arange(stop - start), 2).repeat(batch)
+        side = np.arange(len(units)) >= split
+        left = np.cumsum(batch).repeat(batch) - np.arange(len(units))
         gram, span = units, len(vocab)
         for n in range(1, max_n + 1):
             if n > 1:
-                grams, gram = np.unique(gram[:-1] * len(vocab) + units[n - 1 :], return_inverse=True)
-                span = len(grams)
+                # renumber densely only when this order's keys could reach 2**62
+                if (stop - start) * span * len(vocab) * 2 >= 2**62:
+                    grams, gram = np.unique(gram, return_inverse=True)
+                    span = len(grams)
+                gram, span = gram[:-1] * len(vocab) + units[n - 1 :], span * len(vocab)
             keep = left[: len(gram)] >= n
-            keys = pair[: len(gram)] * span + gram
-            hyp_keys, hyp_counts = np.unique(keys[:split][keep[:split]], return_counts=True)
-            ref_keys, ref_counts = np.unique(keys[split:][keep[split:]], return_counts=True)
-            _, at_hyp, at_ref = np.intersect1d(
-                hyp_keys, ref_keys, assume_unique=True, return_indices=True
+            keys = np.sort(((pair[: len(gram)] * span + gram) * 2 + side[: len(gram)])[keep])
+            # the lengths of the runs of equal keys, the first of run k > 0 at starts[k - 1];
+            # a reference run (odd key) right after its n-gram's hypothesis run is a match
+            starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+            runs = np.diff(np.concatenate(([0], starts, [len(keys)])))
+            first = keys[starts]
+            at = np.flatnonzero((first & 1 == 1) & (keys[starts - 1] == first - 1)) + 1
+            hyp_total = np.count_nonzero(keep[:split])
+            totals[n - 1] += (
+                np.minimum(runs[at - 1], runs[at]).sum(), hyp_total, len(keys) - hyp_total
             )
-            totals[n - 1, 0] += np.minimum(hyp_counts[at_hyp], ref_counts[at_ref]).sum()
-            totals[n - 1, 1] += hyp_counts.sum()
-            totals[n - 1, 2] += ref_counts.sum()
         start = stop
     return [tuple(int(v) for v in row) for row in totals]
 
@@ -227,56 +237,94 @@ def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     return 100.0 * f_sum / len(hyps)
 
 
-def _align_sentence(hyp: tuple[str, ...], ref: tuple[str, ...]) -> SentenceEdits:
-    rows, cols = len(ref) + 1, len(hyp) + 1
-    dist = [[i] + [0] * (cols - 1) for i in range(rows)]
-    dist[0] = list(range(cols))
-    for i in range(1, rows):
-        for j in range(1, cols):
-            if ref[i - 1] == hyp[j - 1]:
-                dist[i][j] = dist[i - 1][j - 1]
-            else:
-                dist[i][j] = 1 + min(dist[i - 1][j - 1], dist[i - 1][j], dist[i][j - 1])
-
-    # backtrace; on cost ties prefer the diagonal (match or substitution), then
-    # deletion, then insertion
-    subs = dels = ins = 0
-    error_words: list[str] = []
-    i, j = len(ref), len(hyp)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            if ref[i - 1] != hyp[j - 1]:
-                subs += 1
-                error_words.append(ref[i - 1])
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            dels += 1
-            error_words.append(ref[i - 1])
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return SentenceEdits(subs, dels, ins, len(ref), tuple(reversed(error_words)))
+def _padded(ids: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Rows ``ids[off : off + lens]``, right-padded with the padding id ``ids[-1]``."""
+    cols = np.arange(lens.max())
+    return ids[np.where(cols < lens[:, None], off[:, None] + cols, len(ids) - 1)]
 
 
 def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
-    """Word error rate with its substitution/deletion/insertion decomposition per sentence."""
+    """Word error rate with its substitution/deletion/insertion decomposition per sentence.
+
+    Pairs are sorted by (reference, hypothesis) length into batches whose
+    tables hold about ``64 * _BATCH_UNITS`` cells. A batch's Levenshtein
+    tables are filled one reference position at a time: with ``t[j]`` the
+    better of the diagonal and the step from above, the row is
+    ``j + min(t[k] - k for k <= j)``. All its pairs are then traced back at
+    once, preferring on cost ties the diagonal (match or substitution), then
+    deletion, then insertion.
+    """
     _check_paired(hyps, refs)
-    per_sentence = tuple(
-        _align_sentence(hyp, ref) for hyp, ref in zip(hyps.sentences, refs.sentences)
-    )
-    subs = sum(s.substitutions for s in per_sentence)
-    dels = sum(s.deletions for s in per_sentence)
-    ins = sum(s.insertions for s in per_sentence)
-    ref_tokens = sum(s.ref_tokens for s in per_sentence)
-    if ref_tokens == 0:
+    ref_words = list(chain(*refs.sentences))
+    if not ref_words:
         raise ValueError("empty reference corpus: no reference tokens")
+    vocab = {w: i for i, w in enumerate(dict.fromkeys(chain(ref_words, *hyps.sentences)))}
+    # per side: token ids followed by the side's padding id, pair offsets and lengths
+    sides = []
+    for corpus, pad in ((refs, -2), (hyps, -1)):
+        lengths = np.array([len(s) for s in corpus.sentences], np.int64)
+        ids = np.fromiter(map(vocab.__getitem__, chain(*corpus.sentences)), np.int64, lengths.sum())
+        sides.append((np.append(ids, pad), np.cumsum(lengths) - lengths, lengths))
+    (ref_ids, ref_off, ref_len), (hyp_ids, hyp_off, hyp_len) = sides
+    edits = np.zeros((len(refs), 3), np.int64)
+    errors = []  # positions in ref_ids of substituted or deleted tokens
+    order = np.lexsort((hyp_len, ref_len))
+    # a batch ends before the pair that would take its padded tables past the budget
+    bounds, size, widest = [0], 0, 0
+    for k, (r, h) in enumerate(zip(ref_len[order].tolist(), hyp_len[order].tolist())):
+        widest = max(widest, h)
+        if size and (size + 1) * (r + 1) * (widest + 1) > 64 * _BATCH_UNITS:
+            bounds.append(k)
+            size, widest = 0, h
+        size += 1
+    for start, stop in zip(bounds, [*bounds[1:], len(order)]):
+        pairs = order[start:stop]
+        ref, hyp = (_padded(ids, off[pairs], lens[pairs]) for ids, off, lens in sides)
+        width = hyp.shape[1] + 1
+        cols = np.arange(width, dtype=np.int32)
+        table = np.empty((len(pairs), ref.shape[1] + 1, width), np.int32)
+        table[:, 0] = cols
+        for i in range(1, ref.shape[1] + 1):
+            above, row = table[:, i - 1], table[:, i]
+            np.minimum(above[:, :-1] + (ref[:, i - 1 : i] != hyp), above[:, 1:] + 1, out=row[:, 1:])
+            row[:, 0] = i
+            row -= cols
+            np.minimum.accumulate(row, axis=1, out=row)
+            row += cols
+
+        # one step of every unfinished pair at a time; a step off the edge of a
+        # pair's table reads a cell of another pair's (or the padding id), masked
+        flat = table.reshape(-1)
+        i, j = ref_len[pairs], hyp_len[pairs]
+        corner = np.arange(len(pairs)) * table[0].size
+        ref_at, hyp_at = ref_off[pairs] - 1, hyp_off[pairs] - 1
+        counts = np.zeros((3, len(pairs)), np.int64)
+        while (i | j).any():
+            at = corner + i * width + j
+            here = flat[at]
+            wrong = ref_ids[ref_at + i] != hyp_ids[hyp_at + j]
+            diag = (i > 0) & (j > 0) & (here == flat[at - width - 1] + wrong)
+            delete = ~diag & (i > 0) & (here == flat[at - width] + 1)
+            insert = ~diag & ~delete & (j > 0)
+            wrong &= diag
+            counts += (wrong, delete, insert)
+            errors.append((ref_at + i)[wrong | delete])
+            i, j = i - (diag | delete), j - (diag | insert)
+        edits[pairs] = counts.T
+
+    words = [ref_words[k] for k in np.sort(np.concatenate(errors)).tolist()]
+    ends = np.cumsum(edits[:, 0] + edits[:, 1]).tolist()
+    per_sentence = tuple(
+        SentenceEdits(subs, dels, ins, length, tuple(words[end - subs - dels : end]))
+        for (subs, dels, ins), length, end in zip(edits.tolist(), ref_len.tolist(), ends)
+    )
+    subs, dels, ins = (int(v) for v in edits.sum(axis=0))
     return WerBreakdown(
         substitutions=subs,
         deletions=dels,
         insertions=ins,
-        ref_tokens=ref_tokens,
-        rate=100.0 * (subs + dels + ins) / ref_tokens,
+        ref_tokens=len(ref_words),
+        rate=100.0 * (subs + dels + ins) / len(ref_words),
         per_sentence=per_sentence,
     )
 
