@@ -244,6 +244,15 @@ class PoseSequence:
         return f"PoseSequence(id={self.id!r}, frames={self.num_frames}x{self.num_keypoints})"
 
 
+def _adopt(id: str, frames: np.ndarray, layout: KeypointLayout) -> PoseSequence:
+    """A sequence that keeps ``frames``, a float64 array made here and held nowhere else."""
+    # only the first frame is copied, to run the constructor's shape checks
+    seq = PoseSequence(id=id, frames=frames[:1], layout=layout)
+    frames.setflags(write=False)
+    object.__setattr__(seq, "frames", frames)
+    return seq
+
+
 def _format_value(x: float) -> str:
     # repr gives the shortest round-tripping decimal but may switch to
     # scientific notation; fall back to positional rendering in that case.
@@ -408,7 +417,7 @@ def parse_pose_file(text: str, id: str, layout: KeypointLayout = DEFAULT_LAYOUT)
         frames = _read_exact(text, header_end + 1, num_frames, expected)
     if frames is None:
         frames = _read_lines(text, num_frames, expected)
-    return PoseSequence(id=id, frames=frames.reshape(num_frames, num_keypoints, dims), layout=layout)
+    return _adopt(id, frames.reshape(num_frames, num_keypoints, dims), layout)
 
 
 def write_pose_file(seq: PoseSequence) -> str:
@@ -478,5 +487,4 @@ def normalize_sequence(seq: PoseSequence) -> PoseSequence:
     """
     rot = torso_rotation(seq.frames[0], seq.layout)
     necks = seq.frames[:, seq.layout.neck, :]
-    frames = (seq.frames - necks[:, None, :]) @ rot.T
-    return PoseSequence(id=seq.id, frames=frames, layout=seq.layout)
+    return _adopt(seq.id, (seq.frames - necks[:, None, :]) @ rot.T, seq.layout)

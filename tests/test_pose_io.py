@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -20,6 +21,7 @@ from slpeval.pose import (
     LayoutError,
     PoseFormatError,
     PoseSequence,
+    normalize_sequence,
     parse_layout,
     parse_pose_file,
     validate_sequence,
@@ -155,6 +157,23 @@ def test_sequence_copies_input(tiny_layout):
     seq = PoseSequence(id="s", frames=buf, layout=tiny_layout)
     buf[0, 0, 0] = 99.0
     assert seq.frames[0, 0, 0] == 0.0
+
+
+@pytest.mark.skipif(pose._MIDPOINT is None, reason="the line reader stacks its rows")
+def test_parsed_and_normalized_frames_are_allocated_once():
+    # 4000 equal lines of the default layout: 17 MB of frames, far above the
+    # exact reader's per-block scratch, so a second copy would show in the peak
+    line = " ".join(f"{k * k % 1000 / 1000:.3f}" for k in range(178 * 3))
+    text = "POSE v1 4000 178 3\n" + f"{line}\n" * 4000
+    tracemalloc.start()
+    try:
+        seq = parse_pose_file(text, "s")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * seq.frames.nbytes
+    for frames in (seq.frames, normalize_sequence(seq).frames):
+        assert not frames.flags.writeable
 
 
 def test_sequence_rejects_bad_shape(tiny_layout):
