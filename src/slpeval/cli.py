@@ -33,7 +33,7 @@ from .harness import (
     render_report,
     validate_submission,
 )
-from .manifest import read_input
+from .manifest import open_regular, read_input, read_regular
 from .pose import DEFAULT_LAYOUT, KeypointLayout, parse_layout, write_pose_file
 from .ranking import ScoreVector, pareto_fronts
 from .synth import synth_corpus
@@ -140,12 +140,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if args.record:
             # the lock spans read, quota check and append, so concurrent
             # submissions are checked one after another; closing releases it
-            log = stack.enter_context(args.history.open("a+b"))
+            log = stack.enter_context(open_regular(args.history, "a+b"))
             fcntl.flock(log, fcntl.LOCK_EX)
             log.seek(0)
             data = log.read()
         else:
-            data = args.history.read_bytes() if args.history.exists() else b""
+            data = read_regular(args.history) if args.history.exists() else b""
         history = read_input(args.history, load_history, data)
         report = validate_submission(args.pred, args.ref, rules, history, now=now, layout=layout)
         if not report.ok:
@@ -154,6 +154,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             return 1
         if args.record:
             record = SubmissionRecord(timestamp=now, phase=rules.phase, digest=report.digest)
+            if data[-1:] not in (b"", b"\n"):  # end a last record cut short of its newline
+                log.write(b"\n")
             log.write(format_record(record).encode("utf-8"))
             print("submission valid (recorded)")
         else:

@@ -29,6 +29,7 @@ from .manifest import (
     load_manifest,
     load_sentence_file,
     read_input,
+    read_regular,
     split_lines,
 )
 from .pose import (
@@ -167,7 +168,7 @@ def _digest_bytes(hasher, label: bytes, data: bytes) -> None:
 
 
 def _read_bytes(path: Path, hasher, label: bytes = b"") -> bytes:
-    data = Path(path).read_bytes()
+    data = read_regular(path)
     _digest_bytes(hasher, label, data)
     return data
 
@@ -377,7 +378,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     hasher = hashlib.sha256()
     layout, layout_data = DEFAULT_LAYOUT, None
     if config.layout_file is not None:
-        layout_data = Path(config.layout_file).read_bytes()
+        layout_data = read_regular(config.layout_file)
         layout = read_input(config.layout_file, parse_layout, layout_data)
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 

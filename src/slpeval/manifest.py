@@ -11,6 +11,9 @@ id, never by line order.
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +22,9 @@ __all__ = [
     "ManifestError",
     "load_manifest",
     "load_sentence_file",
+    "open_regular",
     "read_input",
+    "read_regular",
     "split_lines",
 ]
 
@@ -35,6 +40,26 @@ class ManifestEntry:
     reference_sentence: str | None = None
 
 
+def open_regular(path: Path | str, mode: str = "rb"):
+    """``open(path, mode)`` without blocking, refused with an ``OSError`` unless ``fstat``
+    finds a regular file: a FIFO would hang a read and ``/dev/zero`` would fill memory."""
+
+    def opener(name, flags):
+        fd = os.open(name, flags | os.O_NONBLOCK)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+        os.close(fd)
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
+
+    return open(path, mode, opener=opener)
+
+
+def read_regular(path: Path | str) -> bytes:
+    """The bytes of the regular file at ``path`` (see :func:`open_regular`)."""
+    with open_regular(path) as stream:
+        return stream.read()
+
+
 def read_input(path: Path | str, parse, data: bytes | None = None):
     """``parse`` of the file at ``path`` (or of its bytes ``data``) decoded as UTF-8.
 
@@ -43,7 +68,7 @@ def read_input(path: Path | str, parse, data: bytes | None = None):
     which with ``data`` given may be any label naming the input.
     """
     if data is None:
-        data = Path(path).read_bytes()
+        data = read_regular(path)
     try:
         return parse(data.decode("utf-8"))
     except UnicodeDecodeError as err:

@@ -15,7 +15,6 @@ import numpy as np
 from .pose import PoseSequence
 
 __all__ = [
-    "AlignmentPath",
     "PairScore",
     "PoseScore",
     "ZeroReferenceTravelError",
@@ -38,19 +37,6 @@ class ZeroReferenceTravelError(ValueError):
 
 
 @dataclass(frozen=True)
-class AlignmentPath:
-    """A monotone warping path over (prediction frame, reference frame) cells.
-
-    The path starts at ``(0, 0)``, ends at ``(P-1, R-1)``, and each step
-    advances one index or both. ``total_cost`` is the frame-distance sum over
-    the visited cells.
-    """
-
-    steps: tuple[tuple[int, int], ...]
-    total_cost: float
-
-
-@dataclass(frozen=True)
 class PoseScore:
     """Corpus pose metrics; ``total_distance_ratio`` is None when every
     reference was excluded for having (near-)zero hand travel."""
@@ -60,14 +46,14 @@ class PoseScore:
     excluded_ids: tuple[str, ...]
 
 
-def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
-    """Minimum-cost monotone alignment between two sequences.
+def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
+    """Cost and cell count of the minimum-cost monotone alignment of two sequences.
 
-    Steps are {advance prediction, advance reference, advance both}. Among
-    equal-cost paths the shortest wins, with ties broken deterministically:
-    diagonal first, then prediction-advance, then reference-advance. Cells are
-    filled one anti-diagonal ``i + j`` at a time; only three diagonals of
-    accumulated cost and length are kept, plus one byte of back-pointer per cell.
+    A path runs from frame pair (0, 0) to (P-1, R-1); each step advances the
+    prediction, the reference or both. Its cost is the frame-distance sum over the
+    visited cells; among equal-cost paths the shortest wins. Cells are filled one
+    anti-diagonal ``i + j`` at a time, and only three diagonals of accumulated cost
+    and length are kept.
     """
     if pred.num_keypoints != ref.num_keypoints:
         raise ValueError(f"keypoint counts differ: {pred.num_keypoints} vs {ref.num_keypoints}")
@@ -83,7 +69,6 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
     # past a diagonal's end are never written, so a missing predecessor reads (inf, p + r)
     acc = np.full((3, p + w + 1), np.inf)
     length = np.full((3, p + w + 1), p + r, dtype=np.intp)
-    back = np.zeros((p, r), dtype=np.int8)  # 0 diagonal, 1 pred-advance, 2 ref-advance
     for d in range(p + r - 1):
         lo, hi = max(0, d - r + 1), min(d, p - 1)
         # cells (i, d - i) for a <= i < b, in row chunks so the squares stay in cache
@@ -104,39 +89,22 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> AlignmentPath:
         # lo are compared and those past hi dropped: temporaries of one length per
         # pair, not one per diagonal, keep numpy's small-block cache from pinning the heap
         best_acc, best_len = acc[(d - 2) % 3, lo : lo + w], length[(d - 2) % 3, lo : lo + w]
-        move = np.zeros(w, dtype=np.int8)
-        for m in (1, 2):
-            cand_acc = acc[(d - 1) % 3, lo + m - 1 : lo + m - 1 + w]
-            cand_len = length[(d - 1) % 3, lo + m - 1 : lo + m - 1 + w]
+        for slot in (lo, lo + 1):
+            cand_acc = acc[(d - 1) % 3, slot : slot + w]
+            cand_len = length[(d - 1) % 3, slot : slot + w]
             better = (cand_acc < best_acc) | ((cand_acc == best_acc) & (cand_len < best_len))
             best_acc = np.where(better, cand_acc, best_acc)
             best_len = np.where(better, cand_len, best_len)
-            np.copyto(move, m, where=better)
         n = hi - lo + 1
         np.add(best_acc[:n], costs[:n], out=acc[d % 3, lo + 1 : hi + 2])
         np.add(best_len[:n], 1, out=length[d % 3, lo + 1 : hi + 2])
-        # cell (i, d - i) is flat index i * (r - 1) + d
-        back.reshape(-1)[lo * (r - 1) + d : hi * (r - 1) + d + 1 : max(r - 1, 1)] = move[:n]
-
-    steps = [(p - 1, r - 1)]
-    i, j = p - 1, r - 1
-    while (i, j) != (0, 0):
-        move = back[i, j]
-        if move == 0:
-            i, j = i - 1, j - 1
-        elif move == 1:
-            i -= 1
-        else:
-            j -= 1
-        steps.append((i, j))
-    steps.reverse()
-    return AlignmentPath(steps=tuple(steps), total_cost=float(acc[(p + r - 2) % 3, p]))
+    return float(acc[(p + r - 2) % 3, p]), int(length[(p + r - 2) % 3, p])
 
 
 def dtw_mje(pred: PoseSequence, ref: PoseSequence) -> float:
     """Alignment cost divided by the number of aligned frame pairs."""
-    path = dtw_align(pred, ref)
-    return path.total_cost / len(path.steps)
+    cost, length = dtw_align(pred, ref)
+    return cost / length
 
 
 def hand_travel(seq: PoseSequence) -> float:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import slpeval
 from conftest import SENTENCE_TEXT
+from slpeval import pose_metrics
 from slpeval.cli import main
 from slpeval.harness import (
     DEVELOPMENT_RULES,
@@ -968,6 +971,15 @@ def test_malformed_input_file_is_named(kind, argv, corpus_writer, tmp_path, caps
     assert not paths["history"].exists() and not paths["out"].exists()
 
 
+def cli_env() -> dict[str, str]:
+    """The environment for a child ``python -m slpeval.cli`` that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(slpeval.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
 def test_concurrent_test_phase_submissions_record_only_one(tmp_path):
     # three processes, more than the cores of a small machine, race for the last slot
     corpus_dir = tmp_path / "corpus"
@@ -977,14 +989,10 @@ def test_concurrent_test_phase_submissions_record_only_one(tmp_path):
     history = tmp_path / "history.log"
     prior = "".join(format_record(record(days, phase="test")) for days in (2, 1))
     history.write_text(prior, encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(slpeval.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
-    )
     argv = [sys.executable, "-m", "slpeval.cli", "validate", "--pred", str(manifest),
             "--ref", str(manifest), "--phase", "test", "--history", str(history), "--record",
             "--now", NOW.isoformat()]
-    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    procs = [subprocess.Popen(argv, env=cli_env(), stdout=subprocess.PIPE, text=True)
              for _ in range(3)]
     results = []
     for proc in procs:
@@ -997,6 +1005,91 @@ def test_concurrent_test_phase_submissions_record_only_one(tmp_path):
     lines = history.read_text(encoding="utf-8").splitlines(keepends=True)
     assert "".join(lines[:2]) == prior and len(lines) == 3
     assert lines[2].startswith(f"{NOW.isoformat()}\ttest\t")
+
+
+def test_record_ends_a_torn_last_record(tmp_path):
+    pair = synth_submission(tmp_path)
+    history = tmp_path / "h.log"
+    argv = ["validate", *pair, "--phase", "dev", "--history", str(history), "--record",
+            "--now", NOW.isoformat()]
+    torn = format_record(record(1)).encode()[:-1]  # an append cut short of its newline
+    history.write_bytes(torn)
+    for _ in range(2):
+        assert run_captured(argv)[:2] == (0, "submission valid (recorded)\n")
+    data = history.read_bytes()
+    assert data.startswith(torn + b"\n")
+    assert len(load_history(data.decode())) == 3
+    # a last record torn inside its fields is still refused, and the log left as it is
+    malformed = torn[: torn.rindex(b"\t")]
+    history.write_bytes(malformed)
+    code, _, err = run_captured(argv)
+    assert code == 2 and err.startswith(f"error: {history}: history line 1: expected 3")
+    assert history.read_bytes() == malformed
+
+
+def _limit_memory() -> None:
+    # a read that never ends fails within the test's timeout instead of filling memory
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """``slpeval`` in a child process, under a timeout and a 2 GiB address-space limit."""
+    return subprocess.run([sys.executable, "-m", "slpeval.cli", *argv], env=cli_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory)
+
+
+def not_a_regular_file(kind: str, tmp_path: Path) -> Path:
+    """A FIFO or a directory made in ``tmp_path``, or the ``/dev/zero`` device."""
+    if kind == "device":
+        return Path("/dev/zero")
+    path = tmp_path / kind
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "device"])
+def test_pose_path_that_is_not_a_regular_file_is_refused(kind, tmp_path):
+    pair = synth_submission(tmp_path)
+    bad = not_a_regular_file(kind, tmp_path)
+    manifest = tmp_path / "pred" / "manifest.tsv"
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    victim, _, sentence = lines[1].split("\t", 2)
+    lines[1] = f"{victim}\t{bad}\t{sentence}"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    proc = run_cli_process(["validate", *pair, "--phase", "dev", "--history", str(tmp_path / "h")])
+    assert (proc.returncode, proc.stdout) == (
+        1, f"prediction {victim!r}: cannot read {bad}: not a regular file\n")
+    proc = run_cli_process(["evaluate", *pair])
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot read {bad}: not a regular file\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--pred", "{bad}", "--ref", "{ref}", "--phase", "dev", "--history", "{history}"],
+    ["evaluate", "--pred", "{ref}", "--ref", "{bad}"],
+    ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}"],
+    ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}",
+     "--record"],
+], ids=["manifest-validate", "manifest-evaluate", "history", "history-record"])
+def test_fifo_manifest_or_history_is_refused(argv, corpus_writer, tmp_path):
+    ref = corpus_writer(small_corpus(), "ref")
+    bad = not_a_regular_file("fifo", tmp_path)
+    paths = {"ref": ref, "bad": bad, "history": tmp_path / "h.log"}
+    proc = run_cli_process([arg.format(**paths) for arg in argv])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno 22] not a regular file: {str(bad)!r}\n"
+    assert not paths["history"].exists()
+
+
+def test_score_pair_calls_dtw_align_once_per_pair(corpus_writer):
+    # the benchmark's tracer times DTW and counts its cells by wrapping this module attribute
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "ref")
+    with mock.patch.object(pose_metrics, "dtw_align", wraps=pose_metrics.dtw_align) as spy:
+        evaluate(EvaluationConfig(pred_manifest=manifest, ref_manifest=manifest))
+    assert [call.args[0].id for call in spy.call_args_list] == [seq.id for seq, _ in corpus]
 
 
 def test_backtranslation_rejects_malformed_pose_before_running(

@@ -105,8 +105,8 @@ def reference_pose_sections(ids, preds, refs, normalize: bool) -> tuple[dict, fl
         ref = PoseSequence(id=i, frames=refs[i], layout=TINY_LAYOUT)
         if normalize:
             pred, ref = normalize_sequence(pred), normalize_sequence(ref)
-        path = reference_dtw_align(pred, ref)
-        mje_sum += path.total_cost / len(path.steps)
+        cost, length = reference_dtw_align(pred, ref)
+        mje_sum += cost / length
         ref_travel = hand_travel(ref)
         if ref_travel < ZERO_TRAVEL_EPSILON:
             excluded.append(i)
