@@ -16,6 +16,7 @@ import contextlib
 import fcntl
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,17 +46,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slpeval", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each input's dest is its EvaluationConfig field; its metavar keeps the help text
     ev = sub.add_parser("evaluate", help="score a submission and render a metric report")
-    ev.add_argument("--pred", type=Path, help="prediction manifest (tsv)")
-    ev.add_argument("--ref", type=Path, help="reference manifest (tsv)")
-    ev.add_argument("--hyp", type=Path, help="hypothesis sentences (id<TAB>sentence)")
+    ev.set_defaults(run=_cmd_evaluate)
+    ev.add_argument("--pred", type=Path, dest="pred_manifest", metavar="PRED",
+                    help="prediction manifest (tsv)")
+    ev.add_argument("--ref", type=Path, dest="ref_manifest", metavar="REF",
+                    help="reference manifest (tsv)")
+    ev.add_argument("--hyp", type=Path, dest="hypothesis_file", metavar="HYP",
+                    help="hypothesis sentences (id<TAB>sentence)")
     ev.add_argument(
-        "--backtranslate", metavar="COMMAND",
+        "--backtranslate", dest="backtranslate_command", metavar="COMMAND",
         help="pose-to-text command: pose path per stdin line, sentence per stdout line",
     )
-    ev.add_argument("--ref-text", type=Path, help="reference sentences (id<TAB>sentence)")
-    ev.add_argument("--layout", type=Path, help="keypoint layout descriptor")
-    ev.add_argument("--no-normalize", action="store_true", help="skip pose normalization")
+    ev.add_argument("--ref-text", type=Path, dest="reference_text", metavar="REF_TEXT",
+                    help="reference sentences (id<TAB>sentence)")
+    ev.add_argument("--layout", type=Path, dest="layout_file", metavar="LAYOUT",
+                    help="keypoint layout descriptor")
+    ev.add_argument("--no-normalize", dest="normalize", action="store_false",
+                    help="skip pose normalization")
     ev.add_argument("--out", type=Path, help="write the report here instead of stdout")
     ev.add_argument(
         "--format", choices=("structured", "table", "csv"), default="structured",
@@ -63,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     va = sub.add_parser("validate", help="check a submission before scoring")
+    va.set_defaults(run=_cmd_validate)
     va.add_argument("--pred", type=Path, required=True, help="prediction manifest (tsv)")
     va.add_argument("--ref", type=Path, required=True, help="reference manifest (tsv)")
     va.add_argument(
@@ -81,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     rk = sub.add_parser("rank", help="Pareto-rank entrants from score files")
+    rk.set_defaults(run=_cmd_rank)
     rk.add_argument(
         "--scores", type=Path, nargs="+", required=True,
         help="JSON files, each an object or list of {entrant, metrics}",
@@ -94,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="generate synthetic data")
     sy_sub = sy.add_subparsers(dest="synth_command", required=True)
     co = sy_sub.add_parser("corpus", help="write a synthetic pose+sentence corpus")
+    co.set_defaults(run=_cmd_synth_corpus)
     co.add_argument("--count", type=int, required=True, help="number of sequences")
     co.add_argument("--frames", type=int, required=True, help="frames per sequence")
     co.add_argument("--amplitude", type=float, default=0.1, help="hand swing amplitude")
@@ -118,15 +130,7 @@ def _read_layout(path: Path | None) -> KeypointLayout:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = EvaluationConfig(
-        pred_manifest=args.pred,
-        ref_manifest=args.ref,
-        hypothesis_file=args.hyp,
-        backtranslate_command=args.backtranslate,
-        reference_text=args.ref_text,
-        layout_file=args.layout,
-        normalize=not args.no_normalize,
-    )
+    config = EvaluationConfig(**{f.name: getattr(args, f.name) for f in fields(EvaluationConfig)})
     report = evaluate(config)
     _emit([render_report(report, args.format)], args.out)
     return 0
@@ -234,21 +238,15 @@ def _cmd_synth_corpus(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "synth":
-            return _cmd_synth_corpus(args)
-    except (EvaluationError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
+    except OSError as err:  # "<path>: <reason>" like every other input error, not "[Errno n]"
+        message = err if err.filename is None else f"{err.filename}: {err.strerror}"
+    except (EvaluationError, ValueError) as err:
+        message = err
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

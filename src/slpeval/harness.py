@@ -156,11 +156,6 @@ def _quota_violations(
     return violations
 
 
-def _resolve(base_dir: Path, pose_path: str) -> Path:
-    path = Path(pose_path)
-    return path if path.is_absolute() else base_dir / path
-
-
 def _digest_bytes(hasher, label: bytes, data: bytes) -> None:
     hasher.update(label)
     hasher.update(len(data).to_bytes(8, "big"))
@@ -192,7 +187,7 @@ def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hash
     A file that cannot be read, decoded, parsed, validated or prepared
     raises :class:`EvaluationError` with one line naming the file and its problem.
     """
-    path = where = _resolve(Path(manifest_path).parent, entry.pose_path)
+    path = where = Path(manifest_path).parent / entry.pose_path
     try:
         # the bytes are freed once decoded
         text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
@@ -432,7 +427,7 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         text_source = config.hypothesis_file or config.pred_manifest
         if hyp_map is None:
             pred_manifest, pred_dir = manifests["pred"], Path(config.pred_manifest).parent
-            pose_paths = [_resolve(pred_dir, entry.pose_path) for entry in pred_manifest.values()]
+            pose_paths = [pred_dir / entry.pose_path for entry in pred_manifest.values()]
             sentences = run_backtranslation(config.backtranslate_command, pose_paths)
             hyp_map = dict(zip(pred_manifest, sentences))
         if ref_map is None and "ref" in manifests:

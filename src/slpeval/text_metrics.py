@@ -174,13 +174,11 @@ def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ..
     _, hyp_len, ref_len = counts[0]
     brevity = 1.0 if hyp_len >= ref_len or hyp_len == 0 else math.exp(1.0 - ref_len / hyp_len)
 
-    scores = []
-    for n in range(1, len(precisions) + 1):
-        if any(p == 0.0 for p in precisions[:n]):
-            scores.append(0.0)
-        else:
-            log_mean = sum(math.log(p) for p in precisions[:n]) / n
-            scores.append(100.0 * brevity * math.exp(log_mean))
+    scores, log_sum = [], 0.0
+    for n, precision in enumerate(precisions, 1):
+        # a zero precision sends the sum to -inf: BLEU-n is 0.0 for this order and every higher one
+        log_sum += math.log(precision) if precision else -math.inf
+        scores.append(100.0 * brevity * math.exp(log_sum / n))
     return tuple(scores)
 
 
@@ -193,7 +191,7 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     """
     _check_paired(hyps, refs)
     streams = [["".join(s.split()) for s in corpus.raw] for corpus in (hyps, refs)]
-    per_order = []
+    f_sum, orders = 0.0, 0
     for matched, total_hyp, total_ref in _clipped_counts(*streams, CHRF_MAX_ORDER):
         if total_hyp == 0 and total_ref == 0:
             continue
@@ -201,10 +199,11 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
         recall = matched / total_ref if total_ref else 0.0
         beta_sq = CHRF_BETA * CHRF_BETA
         denom = beta_sq * precision + recall
-        per_order.append((1 + beta_sq) * precision * recall / denom if denom > 0 else 0.0)
-    if not per_order:
+        f_sum += (1 + beta_sq) * precision * recall / denom if denom > 0 else 0.0
+        orders += 1
+    if not orders:
         raise ValueError("empty corpora: no character n-grams on either side")
-    return 100.0 * sum(per_order) / len(per_order)
+    return 100.0 * f_sum / orders
 
 
 def _lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -352,15 +351,11 @@ def length_error_correlation(
     n = len(ref_lengths)
     if n < 2:
         return None
-    mean_x = sum(ref_lengths) / n
-    mean_y = sum(rates) / n
-    dx = [x - mean_x for x in ref_lengths]
-    dy = [y - mean_y for y in rates]
-    var_x = sum(d * d for d in dx)
-    var_y = sum(d * d for d in dy)
+    # np.cumsum adds left to right on every Python, as builtin sum() did before 3.12
+    dx, dy = (v - np.cumsum(v)[-1] / n for v in (np.array(ref_lengths), np.array(rates, float)))
+    var_x, var_y, cov = (float(np.cumsum(a * b)[-1]) for a, b in ((dx, dx), (dy, dy), (dx, dy)))
     if var_x == 0.0 or var_y == 0.0:
         return None
-    cov = sum(a * b for a, b in zip(dx, dy))
     return cov / math.sqrt(var_x * var_y)
 
 

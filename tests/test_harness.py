@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -507,6 +508,37 @@ def test_other_phase_records_do_not_count(corpus_writer):
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def test_evaluate_help_names_each_input_by_its_flag(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("evaluate", "--help")
+    usage = " ".join(capsys.readouterr().out.split())
+    assert ("[--pred PRED] [--ref REF] [--hyp HYP] [--backtranslate COMMAND] "
+            "[--ref-text REF_TEXT] [--layout LAYOUT] [--no-normalize]") in usage
+
+
+#: names the benchmark's tracer still wraps although they are gone (ROADMAP item 10)
+STALE_TRACER_SITES = {
+    ("slpeval.cli", "submission_digest"),
+    ("slpeval.cli", "dominance_matrix"),
+    ("slpeval.harness", "corpus_pose_metrics"),
+}
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # the tracer wraps each (module, name) where slpeval looks it up at call time;
+    # a name that is gone reads 0 in every run instead of failing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    sites = [(module, name) for module, name, _, _ in tracing.SITES]
+    assert len(sites) > len(STALE_TRACER_SITES)
+    for module, name in sites:
+        if (module, name) not in STALE_TRACER_SITES:
+            assert callable(getattr(importlib.import_module(module), name)), (module, name)
 
 
 def write_hyp_from_manifest(manifest, path):
@@ -1066,21 +1098,33 @@ def test_pose_path_that_is_not_a_regular_file_is_refused(kind, tmp_path):
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot read {bad}: not a regular file\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "--pred", "{bad}", "--ref", "{ref}", "--phase", "dev", "--history", "{history}"],
-    ["evaluate", "--pred", "{ref}", "--ref", "{bad}"],
-    ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}"],
-    ["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}",
-     "--record"],
-], ids=["manifest-validate", "manifest-evaluate", "history", "history-record"])
-def test_fifo_manifest_or_history_is_refused(argv, corpus_writer, tmp_path):
+@pytest.mark.parametrize("argv, kind", [
+    (["validate", "--pred", "{bad}", "--ref", "{ref}", "--phase", "dev", "--history", "{history}"],
+     "fifo"),
+    (["evaluate", "--pred", "{ref}", "--ref", "{bad}"], "fifo"),
+    (["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}"],
+     "fifo"),
+    (["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}",
+      "--record"], "fifo"),
+    (["evaluate", "--pred", "{ref}", "--ref", "{bad}"], "missing"),
+    (["validate", "--pred", "{ref}", "--ref", "{ref}", "--phase", "dev", "--history", "{bad}",
+      "--record"], "missing"),
+    (["evaluate", "--pred", "{ref}", "--ref", "{ref}", "--out", "{bad}"], "missing"),
+], ids=["manifest-validate", "manifest-evaluate", "history", "history-record",
+        "missing-ref", "history-record-missing-dir", "out-missing-dir"])
+def test_fifo_manifest_or_history_is_refused(argv, kind, corpus_writer, tmp_path):
+    # an OSError naming a file reads "error: <path>: <reason>", not Python's "[Errno n] ..."
     ref = corpus_writer(small_corpus(), "ref")
-    bad = not_a_regular_file("fifo", tmp_path)
+    if kind == "fifo":
+        bad, reason = not_a_regular_file("fifo", tmp_path), "not a regular file"
+    else:
+        bad, reason = tmp_path / "absent" / "file", "No such file or directory"
     paths = {"ref": ref, "bad": bad, "history": tmp_path / "h.log"}
     proc = run_cli_process([arg.format(**paths) for arg in argv])
     assert proc.returncode == 2
-    assert proc.stderr == f"error: [Errno 22] not a regular file: {str(bad)!r}\n"
+    assert proc.stderr == f"error: {bad}: {reason}\n"
     assert not paths["history"].exists()
+    assert kind == "fifo" or not bad.parent.exists()
 
 
 def test_score_pair_calls_dtw_align_once_per_pair(corpus_writer):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import math
 from collections import Counter
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slpeval import text_metrics
+from slpeval.cli import main
 from slpeval.synth import synth_sentence
 from slpeval.text_metrics import (
     CHRF_BETA,
@@ -362,8 +364,10 @@ def reference_bleu_corpus(
         if any(p == 0.0 for p in precisions[:n]):
             scores.append(0.0)
         else:
-            log_mean = sum(math.log(p) for p in precisions[:n]) / n
-            scores.append(100.0 * brevity * math.exp(log_mean))
+            log_sum = 0.0
+            for p in precisions[:n]:  # left to right: sum() compensates floats from Python 3.12
+                log_sum += math.log(p)
+            scores.append(100.0 * brevity * math.exp(log_sum / n))
     return tuple(scores)
 
 
@@ -392,7 +396,10 @@ def reference_chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
         per_order.append((1 + beta_sq) * precision * recall / denom if denom > 0 else 0.0)
     if not per_order:
         raise ValueError("empty corpora: no character n-grams on either side")
-    return 100.0 * sum(per_order) / len(per_order)
+    f_sum = 0.0
+    for f in per_order:  # left to right: sum() compensates floats from Python 3.12
+        f_sum += f
+    return 100.0 * f_sum / len(per_order)
 
 
 def reference_lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -646,3 +653,55 @@ def test_text_metrics_are_pinned_on_a_synth_corpus(batch_units):
         ("osten", 30), ("schnee", 29), ("regen", 26), ("gewitter", 25), ("grad", 25),
         ("kalt", 25), ("nacht", 24), ("frisch", 23), ("stark", 23), ("teilweise", 23),
     ]
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 computes it: ints exactly until the first float, then
+    floats with Neumaier's compensation, added back once at the end, and ints plainly;
+    anything else ends the float path and is added with ``+``."""
+    total, compensation, fast = start, 0.0, True
+    for item in iterable:
+        if fast and type(total) is float and type(item) is float:
+            t = total + item
+            compensation += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        elif fast and type(total) is float and type(item) is int:
+            total += float(item)
+        else:
+            if type(total) is float and compensation and math.isfinite(compensation):
+                total += compensation
+            fast = fast and type(total) is int and type(item) in (int, float)
+            compensation = 0.0
+            total = total + item
+    if fast and type(total) is float and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_text_report_does_not_depend_on_how_sum_adds_floats(sentence_writer, capsys, monkeypatch):
+    # from Python 3.12 builtin sum() compensates float rounding; the report must not change
+    rng = np.random.Generator(np.random.PCG64(17))
+    refs = [synth_sentence(i, 2, 20).split() for i in range(400)]
+    hyps = []
+    for ref in refs:  # about 10% substitutions, 10% insertions and 10% deletions
+        hyp = []
+        for word in ref:
+            edit = rng.random()
+            if edit < 0.1:
+                hyp.append(refs[int(rng.integers(len(refs)))][0])
+            elif edit < 0.2:
+                hyp.extend((word, refs[int(rng.integers(len(refs)))][-1]))
+            elif edit >= 0.3:
+                hyp.append(word)
+        hyps.append(hyp)
+    hyp_file, ref_file = (
+        sentence_writer([(f"s{i}", " ".join(words)) for i, words in enumerate(sentences)], name)
+        for sentences, name in ((hyps, "hyp.tsv"), (refs, "ref.tsv"))
+    )
+    argv = ["evaluate", "--hyp", str(hyp_file), "--ref-text", str(ref_file)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0  # plain left-to-right adding gives 0.0
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
