@@ -16,6 +16,7 @@ import contextlib
 import fcntl
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -113,10 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--seed", type=int, default=0, help="corpus seed")
     co.add_argument("--out", type=Path, required=True, help="output directory")
     co.add_argument("--layout", type=Path, help="keypoint layout descriptor")
+    for action in (sub, sy_sub):  # a missing subcommand is then named by its choices
+        action.metavar = "{" + ",".join(action.choices) + "}"
     return parser
 
 
-def _emit(pieces: list[str], out: Path | None) -> None:
+def _emit(pieces: Iterable[str], out: Path | None) -> None:
     # piece by piece: one joined str would store every character at the widest one's width
     if out is None:
         sys.stdout.writelines(pieces)
@@ -183,15 +186,31 @@ def _parse_scores(text: str) -> list[ScoreVector]:
     return entries
 
 
-def _matrix_rows(matrix: np.ndarray) -> str:
-    """The rows of a non-empty bool matrix as ``json.dumps(..., indent=2)`` writes them two
-    levels deep, each line led by its newline: a fixed-width byte grid joined in one pass."""
-    grid = np.full((len(matrix), len(matrix) + 2), b"\n      [", dtype="S15")
-    grid[:, 1:-1] = np.where(matrix, b"\n        true,", b"\n        false,")
-    grid[:, -2] = np.where(matrix[:, -1], b"\n        true", b"\n        false")
-    grid[:, -1] = b"\n      ],"
-    grid[-1, -1] = b"\n      ]"
-    return grid.tobytes().replace(b"\0", b"").decode("ascii")
+#: rows of the dominance matrix that ``rank`` renders at a time
+_MATRIX_BLOCK = 64
+
+
+def _structured_ranking(doc: dict, matrix: np.ndarray) -> Iterator[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"`` in pieces, the
+    non-empty bool ``matrix`` in the list of the first key "matrix" as a byte grid per
+    ``_MATRIX_BLOCK`` rows: no piece holds the whole text, and a name outside ASCII widens
+    only its own."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(doc)
+    # "dominance" sorts first, and the encoder writes each entrant it lists with its indent
+    while (chunk := next(chunks)) != '"matrix"':
+        yield chunk
+    yield chunk + next(chunks) + next(chunks)[0]  # the key, ": " and the "[" of its "[]"
+    for start in range(0, len(matrix), _MATRIX_BLOCK):
+        rows = matrix[start : start + _MATRIX_BLOCK]
+        grid = np.full((len(rows), len(matrix) + 2), b"\n      [", dtype="S15")
+        grid[:, 1:-1] = np.where(rows, b"\n        true,", b"\n        false,")
+        grid[:, -2] = np.where(rows[:, -1], b"\n        true", b"\n        false")
+        grid[:, -1] = b"\n      ],"
+        grid[len(matrix) - 1 - start :, -1] = b"\n      ]"  # the matrix's last row, if here
+        yield grid.tobytes().replace(b"\0", b"").decode("ascii")
+    yield "\n    ]"
+    yield from chunks
+    yield "\n"
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -206,10 +225,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "dominance": {"entrants": [entry.entrant for entry in entries], "matrix": []},
             "scores": {entry.entrant: entry.as_dict() for entry in entries},
         }
-        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        # the encoder escapes every '"' inside a string, so only the key reads '"matrix": ['
-        split = text.index('"matrix": [') + len('"matrix": [')
-        pieces = [text[:split], _matrix_rows(ranking.dominance), "\n    ", text[split:]]
+        pieces = _structured_ranking(doc, ranking.dominance)
     _emit(pieces, args.out)
     return 0
 

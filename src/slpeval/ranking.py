@@ -71,8 +71,9 @@ class ScoreVector:
     def __post_init__(self) -> None:
         if not isinstance(self.entrant, str) or not self.entrant:
             raise ValueError(f"entrant must be a non-empty string, got {self.entrant!r}")
-        # Cc, Zl and Zp hold every line boundary of str.splitlines: one would forge table lines
-        if any(unicodedata.category(char) in ("Cc", "Zl", "Zp") for char in self.entrant):
+        # Cc, Zl and Zp hold every line boundary of str.splitlines: one would forge table lines;
+        # a lone surrogate (Cs) has no UTF-8 form, so no output could hold the name
+        if any(unicodedata.category(char) in ("Cc", "Cs", "Zl", "Zp") for char in self.entrant):
             raise ValueError(f"entrant {self.entrant!r} holds a control or line-break character")
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(

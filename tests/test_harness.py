@@ -547,6 +547,19 @@ def write_hyp_from_manifest(manifest, path):
     return path
 
 
+@pytest.mark.parametrize("argv, usage, choices", [
+    ([], "slpeval", "{evaluate,validate,rank,synth}"),
+    (["synth"], "slpeval synth", "{corpus}"),
+])
+def test_a_missing_subcommand_is_named_by_its_choices(argv, usage, choices, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"{usage}: error: the following arguments are required: {choices}"
+    )
+
+
 def test_cli_synth_evaluate_round_trip(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     assert run_cli("synth", "corpus", "--count", "4", "--frames", "8",
@@ -740,6 +753,20 @@ def test_cli_rank_refuses_an_entrant_that_breaks_a_line(tmp_path, capsys, breake
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {scores}: entrant {entrant!r} holds a control")
+
+
+@pytest.mark.parametrize("format", ["structured", "table"])
+def test_cli_rank_refuses_an_entrant_with_a_lone_surrogate(tmp_path, capsys, format):
+    from conftest import LEADERBOARD
+
+    # json.loads makes "\\ud800" a str that no UTF-8 output can hold
+    scores = tmp_path / "scores.json"
+    scores.write_text('[{"entrant": "team\\ud800", "metrics": %s}]' % json.dumps(
+        LEADERBOARD["team1"]), encoding="utf-8")
+    assert run_cli("rank", "--scores", str(scores), "--format", format) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scores}: entrant 'team\\ud800' holds a control")
 
 
 def test_cli_rank_ranks_a_team_named_none(tmp_path, capsys):

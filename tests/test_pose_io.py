@@ -27,6 +27,7 @@ from slpeval.pose import (
     validate_sequence,
     write_pose_file,
 )
+from slpeval.synth import SynthSpec, perturb, synth_sequence
 
 
 def test_default_layout_shape():
@@ -449,3 +450,104 @@ def test_mutated_files_read_like_float(reader, frames, faults):
 )
 def test_parse_raises_only_pose_format_error(reader, text):
     read(text, reader)  # any other exception fails the test
+
+
+# ------------------------------------------------- the exact writer against _format_value
+
+#: the ways a file is written: the vectorized writer as shipped, the same with one frame a
+#: block, and the per-value writer that runs where a long double cannot hold the reader's rule
+WRITERS = {
+    "exact": {"_BLOCK": pose._BLOCK},
+    "frame-blocks": {"_BLOCK": 16},
+    "per-value": {"_MIDPOINT": None},
+}
+
+
+def per_value_file(frames: np.ndarray) -> str:
+    """The POSE v1 file of ``frames`` with every value spelt by ``_format_value``."""
+    t, k = frames.shape[:2]
+    lines = [" ".join(map(pose._format_value, row)) for row in frames.reshape(t, k * 3).tolist()]
+    return "\n".join([f"POSE v1 {t} {k} 3", *lines, ""])
+
+
+def assert_same_lines(text: str, expected: str, writer: str = "exact") -> None:
+    """``text == expected``, line by line and value by value, so that a failure names the
+    first value that differs rather than diffing whole files."""
+    lines, wanted = text.split("\n"), expected.split("\n")
+    assert len(lines) == len(wanted), writer
+    for number, (line, want) in enumerate(zip(lines, wanted), 1):
+        assert line.split(" ") == want.split(" "), (writer, number)
+
+
+def assert_spelt_per_value(frames: np.ndarray) -> None:
+    expected, k = per_value_file(frames), frames.shape[1]
+    for writer, patch in WRITERS.items():
+        with mock.patch.multiple(pose, **patch):
+            text = write_pose_file(PoseSequence(id="x", frames=frames, layout=flat_layout(k)))
+        assert_same_lines(text, expected, writer)
+
+
+def frame_shapes(most_frames: int = 6) -> st.SearchStrategy[tuple[int, int, int]]:
+    return st.tuples(st.integers(1, most_frames), st.integers(1, 4)).map(lambda tk: (*tk, 3))
+
+
+#: the bit patterns of 1e-10 <= |x| < 1, the values the byte grid spells, either sign
+GRID_BITS = st.tuples(
+    st.integers(int(np.float64(1e-10).view(np.uint64)), int(np.float64(1.0).view(np.uint64)) - 1),
+    st.booleans(),
+).map(lambda bits_sign: bits_sign[0] | bits_sign[1] << 63)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=arrays(np.uint64, frame_shapes(), elements=st.integers(0, 2**64 - 1) | GRID_BITS))
+def test_writer_spells_any_bit_pattern_per_value(bits):
+    assert_spelt_per_value(bits.view(np.float64))
+
+
+@st.composite
+def synth_like(draw) -> float:
+    """A value below 1 in magnitude with 15 to 17 significant digits, as synth writes them."""
+    digits = draw(st.integers(15, 17))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    sign = draw(st.sampled_from(["", "-"]))
+    return float(f"{sign}0.{'0' * draw(st.integers(0, 9))}{mantissa}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=arrays(np.float64, frame_shapes(), elements=synth_like() | st.floats(-1, 1)))
+def test_writer_spells_synth_like_values_per_value(frames):
+    assert_spelt_per_value(frames)
+
+
+def next_up(x: float) -> float:
+    return float(np.nextafter(x, math.inf))
+
+
+#: zeros, powers of two (every one in the vectorized range, whose rounding gap is narrower
+#: below than above), the edges of that range, subnormals and non-finite values
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 100.0, 1e15, 1e20,
+    *(sign * 2.0**e for e in range(-40, 3) for sign in (1, -1)),
+    *(np.nextafter(edge, toward) for edge in (1e-4, 1e-10, 1.0) for toward in (0.0, 2.0)),
+    1e-4, -1e-4, 1e-10, -1e-10, 1e-11, 5e-324, -5e-324, 2.2250738585072009e-308,
+    *(np.nextafter(10.0**-e, 0.0) for e in range(12)),
+    # 16 and 17 significant digits, about the lower edge of the vectorized range
+    *(spin(c * 10.0**-e) for c in (math.pi, math.e) for e in range(1, 14) for spin in (float, next_up)),
+    math.nan, math.inf, -math.inf,
+]
+
+
+def test_writer_spells_edge_values_per_value():
+    values = np.array(EDGE_VALUES + [0.0] * (-len(EDGE_VALUES) % 3))
+    assert_spelt_per_value(values.reshape(-1, 1, 3))
+    assert_spelt_per_value(values.reshape(1, -1, 3))
+
+
+def test_writer_spells_synth_sequences_per_value():
+    for seed in range(3):
+        seq = synth_sequence(SynthSpec(frame_count=40, seed=seed))
+        for frames in (seq.frames, perturb(seq, 0.05, seed).frames):
+            for writer, patch in WRITERS.items():
+                with mock.patch.multiple(pose, **patch):
+                    text = write_pose_file(PoseSequence(id="x", frames=frames))
+                assert_same_lines(text, per_value_file(frames), writer)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEADERBOARD
-from slpeval.cli import main
+from slpeval.cli import _MATRIX_BLOCK, main
 from slpeval.ranking import (
     CANONICAL_METRICS,
     ScoreVector,
@@ -320,3 +320,33 @@ def test_one_astral_name_does_not_widen_the_ranking_output(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def uniform_items(count: int, seed: int = 5) -> list[dict]:
+    """``count`` entrants with metrics drawn uniformly from [1, 2)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [{"entrant": f"team{i}", "metrics": dict(zip(CANONICAL_METRICS, map(float, row)))}
+            for i, row in enumerate(rng.uniform(1.0, 2.0, (count, len(CANONICAL_METRICS))))]
+
+
+@pytest.mark.parametrize("count", [_MATRIX_BLOCK - 1, _MATRIX_BLOCK, _MATRIX_BLOCK + 1,
+                                   2 * _MATRIX_BLOCK + 1])
+def test_rank_output_across_matrix_blocks_equals_the_plain_encoder(count, tmp_path):
+    items = uniform_items(count)
+    scores, out = tmp_path / "scores.json", tmp_path / "ranking.json"
+    scores.write_text(json.dumps(items), encoding="utf-8")
+    assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_rank_json(items).encode("utf-8")
+
+
+def test_rank_out_holds_one_block_of_the_matrix_at_a_time(tmp_path):
+    scores, out = tmp_path / "scores.json", tmp_path / "ranking.json"
+    scores.write_text(json.dumps(uniform_items(1000)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole output is about 15 MB; the bool matrix and one block of its text take about 5
+    assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import TINY_LAYOUT
+from slpeval.cli import main
 from slpeval.pose import (
     DEFAULT_LAYOUT,
     MAX_COORDINATE,
@@ -184,3 +186,22 @@ def test_synth_corpus_shape_and_determinism():
 def test_synth_corpus_rejects_bad_count():
     with pytest.raises(ValueError, match="count"):
         synth_corpus(count=0, frame_count=3)
+
+
+#: sha256 of every file ``slpeval synth corpus --count 3 --frames 40 --seed 0`` writes,
+#: as the per-value writer spelt them before the vectorized writer replaced it
+SYNTH_CORPUS_DIGESTS = {
+    "manifest.tsv": "3fc319b22137058d28eb373fde69008f3c67d4f48d9b911447aa73e6db9ffece",
+    "poses/seq0000.pose": "c861327e9840f62a2e0be5271fb309505ea1f30a19a9152f92af4c0114de1914",
+    "poses/seq0001.pose": "4014a0856f4c68efd34958796cd147743b5c5b68973ad5c3751e1b7a8ddc8221",
+    "poses/seq0002.pose": "d47abd08b1e93ca71622d88ba459e0240727a621f87eae8d77aea7de5203f2f6",
+}
+
+
+def test_cli_synth_corpus_bytes_are_pinned(tmp_path, capsys):
+    argv = ["synth", "corpus", "--count", "3", "--frames", "40", "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.rglob("*") if path.is_file()}
+    assert written == SYNTH_CORPUS_DIGESTS
