@@ -74,7 +74,9 @@ class ScoreVector:
         # Cc, Zl and Zp hold every line boundary of str.splitlines: one would forge table lines;
         # a lone surrogate (Cs) has no UTF-8 form, so no output could hold the name
         if any(unicodedata.category(char) in ("Cc", "Cs", "Zl", "Zp") for char in self.entrant):
-            raise ValueError(f"entrant {self.entrant!r} holds a control or line-break character")
+            raise ValueError(
+                f"entrant {self.entrant!r} holds a control, line-break or lone surrogate character"
+            )
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
                 f"score vector for {self.entrant!r} must carry one value for each of the "

@@ -766,7 +766,10 @@ def test_cli_rank_refuses_an_entrant_with_a_lone_surrogate(tmp_path, capsys, for
     assert run_cli("rank", "--scores", str(scores), "--format", format) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {scores}: entrant 'team\\ud800' holds a control")
+    assert captured.err == (
+        f"error: {scores}: entrant 'team\\ud800' holds a control, line-break or lone surrogate "
+        "character\n"
+    )
 
 
 def test_cli_rank_ranks_a_team_named_none(tmp_path, capsys):
