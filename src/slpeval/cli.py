@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import itertools
 import json
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +46,7 @@ __all__ = ["main"]
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slpeval", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)  # no dest: a missing one is named by its choices
 
     # each input's dest is its EvaluationConfig field; its metavar keeps the help text
     ev = sub.add_parser("evaluate", help="score a submission and render a metric report")
@@ -104,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sy = sub.add_parser("synth", help="generate synthetic data")
-    sy_sub = sy.add_subparsers(dest="synth_command", required=True)
+    sy_sub = sy.add_subparsers(required=True)
     co = sy_sub.add_parser("corpus", help="write a synthetic pose+sentence corpus")
     co.set_defaults(run=_cmd_synth_corpus)
     co.add_argument("--count", type=int, required=True, help="number of sequences")
@@ -114,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--seed", type=int, default=0, help="corpus seed")
     co.add_argument("--out", type=Path, required=True, help="output directory")
     co.add_argument("--layout", type=Path, help="keypoint layout descriptor")
-    for action in (sub, sy_sub):  # a missing subcommand is then named by its choices
-        action.metavar = "{" + ",".join(action.choices) + "}"
     return parser
 
 
@@ -186,20 +185,13 @@ def _parse_scores(text: str) -> list[ScoreVector]:
     return entries
 
 
-#: rows of the dominance matrix that ``rank`` renders at a time
-_MATRIX_BLOCK = 64
+_MATRIX_BLOCK = 64  # rows of the dominance matrix that ``rank`` renders at a time
 
 
-def _structured_ranking(doc: dict, matrix: np.ndarray) -> Iterator[str]:
-    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"`` in pieces, the
-    non-empty bool ``matrix`` in the list of the first key "matrix" as a byte grid per
-    ``_MATRIX_BLOCK`` rows: no piece holds the whole text, and a name outside ASCII widens
-    only its own."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(doc)
-    # "dominance" sorts first, and the encoder writes each entrant it lists with its indent
-    while (chunk := next(chunks)) != '"matrix"':
-        yield chunk
-    yield chunk + next(chunks) + next(chunks)[0]  # the key, ": " and the "[" of its "[]"
+def _matrix_rows(matrix: np.ndarray) -> Iterable[str]:
+    """A non-empty bool matrix as ``json.dumps(..., indent=2)`` writes it two levels deep, its
+    rows as fixed-width byte grids of _MATRIX_BLOCK rows, each line led by its newline."""
+    yield "["
     for start in range(0, len(matrix), _MATRIX_BLOCK):
         rows = matrix[start : start + _MATRIX_BLOCK]
         grid = np.full((len(rows), len(matrix) + 2), b"\n      [", dtype="S15")
@@ -209,8 +201,6 @@ def _structured_ranking(doc: dict, matrix: np.ndarray) -> Iterator[str]:
         grid[len(matrix) - 1 - start :, -1] = b"\n      ]"  # the matrix's last row, if here
         yield grid.tobytes().replace(b"\0", b"").decode("ascii")
     yield "\n    ]"
-    yield from chunks
-    yield "\n"
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -225,7 +215,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "dominance": {"entrants": [entry.entrant for entry in entries], "matrix": []},
             "scores": {entry.entrant: entry.as_dict() for entry in entries},
         }
-        pieces = _structured_ranking(doc, ranking.dominance)
+        encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+        # chunk by chunk, so a wide name widens only its own; the matrix is doc's only "[]"
+        pieces = itertools.chain.from_iterable(
+            _matrix_rows(ranking.dominance) if chunk == "[]" else (chunk,)
+            for chunk in itertools.chain(encoder.iterencode(doc), ["\n"])
+        )
     _emit(pieces, args.out)
     return 0
 

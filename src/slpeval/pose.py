@@ -4,12 +4,10 @@ Coordinates live in a unitless canonical-skeleton space. A pose file is a
 plain-text format: a header line ``POSE v1 <num_frames> <num_keypoints> <dims>``
 followed by one whitespace-separated line of ``num_keypoints * dims`` decimal
 floats per frame, keypoint-major (``k0.x k0.y k0.z k1.x ...``). A value may be
-anything ``float()`` reads, scientific notation included; writing spells each
-value as ``repr`` does, its shortest decimal that reads back, in fixed notation.
-Files so spelt take an exact vectorized reader; others are read line by line.
-Both rest on one fact: a mantissa over a power of ten, divided in ``long double``
-and rounded to float64, is what ``float()`` reads unless it lies on a float64
-midpoint. The writer keeps the fewest digits that divide back to the value.
+anything ``float()`` reads, scientific notation included. Writing spells each value as
+``repr`` does, in fixed notation: the fewest fraction digits whose ``long double`` quotient
+by a power of ten rounds back to it, off float64 midpoints, as the vectorized reader divides;
+so a written file reads back exactly. Other files are read line by line.
 """
 
 from __future__ import annotations
@@ -256,12 +254,9 @@ def _adopt(id: str, frames: np.ndarray, layout: KeypointLayout) -> PoseSequence:
 
 
 def _format_value(x: float) -> str:
-    # repr gives the shortest round-tripping decimal but may switch to
-    # scientific notation; fall back to positional rendering in that case.
+    # repr's shortest round-tripping decimal, rendered positionally where repr goes scientific
     s = repr(x)
-    if "e" in s:
-        s = np.format_float_positional(x, unique=True, trim="0")
-    return s
+    return np.format_float_positional(x, unique=True, trim="0") if "e" in s else s
 
 
 def _read_exact(text: str, start: int, rows: int, width: int) -> np.ndarray | None:
@@ -423,8 +418,7 @@ def parse_pose_file(text: str, id: str, layout: KeypointLayout = DEFAULT_LAYOUT)
 
 
 def _nearest(a: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mantissas of the nearest decimals to ``a`` with ``digits`` fraction digits, whether
-    ``_read_exact`` reads them back as ``a``, and whether either rounding is in doubt."""
+    """``a``'s nearest mantissas at ``digits`` fraction digits, whether they read back, doubt."""
     word, mask, half = _MIDPOINT
     scaled = a * _POW10[digits]  # correctly rounded, so rint errs only if this is a half
     mantissas = np.rint(scaled)
@@ -433,67 +427,56 @@ def _nearest(a: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return mantissas.astype(np.int64), quotients.astype(np.float64) == a, doubt
 
 
-def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fraction digits and mantissas of the shortest decimals that read back as ``a``, for
-    ``1e-10 <= a < 1``, and where ``_format_value`` must decide instead."""
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest read-back fraction digits (0: ask ``_format_value``) and mantissas of ``a``."""
     digits = 15 - np.floor(np.log10(a)).astype(np.intp)  # 16 significant, or 15 or 17 by log10
     mantissas, ok, doubt = _nearest(a, digits)
-    down = zeros = np.flatnonzero(ok & ~doubt)
-    up = np.flatnonzero(~ok)  # one more digit reads back, as 17 significant digits always do
-    digits[up] += 1
+    down, up = np.flatnonzero(ok & ~doubt), np.flatnonzero(~ok)
+    digits[up] += 1  # one more digit reads back, as 17 significant digits always do
     mantissas[up], ok[up], unsure = _nearest(a[up], digits[up])
     doubt[up] |= unsure | ~ok[up]
-    while len(zeros := zeros[mantissas[zeros] % 10 == 0]):  # the same number, shorter
-        mantissas[zeros], digits[zeros] = mantissas[zeros] // 10, digits[zeros] - 1
     # reading back is monotone in the digit count: the first shorter decimal that fails ends it
     while len(down):
         shorter, ok, unsure = _nearest(a[down], digits[down] - 1)
         doubt[down] |= unsure
         down, shorter = down[ok & ~unsure], shorter[ok & ~unsure]
         mantissas[down], digits[down] = shorter, digits[down] - 1
-    return digits, mantissas, doubt
+    digits[doubt] = 0
+    return digits, mantissas
 
 
-#: the byte grid of one value: "%s" for _format_value's spelling, sign, "0.", a fraction digit
-#: for each power in _POW10, separator. _KEEP[digits, negative] picks the bytes of a value with
-#: that many fraction digits, and _KEEP[0] the "%s" and separator of one _format_value spells
+#: one value's bytes: "%s" for _format_value, sign, "0.", a digit per _POW10 power, separator;
+#: _KEEP[digits, negative] picks those of a value with so many fraction digits (0: the "%s")
 _TEMPLATE = np.frombuffer(b"%s-0." + b"0" * len(_POW10) + b" ", dtype=np.uint8)
 _GRID = len(_TEMPLATE)
 _KEEP = np.repeat(np.arange(_GRID) >= _GRID - 1 - np.arange(len(_POW10))[:, None, None], 2, 1)
 _KEEP[1:, :, 3:5] = _KEEP[1:, 1, 2] = _KEEP[0, :, :2] = True
 
 
-def _write_block(values: np.ndarray, width: int) -> str:
-    """The flat ``values`` as lines of ``width`` values, each spelt as ``_format_value`` does,
-    from a byte grid where that is quicker."""
+def _write_block(rows: np.ndarray) -> str:
+    """Frames of flat values as lines, each value spelt as ``_format_value`` does."""
+    if _MIDPOINT is None or not rows.size:
+        return "".join([" ".join(map(_format_value, row)) + "\n" for row in rows.tolist()])
+    values = rows.reshape(-1)
     a = np.abs(values)
-    fast = (a >= 1e-10) & (a < 1)
-    # the grid costs time for every value and saves it only on zeros and those in its range
-    if _MIDPOINT is None or 2 * np.count_nonzero(fast | (a == 0)) < len(values):
-        rows = values.reshape(-1, width).tolist()
-        return "".join([" ".join(map(_format_value, row)) + "\n" for row in rows])
-    found = np.flatnonzero(fast)
-    # zero is 0.0, one fraction digit and mantissa 0; the search spells the rest in range
-    digits, mantissas = np.ones(len(values), np.intp), np.zeros(len(values), np.int64)
-    digits[found], mantissas[found], doubt = _shortest(a[found])
-    fast[found[doubt]] = False
-    fast |= a == 0
+    found = np.flatnonzero((a >= 1e-10) & (a < 1))
+    digits, mantissas = (a == 0).astype(np.intp), np.zeros(len(values), np.int64)  # 0.0
+    digits[found], mantissas[found] = _shortest(a[found])
     grid = np.tile(_TEMPLATE, (len(values), 1))
     # nine digit columns from each half of the mantissa, divided unsigned: numpy's fastest
     halves = np.stack(np.divmod(mantissas, 10**9), axis=1).astype(np.uint32)
     for column in range(_GRID - 2, _GRID - 11, -1):
         grid[:, [column - 9, column]] = halves - (halves := halves // 10) * 10 + _DIGIT_0
-    grid[width - 1 :: width, -1] = _NEWLINE
-    text = grid[_KEEP[digits * fast, np.signbit(values).view(np.int8)]].tobytes().decode("ascii")
-    return text % tuple(map(_format_value, values[~fast].tolist()))
+    grid.reshape(*rows.shape, _GRID)[:, -1, -1] = _NEWLINE
+    text = grid[_KEEP[digits, np.signbit(values).view(np.int8)]].tobytes().decode("ascii")
+    return text % tuple(map(_format_value, values[digits == 0].tolist()))
 
 
 def write_pose_file(seq: PoseSequence) -> str:
     """Serialize a sequence canonically; ``parse_pose_file`` inverts this exactly."""
     t, k = seq.num_frames, seq.num_keypoints
-    # in blocks of whole frames whose long doubles take about _BLOCK bytes
-    step, values = max(1, _BLOCK // 16 // (k * 3)) * k * 3, seq.frames.reshape(-1)
-    blocks = [_write_block(values[i : i + step], k * 3) for i in range(0, len(values), step)]
+    rows, step = seq.frames.reshape(t, k * 3), max(1, _BLOCK // 16 // max(1, k * 3))
+    blocks = [_write_block(rows[i : i + step]) for i in range(0, t, step)]
     return "".join([f"POSE v1 {t} {k} 3\n", *blocks])
 
 

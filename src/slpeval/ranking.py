@@ -71,12 +71,9 @@ class ScoreVector:
     def __post_init__(self) -> None:
         if not isinstance(self.entrant, str) or not self.entrant:
             raise ValueError(f"entrant must be a non-empty string, got {self.entrant!r}")
-        # Cc, Zl and Zp hold every line boundary of str.splitlines: one would forge table lines;
-        # a lone surrogate (Cs) has no UTF-8 form, so no output could hold the name
+        # line boundaries (Cc, Zl, Zp) would forge table lines; a lone surrogate has no UTF-8
         if any(unicodedata.category(char) in ("Cc", "Cs", "Zl", "Zp") for char in self.entrant):
-            raise ValueError(
-                f"entrant {self.entrant!r} holds a control, line-break or lone surrogate character"
-            )
+            raise ValueError(f"entrant {self.entrant!r} holds a control, line-break or surrogate")
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
                 f"score vector for {self.entrant!r} must carry one value for each of the "

@@ -767,8 +767,7 @@ def test_cli_rank_refuses_an_entrant_with_a_lone_surrogate(tmp_path, capsys, for
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {scores}: entrant 'team\\ud800' holds a control, line-break or lone surrogate "
-        "character\n"
+        f"error: {scores}: entrant 'team\\ud800' holds a control, line-break or surrogate\n"
     )
 
 

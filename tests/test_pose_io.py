@@ -543,6 +543,12 @@ def test_writer_spells_edge_values_per_value():
     assert_spelt_per_value(values.reshape(1, -1, 3))
 
 
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_spells_a_sequence_without_keypoints_as_empty_lines(writer):
+    with mock.patch.multiple(pose, **WRITERS[writer]):
+        assert write_pose_file(PoseSequence(id="x", frames=np.zeros((2, 0, 3)))) == "POSE v1 2 0 3\n\n\n"
+
+
 def test_writer_spells_synth_sequences_per_value():
     for seed in range(3):
         seq = synth_sequence(SynthSpec(frame_count=40, seed=seed))
