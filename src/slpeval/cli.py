@@ -215,12 +215,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "dominance": {"entrants": [entry.entrant for entry in entries], "matrix": []},
             "scores": {entry.entrant: entry.as_dict() for entry in entries},
         }
-        encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
-        # chunk by chunk, so a wide name widens only its own; the matrix is doc's only "[]"
-        pieces = itertools.chain.from_iterable(
-            _matrix_rows(ranking.dominance) if chunk == "[]" else (chunk,)
-            for chunk in itertools.chain(encoder.iterencode(doc), ["\n"])
-        )
+        # the encoder's chunks, so a wide name widens only its own; the matrix is doc's only "[]"
+        chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(doc)
+        head = iter(chunks.__next__, "[]")  # stops on the matrix's chunk, consuming it
+        pieces = itertools.chain(head, _matrix_rows(ranking.dominance), chunks, ["\n"])
     _emit(pieces, args.out)
     return 0
 

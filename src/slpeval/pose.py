@@ -6,8 +6,8 @@ followed by one whitespace-separated line of ``num_keypoints * dims`` decimal
 floats per frame, keypoint-major (``k0.x k0.y k0.z k1.x ...``). A value may be
 anything ``float()`` reads, scientific notation included. Writing spells each value as
 ``repr`` does, in fixed notation: the fewest fraction digits whose ``long double`` quotient
-by a power of ten rounds back to it, off float64 midpoints, as the vectorized reader divides;
-so a written file reads back exactly. Other files are read line by line.
+by a power of ten rounds back to it, off float64 midpoints, as the exact reader divides, so
+a written file reads back exactly. Files in another spelling are read line by line.
 """
 
 from __future__ import annotations
