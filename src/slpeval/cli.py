@@ -39,7 +39,7 @@ from .harness import (
 from .manifest import open_regular, read_input, read_regular
 from .pose import DEFAULT_LAYOUT, KeypointLayout, parse_layout, write_pose_file
 from .ranking import ScoreVector, pareto_fronts
-from .synth import synth_corpus
+from .synth import iter_synth_corpus
 
 __all__ = ["main"]
 
@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--count", type=int, required=True, help="number of sequences")
     co.add_argument("--frames", type=int, required=True, help="frames per sequence")
     co.add_argument("--amplitude", type=float, default=0.1, help="hand swing amplitude")
-    co.add_argument("--frequency", type=float, default=1.0, help="hand swing cycles")
     co.add_argument("--seed", type=int, default=0, help="corpus seed")
     co.add_argument("--out", type=Path, required=True, help="output directory")
     co.add_argument("--layout", type=Path, help="keypoint layout descriptor")
@@ -225,24 +224,16 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_synth_corpus(args: argparse.Namespace) -> int:
     layout = _read_layout(args.layout)
-    corpus = synth_corpus(
-        count=args.count,
-        frame_count=args.frames,
-        amplitude=args.amplitude,
-        frequency=args.frequency,
-        seed=args.seed,
-        layout=layout,
-    )
-    out_dir: Path = args.out
-    pose_dir = out_dir / "poses"
+    corpus = iter_synth_corpus(args.count, args.frames, args.amplitude, args.seed, layout)
+    pairs = itertools.chain([next(corpus)], corpus)  # a refused argument raises before mkdir
+    pose_dir = args.out / "poses"
     pose_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
-    for seq, sentence in corpus:
-        pose_path = pose_dir / f"{seq.id}.pose"
-        pose_path.write_text(write_pose_file(seq), encoding="utf-8")
-        manifest_lines.append(f"{seq.id}\tposes/{seq.id}.pose\t{sentence}")
-    (out_dir / "manifest.tsv").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(corpus)} sequences to {out_dir}")
+    for seq, sentence in pairs:  # each sequence is written, then dropped
+        (pose_dir / f"{seq.id}.pose").write_text(write_pose_file(seq), encoding="utf-8")
+        manifest_lines.append(f"{seq.id}\tposes/{seq.id}.pose\t{sentence}\n")
+    (args.out / "manifest.tsv").write_text("".join(manifest_lines), encoding="utf-8")
+    print(f"wrote {len(manifest_lines)} sequences to {args.out}")
     return 0
 
 

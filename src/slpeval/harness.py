@@ -366,9 +366,9 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     files) plus reference sentences (from ``reference_text`` or the
     reference manifest's third field). Pose files are read only when poses
     are scored or back-translated, one prediction and its reference at a
-    time, after the manifests' ids are checked. Each input file is read
-    once, and those bytes feed ``input_digest``. The first failure aborts
-    the run, naming its file.
+    time, after the manifests' ids and the sentences are checked. Each input
+    file is read once, and those bytes feed ``input_digest``. The first
+    failure aborts the run, naming its file.
     """
     hasher = hashlib.sha256()
     layout, layout_data = DEFAULT_LAYOUT, None
@@ -389,47 +389,19 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     if score_poses:
         _require_same_ids(manifests["ref"], manifests["pred"],
                           f"{config.pred_manifest}: id set mismatch with reference manifest")
-    pairs: dict[str, PairScore] = {}
-    if score_poses or config.backtranslate_command is not None:
-        prepare = normalize_sequence if score_poses and config.normalize else None
-        # in reference-manifest order, each reference pose file with a hasher of its own
-        ref_hashers = {i: hashlib.sha256() for i in manifests["ref"]} if score_poses else {}
-        for entry in manifests["pred"].values():
-            pred = _load_pose(config.pred_manifest, entry, layout, hasher, prepare)
-            if score_poses:
-                ref = _load_pose(config.ref_manifest, manifests["ref"][entry.id], layout,
-                                 ref_hashers[entry.id], prepare)
-                pairs[entry.id] = score_pair(pred, ref)
-        ref_part.extend(ref_hasher.digest() for ref_hasher in ref_hashers.values())
-    hasher.update(b"".join(ref_part))
-    hyp_map = ref_map = None
+
+    # the sentence files are read and checked before any pose file, and hashed after them all
+    text_part: list[bytes] = []
+    text_hasher, hyp_map, ref_map = SimpleNamespace(update=text_part.append), None, None
     if config.hypothesis_file is not None:
         hyp_map = _read_entries(config.hypothesis_file, load_sentence_file, "sentence file",
-                                hasher, b"hyp")
+                                text_hasher, b"hyp")
     if config.reference_text is not None:
         ref_map = _read_entries(config.reference_text, load_sentence_file, "sentence file",
-                                hasher, b"ref-text")
-    if layout_data is not None:
-        _digest_bytes(hasher, b"layout", layout_data)
-    if config.backtranslate_command is not None:
-        _digest_bytes(hasher, b"backtranslate", config.backtranslate_command.encode())
-    hasher.update(b"normalize" if config.normalize else b"raw")
-
-    # summed in reference-manifest order, whatever order the predictions came in
-    pose_score, ratio = (
-        aggregate_pairs([pairs[i] for i in manifests["ref"]]) if score_poses else (None, None)
-    )
-
-    text_score: TextScore | None = None
-    correlation: float | None = None
-    frequent_errors: tuple[tuple[str, int], ...] = ()
-    if hyp_map is not None or config.backtranslate_command is not None:
-        text_source = config.hypothesis_file or config.pred_manifest
-        if hyp_map is None:
-            pred_manifest, pred_dir = manifests["pred"], Path(config.pred_manifest).parent
-            pose_paths = [pred_dir / entry.pose_path for entry in pred_manifest.values()]
-            sentences = run_backtranslation(config.backtranslate_command, pose_paths)
-            hyp_map = dict(zip(pred_manifest, sentences))
+                                text_hasher, b"ref-text")
+    score_text = hyp_map is not None or config.backtranslate_command is not None
+    text_source = config.hypothesis_file or config.pred_manifest
+    if score_text:
         if ref_map is None and "ref" in manifests:
             ref_manifest = manifests["ref"]
             ref_map = {entry.id: entry.reference_sentence
@@ -444,8 +416,43 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
                 f"{text_source}: no reference sentences available "
                 "(need --ref-text or a reference manifest with sentences)"
             )
-        _require_same_ids(ref_map, hyp_map,
+        # back-translation yields one sentence per prediction, under its id
+        _require_same_ids(ref_map, manifests["pred"] if hyp_map is None else hyp_map,
                           f"{text_source}: hypothesis ids do not match reference ids")
+
+    pairs: dict[str, PairScore] = {}
+    if score_poses or config.backtranslate_command is not None:
+        prepare = normalize_sequence if score_poses and config.normalize else None
+        # in reference-manifest order, each reference pose file with a hasher of its own
+        ref_hashers = {i: hashlib.sha256() for i in manifests["ref"]} if score_poses else {}
+        for entry in manifests["pred"].values():
+            pred = _load_pose(config.pred_manifest, entry, layout, hasher, prepare)
+            if score_poses:
+                ref = _load_pose(config.ref_manifest, manifests["ref"][entry.id], layout,
+                                 ref_hashers[entry.id], prepare)
+                pairs[entry.id] = score_pair(pred, ref)
+        ref_part.extend(ref_hasher.digest() for ref_hasher in ref_hashers.values())
+    hasher.update(b"".join(ref_part + text_part))
+    if layout_data is not None:
+        _digest_bytes(hasher, b"layout", layout_data)
+    if config.backtranslate_command is not None:
+        _digest_bytes(hasher, b"backtranslate", config.backtranslate_command.encode())
+    hasher.update(b"normalize" if config.normalize else b"raw")
+
+    # summed in reference-manifest order, whatever order the predictions came in
+    pose_score, ratio = (
+        aggregate_pairs([pairs[i] for i in manifests["ref"]]) if score_poses else (None, None)
+    )
+
+    text_score: TextScore | None = None
+    correlation: float | None = None
+    frequent_errors: tuple[tuple[str, int], ...] = ()
+    if score_text:
+        if hyp_map is None:
+            pred_manifest, pred_dir = manifests["pred"], Path(config.pred_manifest).parent
+            pose_paths = [pred_dir / entry.pose_path for entry in pred_manifest.values()]
+            sentences = run_backtranslation(config.backtranslate_command, pose_paths)
+            hyp_map = dict(zip(pred_manifest, sentences))
         ids = list(ref_map)
         hyps = TokenizedCorpus.from_raw([hyp_map[i] for i in ids])
         refs_text = TokenizedCorpus.from_raw([ref_map[i] for i in ids])

@@ -47,24 +47,12 @@ class DegenerateTorsoError(ValueError):
     """Raised when neck and shoulders are collinear and no torso plane exists."""
 
 
-def _share_a_term(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    """Whether two increasing arithmetic progressions ``(first, step, last)`` share a term."""
-    (a0, da, a1), (b0, db, b1) = a, b
-    low, high, g = max(a0, b0), min(a1, b1), math.gcd(da, db)
-    if low > high or (b0 - a0) % g:
-        return False
-    # a0 + da * t is b0 modulo db; the common terms repeat every lcm(da, db) from there
-    t = (b0 - a0) // g * pow(da // g, -1, db // g) % (db // g)
-    first, lcm = a0 + da * t, da // g * db
-    return low + (first - low) % lcm <= high
-
-
 @dataclass(frozen=True)
 class KeypointLayout:
     """Named index ranges over the keypoints of a skeleton.
 
-    The four ranges must be disjoint and together cover exactly
-    ``[0, total)``. The neck and shoulder indices must lie in the body range.
+    The four ranges must each count up by one, be disjoint and together cover
+    exactly ``[0, total)``. The neck and shoulder indices must lie in the body range.
     """
 
     body: range
@@ -76,17 +64,17 @@ class KeypointLayout:
     right_shoulder: int
 
     def __post_init__(self) -> None:
-        ranges = (self.body, self.face, self.left_hand, self.right_hand)
-        # their lengths sum to total, so they tile [0, total) when each lies inside it
-        # and no two share an index; each non-empty one as (lowest, step, highest)
-        terms = [(min(r[0], r[-1]), abs(r.step), max(r[0], r[-1])) for r in ranges if r]
-        if any(low < 0 or high >= self.total for low, _, high in terms) or any(
-            _share_a_term(a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
-        ):
+        ranges = {name: r for name, r in vars(self).items() if isinstance(r, range)}
+        for name, r in ranges.items():
+            if r != range(r.start, r.start + len(r)):  # compared in O(1), as sequences
+                raise LayoutError(f"layout range {name}={r} must count up by one")
+        # their lengths sum to total, so they tile [0, total) when, in start order,
+        # each starts where the one before it (or 0) stops
+        blocks = sorted((r.start, r.start + len(r)) for r in ranges.values() if r)
+        if [start for start, _ in blocks] != [0, *(stop for _, stop in blocks)][: len(blocks)]:
             raise LayoutError(
-                "layout ranges must be disjoint and cover exactly "
-                f"[0, {self.total}): body={self.body} face={self.face} "
-                f"left_hand={self.left_hand} right_hand={self.right_hand}"
+                f"layout ranges must be disjoint and cover exactly [0, {self.total}): "
+                + " ".join(f"{name}={r}" for name, r in ranges.items())
             )
         for name, idx in (
             ("neck", self.neck),
@@ -217,8 +205,8 @@ class PoseSequence:
         frames = np.array(self.frames, dtype=np.float64, copy=True)
         if frames.ndim != 3 or frames.shape[2] != 3:
             raise ValueError(f"frames must have shape (T, K, 3), got {frames.shape}")
-        if frames.shape[0] < 1:
-            raise ValueError("a pose sequence needs at least one frame")
+        if frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise ValueError(f"a pose sequence needs at least one frame and keypoint, got {frames.shape}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
@@ -455,7 +443,7 @@ _KEEP[1:, :, 3:5] = _KEEP[1:, 1, 2] = _KEEP[0, :, :2] = True
 
 def _write_block(rows: np.ndarray) -> str:
     """Frames of flat values as lines, each value spelt as ``_format_value`` does."""
-    if _MIDPOINT is None or not rows.size:
+    if _MIDPOINT is None:
         return "".join([" ".join(map(_format_value, row)) + "\n" for row in rows.tolist()])
     values = rows.reshape(-1)
     a = np.abs(values)
@@ -475,7 +463,7 @@ def _write_block(rows: np.ndarray) -> str:
 def write_pose_file(seq: PoseSequence) -> str:
     """Serialize a sequence canonically; ``parse_pose_file`` inverts this exactly."""
     t, k = seq.num_frames, seq.num_keypoints
-    rows, step = seq.frames.reshape(t, k * 3), max(1, _BLOCK // 16 // max(1, k * 3))
+    rows, step = seq.frames.reshape(t, k * 3), max(1, _BLOCK // 16 // (k * 3))
     blocks = [_write_block(rows[i : i + step]) for i in range(0, t, step)]
     return "".join([f"POSE v1 {t} {k} 3\n", *blocks])
 

@@ -10,6 +10,7 @@ stable across platforms and numpy releases.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .pose import DEFAULT_LAYOUT, MAX_COORDINATE, KeypointLayout, PoseSequence
 
 __all__ = [
     "SynthSpec",
+    "iter_synth_corpus",
     "mean_pose_baseline",
     "perturb",
     "rest_pose",
@@ -40,7 +42,6 @@ class SynthSpec:
 
     frame_count: int
     amplitude: float = 0.1
-    frequency: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -56,12 +57,6 @@ class SynthSpec:
             raise ValueError(
                 f"amplitude must be at most {MAX_COORDINATE:g}, where validation bounds "
                 f"coordinates, got {self.amplitude}"
-            )
-        # a huge finite frequency still overflows the phase to inf, and sin(inf) is nan
-        if not math.isfinite(2.0 * math.pi * self.frequency * self.frame_count):
-            raise ValueError(
-                f"frequency must be finite, with 2*pi*frequency*frame_count finite too, "
-                f"got {self.frequency}"
             )
 
 
@@ -112,7 +107,7 @@ def synth_sequence(
     """Generate one sequence; identical (spec, layout) always yields identical output.
 
     Hand keypoints oscillate along per-keypoint random unit directions with
-    random phases; displacement is linear in the amplitude.
+    random phases, one cycle per sequence; displacement is linear in the amplitude.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     base = rest_pose(layout)
@@ -122,7 +117,7 @@ def synth_sequence(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=len(hand_idx))
 
     t = np.arange(spec.frame_count)[:, None]
-    angle = 2.0 * np.pi * spec.frequency * t / spec.frame_count + phases[None, :]
+    angle = 2.0 * np.pi * t / spec.frame_count + phases[None, :]
     swing = spec.amplitude * np.sin(angle)  # (T, n_hand)
 
     frames = np.broadcast_to(base, (spec.frame_count, *base.shape)).copy()
@@ -192,27 +187,31 @@ def synth_sentence(seed: int, min_words: int = 4, max_words: int = 8) -> str:
     return " ".join(_VOCABULARY[i] for i in words)
 
 
+def iter_synth_corpus(
+    count: int,
+    frame_count: int,
+    amplitude: float = 0.1,
+    seed: int = 0,
+    layout: KeypointLayout = DEFAULT_LAYOUT,
+) -> Iterator[tuple[PoseSequence, str]]:
+    """The (sequence, reference sentence) pairs of a corpus derived from one seed, made one
+    at a time; the arguments are checked when the first pair is asked for."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    state = np.random.SeedSequence(seed).generate_state(2 * count, np.uint64)
+    for i in range(count):
+        spec = SynthSpec(frame_count=frame_count, amplitude=amplitude, seed=int(state[2 * i]))
+        yield synth_sequence(spec, layout, id=f"seq{i:04d}"), synth_sentence(int(state[2 * i + 1]))
+
+
 def synth_corpus(
     count: int,
     frame_count: int,
     amplitude: float = 0.1,
-    frequency: float = 1.0,
     seed: int = 0,
     layout: KeypointLayout = DEFAULT_LAYOUT,
 ) -> list[tuple[PoseSequence, str]]:
     """A corpus of (sequence, reference sentence) pairs, derived from one seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    state = np.random.SeedSequence(seed).generate_state(2 * count, np.uint64)
-    corpus = []
-    for i in range(count):
-        spec = SynthSpec(
-            frame_count=frame_count,
-            amplitude=amplitude,
-            frequency=frequency,
-            seed=int(state[2 * i]),
-        )
-        seq = synth_sequence(spec, layout, id=f"seq{i:04d}")
-        sentence = synth_sentence(int(state[2 * i + 1]))
-        corpus.append((seq, sentence))
-    return corpus
+    return list(iter_synth_corpus(count, frame_count, amplitude, seed, layout))

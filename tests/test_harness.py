@@ -518,6 +518,14 @@ def test_evaluate_help_names_each_input_by_its_flag(capsys):
             "[--ref-text REF_TEXT] [--layout LAYOUT] [--no-normalize]") in usage
 
 
+def test_synth_corpus_help_names_each_flag(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("synth", "corpus", "--help")
+    usage = " ".join(capsys.readouterr().out.split())
+    assert usage.startswith("usage: slpeval synth corpus [-h] --count COUNT --frames FRAMES "
+                            "[--amplitude AMPLITUDE] [--seed SEED] --out OUT [--layout LAYOUT] ")
+
+
 #: names the benchmark's tracer still wraps although they are gone (ROADMAP item 10)
 STALE_TRACER_SITES = {
     ("slpeval.cli", "submission_digest"),
@@ -1165,6 +1173,35 @@ def test_score_pair_calls_dtw_align_once_per_pair(corpus_writer):
     assert [call.args[0].id for call in spy.call_args_list] == [seq.id for seq, _ in corpus]
 
 
+#: each sentence fault ``evaluate`` finds from the sentence files and manifests alone
+SENTENCE_FAULTS = {
+    "malformed-hyp": "sentence file line 1: expected 'id<TAB>sentence'",
+    "empty-ref-text": "sentence file lists no entries",
+    "no-ref-sentences": "manifest lacks reference sentences",
+    "hyp-ids": "hypothesis ids do not match reference ids",
+}
+
+
+@pytest.mark.parametrize("fault", SENTENCE_FAULTS)
+def test_evaluate_checks_the_sentences_before_any_dtw(corpus_writer, sentence_writer, capsys,
+                                                       fault):
+    corpus = small_corpus()
+    ref, pred = corpus_writer(corpus, "ref"), corpus_writer(corpus, "pred")
+    hyp = sentence_writer(hyp_pairs(corpus[1:] if fault == "hyp-ids" else corpus), "hyp.tsv")
+    argv = ["evaluate", "--pred", str(pred), "--ref", str(ref), "--hyp", str(hyp)]
+    if fault == "malformed-hyp":
+        hyp.write_text("no tab\n", encoding="utf-8")
+    elif fault == "empty-ref-text":
+        argv += ["--ref-text", str(sentence_writer([], "ref.tsv"))]
+    elif fault == "no-ref-sentences":
+        ref.write_text("".join(f"{seq.id}\tposes/{seq.id}.pose\n" for seq, _ in corpus),
+                       encoding="utf-8")
+    with mock.patch.object(pose_metrics, "dtw_align", wraps=pose_metrics.dtw_align) as spy:
+        assert run_cli(*argv) == 2
+    assert spy.call_count == 0
+    assert SENTENCE_FAULTS[fault] in capsys.readouterr().err
+
+
 def test_backtranslation_rejects_malformed_pose_before_running(
     corpus_writer, sentence_writer, tmp_path
 ):
@@ -1241,15 +1278,29 @@ def test_cli_rank_names_unreadable_score_file(tmp_path, capsys, data, message):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--amplitude", "nan"), ("--amplitude", "inf"), ("--frequency", "inf"), ("--frequency", "nan"),
-     ("--frequency", "1e308"), ("--frequency", "-1e308")],
+    [("--amplitude", "nan"), ("--amplitude", "inf")],
 )
 def test_cli_synth_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     out = tmp_path / "corpus"
-    # "--flag=value" form, since argparse reads a bare "-1e308" as an option
     assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", f"{flag}={value}",
                    "--out", str(out)) == 2
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_synth_has_no_frequency(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("synth", "corpus", "--count", "2", "--frames", "4", "--frequency", "2",
+                "--out", str(tmp_path / "corpus"))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --frequency 2" in capsys.readouterr().err
+
+
+def test_cli_synth_names_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run_cli("synth", "corpus", "--count", "2", "--frames", "4", "--seed", "-1",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -1328,6 +1379,14 @@ def test_evaluate_and_validate_hold_one_pair_at_a_time(tmp_path):
         lambda m: validate_submission(m, m, DEVELOPMENT_RULES, [], now=NOW),
     ):
         assert traced_peak(lambda: run(full)) - traced_peak(lambda: run(first_8)) <= one_sequence
+
+
+def test_synth_corpus_holds_one_sequence_at_a_time(tmp_path, capsys):
+    def run(count: int) -> None:
+        assert run_cli("synth", "corpus", "--count", str(count), "--frames", "40",
+                       "--out", str(tmp_path / str(count))) == 0
+
+    assert traced_peak(lambda: run(32)) - traced_peak(lambda: run(8)) <= 40 * 178 * 3 * 8
 
 
 def test_validate_folds_each_files_coordinate_faults(corpus_writer):

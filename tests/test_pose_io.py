@@ -89,6 +89,10 @@ def tiles_exactly(ranges) -> bool:
     return covered == set(range(count)) and count == len(covered)
 
 
+def counts_up_by_one(r: range) -> bool:
+    return all(b == a + 1 for a, b in zip(r, r[1:]))
+
+
 SMALL_RANGE = st.builds(range, st.integers(-3, 12), st.integers(-3, 12),
                         st.sampled_from([1, 1, 2, -1, -2]))
 #: four ranges that do tile [0, total), each possibly reversed, in any order
@@ -101,16 +105,25 @@ TILING = st.tuples(st.lists(st.integers(0, 5), min_size=4, max_size=4),
 
 @settings(max_examples=300, deadline=None)
 @given(ranges=st.tuples(SMALL_RANGE, SMALL_RANGE, SMALL_RANGE, SMALL_RANGE) | TILING)
-@example(ranges=(range(0, 0), range(0, 0), range(0, 3, 2), range(1, 2)))  # interleaved, tiles
-@example(ranges=(range(0, 0), range(0, 0), range(0, 4, 2), range(1, 6, 2)))  # 4 left out
+@example(ranges=(range(0, 0), range(0, 0), range(0, 3, 2), range(1, 2)))  # interleaved: refused
+@example(ranges=(range(0, 0), range(0, 0), range(0, 4, 2), range(1, 6, 2)))  # stepped, 4 left out
+@example(ranges=(range(0, 1), range(1, 0, -1), range(2, 2), range(2, 3)))  # one index, stop 0
 def test_layout_range_check_agrees_with_set_oracle(ranges):
     anchor = ranges[0][0] if ranges[0] else 0
     try:
         KeypointLayout(*ranges, neck=anchor, left_shoulder=anchor, right_shoulder=anchor)
-        tiled = True
+        accepted = True
     except LayoutError as err:
-        tiled = "disjoint" not in str(err)  # a body with no indices fails only the neck check
-    assert tiled == tiles_exactly(ranges)
+        # a body with no indices fails only the neck check, which follows the range checks
+        accepted = "outside body range" in str(err)
+    assert accepted == (tiles_exactly(ranges) and all(map(counts_up_by_one, ranges)))
+
+
+@pytest.mark.parametrize("face", [range(5, 2, -1), range(3, 8, 2)], ids=["reversed", "stepped"])
+def test_layout_refuses_a_range_that_does_not_count_up_by_one(face):
+    ranges = dict(body=range(0, 3), face=face, left_hand=range(0, 0), right_hand=range(0, 0))
+    with pytest.raises(LayoutError, match=re.escape(f"layout range face={face} must count up")):
+        KeypointLayout(**ranges, neck=0, left_shoulder=1, right_shoulder=2)
 
 
 def test_layout_of_a_trillion_keypoints_constructs_at_once():
@@ -182,6 +195,11 @@ def test_sequence_rejects_bad_shape(tiny_layout):
         PoseSequence(id="s", frames=np.zeros((2, 6, 2)), layout=tiny_layout)
     with pytest.raises(ValueError, match="at least one frame"):
         PoseSequence(id="s", frames=np.zeros((0, 6, 3)), layout=tiny_layout)
+
+
+def test_sequence_needs_a_keypoint():
+    with pytest.raises(ValueError, match="at least one frame and keypoint"):
+        PoseSequence(id="x", frames=np.zeros((2, 0, 3)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,12 +559,6 @@ def test_writer_spells_edge_values_per_value():
     values = np.array(EDGE_VALUES + [0.0] * (-len(EDGE_VALUES) % 3))
     assert_spelt_per_value(values.reshape(-1, 1, 3))
     assert_spelt_per_value(values.reshape(1, -1, 3))
-
-
-@pytest.mark.parametrize("writer", WRITERS)
-def test_writer_spells_a_sequence_without_keypoints_as_empty_lines(writer):
-    with mock.patch.multiple(pose, **WRITERS[writer]):
-        assert write_pose_file(PoseSequence(id="x", frames=np.zeros((2, 0, 3)))) == "POSE v1 2 0 3\n\n\n"
 
 
 def test_writer_spells_synth_sequences_per_value():

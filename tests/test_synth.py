@@ -42,7 +42,7 @@ def test_rest_pose_torso_is_not_degenerate():
 
 
 def test_sequences_are_reproducible():
-    spec = SynthSpec(frame_count=8, amplitude=0.2, frequency=1.5, seed=42)
+    spec = SynthSpec(frame_count=8, amplitude=0.2, seed=42)
     a = synth_sequence(spec)
     b = synth_sequence(spec)
     assert a == b
@@ -84,14 +84,7 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "value, field",
-    [
-        (value, field)
-        for value in (math.nan, math.inf, -math.inf)
-        for field in ("amplitude", "frequency")
-    ]
-    # finite, but the phase 2*pi*frequency*t overflows
-    + [(1e308, "frequency"), (-1e308, "frequency")],
+    "value, field", [(value, "amplitude") for value in (math.nan, math.inf, -math.inf)]
 )
 def test_spec_rejects_non_finite_parameters(value, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
