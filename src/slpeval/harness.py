@@ -400,8 +400,8 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         ref_map = _read_entries(config.reference_text, load_sentence_file, "sentence file",
                                 text_hasher, b"ref-text")
     score_text = hyp_map is not None or config.backtranslate_command is not None
-    text_source = config.hypothesis_file or config.pred_manifest
     if score_text:
+        text_source = config.hypothesis_file or config.pred_manifest
         if ref_map is None and "ref" in manifests:
             ref_manifest = manifests["ref"]
             ref_map = {entry.id: entry.reference_sentence
