@@ -561,6 +561,15 @@ def test_writer_spells_edge_values_per_value():
     assert_spelt_per_value(values.reshape(1, -1, 3))
 
 
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_spells_a_one_keypoint_sequence_as_one_triple_a_line(writer):
+    # the fewest keypoints a sequence may have: each frame is a row of three values
+    frames = np.array([[[0.0, 0.5, -1.0]], [[0.125, -2.5, 3.0]], [[1e-3, 0.25, -0.0]]])
+    with mock.patch.multiple(pose, **WRITERS[writer]):
+        text = write_pose_file(PoseSequence(id="x", frames=frames))
+    assert text == "POSE v1 3 1 3\n0.0 0.5 -1.0\n0.125 -2.5 3.0\n0.001 0.25 -0.0\n"
+
+
 def test_writer_spells_synth_sequences_per_value():
     for seed in range(3):
         seq = synth_sequence(SynthSpec(frame_count=40, seed=seed))
