@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pose import DEFAULT_LAYOUT, MAX_COORDINATE, KeypointLayout, PoseSequence
+from .pose import DEFAULT_LAYOUT, MAX_COORDINATE, KeypointLayout, PoseSequence, _adopt
 
 __all__ = [
     "SynthSpec",
@@ -117,13 +117,14 @@ def synth_sequence(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=len(hand_idx))
 
     t = np.arange(spec.frame_count)[:, None]
-    angle = 2.0 * np.pi * t / spec.frame_count + phases[None, :]
-    swing = spec.amplitude * np.sin(angle)  # (T, n_hand)
+    swing = np.sin(2.0 * np.pi * t / spec.frame_count + phases[None, :])  # (T, n_hand)
+    swing *= spec.amplitude
 
     frames = np.broadcast_to(base, (spec.frame_count, *base.shape)).copy()
-    frames[:, hand_idx, :] += swing[:, :, None] * directions[None, :, :]
-    seq_id = id if id is not None else f"synth-{spec.seed}"
-    return PoseSequence(id=seq_id, frames=frames, layout=layout)
+    hands = swing[:, :, None] * directions[None, :, :]
+    hands += base[hand_idx]
+    frames[:, hand_idx, :] = hands
+    return _adopt(id if id is not None else f"synth-{spec.seed}", frames, layout)
 
 
 def perturb(seq: PoseSequence, sigma: float, seed: int) -> PoseSequence:
@@ -131,8 +132,10 @@ def perturb(seq: PoseSequence, sigma: float, seed: int) -> PoseSequence:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    unit_noise = rng.uniform(-1.0, 1.0, size=seq.frames.shape)
-    return PoseSequence(id=seq.id, frames=seq.frames + sigma * unit_noise, layout=seq.layout)
+    noise = rng.uniform(-1.0, 1.0, size=seq.frames.shape)
+    noise *= sigma
+    noise += seq.frames
+    return _adopt(seq.id, noise, seq.layout)
 
 
 def _check_same_shape(refs: list[PoseSequence]) -> None:

@@ -5,7 +5,8 @@ percentages. BLEU pools n-gram counts over the corpus (no smoothing: a zero
 precision at any order zeroes the score). CHRF pools character n-gram counts
 per order and averages the per-order F-scores. Both clip n-gram matches per
 sentence pair and count them for the whole corpus in numpy, in batches of
-about ``_BATCH_UNITS`` units, one sort per order and batch. ROUGE-L averages
+about ``_BATCH_UNITS`` units (tokens, or characters whose ids are their code
+points), one sort per order and batch. ROUGE-L averages
 per-sentence LCS F1, with the LCS length from a bit-parallel recurrence (Hyyrö
 2004). WER is token-level Levenshtein with unit costs, with the full
 substitution/deletion/insertion decomposition, so rates above 100 are possible
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -41,7 +42,7 @@ __all__ = [
 CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 #: sentence pairs are counted in batches of about this many units
-_BATCH_UNITS = 4096
+_BATCH_UNITS = 16384
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -105,45 +106,42 @@ def _check_paired(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> None:
 
 
 def _clipped_counts(
-    hyp_units: Sequence[Sequence[Hashable]], ref_units: Sequence[Sequence[Hashable]], max_n: int
+    lengths: list[list[int]], unit_ids: Callable[[slice], tuple[np.ndarray, int]], max_n: int
 ) -> list[tuple[int, int, int]]:
     """``(clipped matches, hyp n-grams, ref n-grams)`` per order 1..max_n, pooled.
 
-    A hypothesis n-gram matches at most as often as it occurs in the paired
-    reference. Every unit gets a dense id; an n-gram's id is the (n-1)-gram
-    id at its position times the vocabulary size plus its last unit's id.
-    Each kept n-gram gets the key ``(pair * span + gram) * 2 + side``, side 0
-    for the hypothesis and 1 for the reference, and the keys of an order and
-    batch are sorted once: a hypothesis run followed by a run of its key + 1
-    is a match.
+    ``lengths`` holds the hypotheses' and the references' unit counts;
+    ``unit_ids(pairs)`` gives ``size`` and the ids in ``range(size)`` of a
+    slice of pairs' hypothesis units, then their reference units. A hypothesis
+    n-gram matches at most as often as it occurs in the paired reference. An
+    n-gram's id is the (n-1)-gram id at its position times ``size`` plus its
+    last unit's id. Each kept n-gram gets the key ``(pair * span + gram) * 2 +
+    side``, side 0 for the hypothesis and 1 for the reference, and the keys of
+    an order and batch are sorted once: a hypothesis run followed by a run of
+    its key + 1 is a match.
     """
-    vocab = {u: i for i, u in enumerate(dict.fromkeys(chain(*hyp_units, *ref_units)))}
-    lengths = np.array([[len(u) for u in side] for side in (hyp_units, ref_units)], np.int64)
+    lengths = np.array(lengths, np.int64)
     pair_off = np.concatenate(([0], np.cumsum(lengths.sum(axis=0))))
     totals = np.zeros((max_n, 3), np.int64)
     start = 0
-    while start < len(hyp_units):
+    while start < lengths.shape[1]:
         stop = int(np.searchsorted(pair_off, pair_off[start] + _BATCH_UNITS, "right")) - 1
         stop = max(stop, start + 1)
         # hypothesis units of the batch's pairs, then their reference units
         batch = lengths[:, start:stop].ravel()
-        units = np.fromiter(
-            map(vocab.__getitem__, chain(*hyp_units[start:stop], *ref_units[start:stop])),
-            np.int64,
-            batch.sum(),
-        )
+        units, size = unit_ids(slice(start, stop))
         split = batch[: stop - start].sum()
         pair = np.tile(np.arange(stop - start), 2).repeat(batch)
         side = np.arange(len(units)) >= split
         left = np.cumsum(batch).repeat(batch) - np.arange(len(units))
-        gram, span = units, len(vocab)
+        gram, span = units, size
         for n in range(1, max_n + 1):
             if n > 1:
                 # renumber densely only when this order's keys could reach 2**62
-                if (stop - start) * span * len(vocab) * 2 >= 2**62:
+                if (stop - start) * span * size * 2 >= 2**62:
                     grams, gram = np.unique(gram, return_inverse=True)
                     span = len(grams)
-                gram, span = gram[:-1] * len(vocab) + units[n - 1 :], span * len(vocab)
+                gram, span = gram[:-1] * size + units[n - 1 :], span * size
             keep = left[: len(gram)] >= n
             keys = np.sort(((pair[: len(gram)] * span + gram) * 2 + side[: len(gram)])[keep])
             # the lengths of the runs of equal keys, the first of run k > 0 at starts[k - 1];
@@ -169,7 +167,14 @@ def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ..
     """
     _check_paired(hyps, refs)
 
-    counts = _clipped_counts(hyps.sentences, refs.sentences, 4)
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(*hyps.sentences, *refs.sentences)))}
+
+    def token_ids(pairs: slice) -> tuple[np.ndarray, int]:
+        tokens = chain(*hyps.sentences[pairs], *refs.sentences[pairs])
+        return np.fromiter(map(vocab.__getitem__, tokens), np.int64), len(vocab)
+
+    lengths = [[len(s) for s in corpus.sentences] for corpus in (hyps, refs)]
+    counts = _clipped_counts(lengths, token_ids, 4)
     precisions = [m / t if t else 0.0 for m, t, _ in counts]
     _, hyp_len, ref_len = counts[0]
     brevity = 1.0 if hyp_len >= ref_len or hyp_len == 0 else math.exp(1.0 - ref_len / hyp_len)
@@ -185,14 +190,21 @@ def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ..
 def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     """Character n-gram F-beta averaged over orders 1..6, beta = 2.
 
-    Precision and recall per order come from corpus-pooled counts; whitespace
-    is not part of the character stream. Orders with no n-grams on either
-    side (corpora shorter than the order) do not enter the average.
+    Precision and recall per order come from corpus-pooled counts over the
+    characters ``str.split()`` keeps. Orders with no n-grams on either side
+    (corpora shorter than the order) do not enter the average.
     """
     _check_paired(hyps, refs)
-    streams = [["".join(s.split()) for s in corpus.raw] for corpus in (hyps, refs)]
+
+    def code_points(pairs: slice) -> tuple[np.ndarray, int]:
+        # "surrogatepass" gives a lone surrogate its own code point, as len() counts it
+        text = "".join("".join([*hyps.raw[pairs], *refs.raw[pairs]]).split())
+        ids = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        return ids.astype(np.int64), int(ids.max(initial=0)) + 1
+
+    lengths = [[len("".join(s.split())) for s in corpus.raw] for corpus in (hyps, refs)]
     f_sum, orders = 0.0, 0
-    for matched, total_hyp, total_ref in _clipped_counts(*streams, CHRF_MAX_ORDER):
+    for matched, total_hyp, total_ref in _clipped_counts(lengths, code_points, CHRF_MAX_ORDER):
         if total_hyp == 0 and total_ref == 0:
             continue
         precision = matched / total_hyp if total_hyp else 0.0
@@ -246,7 +258,7 @@ def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
     """Word error rate with its substitution/deletion/insertion decomposition per sentence.
 
     Pairs are sorted by (reference, hypothesis) length into batches whose
-    tables hold about ``64 * _BATCH_UNITS`` cells. A batch's Levenshtein
+    tables hold about ``16 * _BATCH_UNITS`` cells. A batch's Levenshtein
     tables are filled one reference position at a time: with ``t[j]`` the
     better of the diagonal and the step from above, the row is
     ``j + min(t[k] - k for k <= j)``. All its pairs are then traced back at
@@ -272,7 +284,7 @@ def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
     bounds, size, widest = [0], 0, 0
     for k, (r, h) in enumerate(zip(ref_len[order].tolist(), hyp_len[order].tolist())):
         widest = max(widest, h)
-        if size and (size + 1) * (r + 1) * (widest + 1) > 64 * _BATCH_UNITS:
+        if size and (size + 1) * (r + 1) * (widest + 1) > 16 * _BATCH_UNITS:
             bounds.append(k)
             size, widest = 0, h
         size += 1

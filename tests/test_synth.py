@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,26 @@ def test_perturb_deviation_grows_with_sigma():
     small = perturb(seq, 0.01, seed=9)
     large = perturb(seq, 0.05, seed=9)
     assert np.abs(large.frames - seq.frames).max() > np.abs(small.frames - seq.frames).max()
+
+
+def test_synth_sequence_and_perturb_build_one_frames_array():
+    # a 1000-frame default-layout sequence; numpy's first-call allocations are made beforehand
+    perturb(synth_sequence(SynthSpec(frame_count=2)), 0.1, seed=0)
+    tracemalloc.start()
+    try:
+        seq = synth_sequence(SynthSpec(frame_count=1000, seed=6))
+        _, made = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        noisy = perturb(seq, 0.02, seed=9)
+        _, perturbed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert made < 1.5 * seq.frames.nbytes
+    assert perturbed - held < 1.5 * seq.frames.nbytes
+    # the noise is added in place, in the other order: IEEE addition commutes
+    unit_noise = np.random.Generator(np.random.PCG64(9)).uniform(-1.0, 1.0, seq.frames.shape)
+    assert np.array_equal(noisy.frames, seq.frames + 0.02 * unit_noise)
 
 
 def test_perturb_rejects_negative_sigma():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -535,6 +536,17 @@ oracle_corpora = st.integers(1, 6).flatmap(
 @example(corpora=(["aaaaaaa"], ["aaa"]))
 @example(corpora=(["\U0001F600\U0001F600 ä"], ["\U0001F600 Ä\U0001F600"]))
 @example(corpora=(["a b c d e"], ["a b c d e"]))
+# whitespace beyond space, tab and newline that str.split() drops
+@example(corpora=(["a\u3000b\x85c d\u2028e\x1ff"], ["ab\u3000c\x85 d\u2028\x1fef"]))
+# code points up to U+10FFFF in several pairs of one batch: n-gram ids are renumbered
+@example(corpora=(
+    ["\U0010FFFF\U0001F600a \U0001F600\U0010FFFFb", "a\U0010FFFF\U0010FFFFb", "\U0010FFFE" * 8],
+    ["\U0001F600\U0010FFFF a\U0010FFFF", "\U0010FFFFa\U0010FFFFb\U0001F600", "\U0010FFFE" * 7],
+))
+# lone surrogates, one of them half of a pair split in two, each its own character
+@example(corpora=(["a\ud800b", "\ud83d\ude00"], ["a\ud800b c", "\ud83d"]))
+# one pair longer than a whole batch of characters
+@example(corpora=(["abcä" * 4500 + " d", "a"], ["abäc" * 4500, "b a"]))
 def test_text_metrics_match_reference_exactly(batch_units, corpora):
     # a batch never splits a sentence pair; 1 puts every pair in its own batch
     with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
@@ -628,6 +640,22 @@ def test_bleu_keeps_apart_four_grams_whose_ids_agree_modulo_2_to_the_64():
     h, r = corpus(*hyps), corpus(*refs)
     with mock.patch.object(text_metrics, "_BATCH_UNITS", 10**6):
         assert bleu_corpus(h, r) == reference_bleu_corpus(h, r)
+
+
+def test_chrf_memory_is_bounded_by_a_batch():
+    # 20,000 pairs, about 3 M characters: ids for the whole corpus would take 8 bytes a
+    # character, while one batch's arrays and the per-sentence lengths stay far below that
+    refs = [synth_sentence(i, 8, 16) for i in range(2000)] * 10
+    hyps = [synth_sentence(i if i % 3 else 5000 + i, 8, 16) for i in range(2000)] * 10
+    h, r = corpus(*hyps), corpus(*refs)
+    chars = sum(map(len, hyps + refs))
+    tracemalloc.start()
+    try:
+        chrf(h, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * chars / 4
 
 
 @pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 50])
