@@ -245,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         message = err if err.filename is None else f"{err.filename}: {err.strerror}"
     except (EvaluationError, ValueError) as err:
         message = err
+    except MemoryError as err:  # numpy names the size it could not allocate
+        message = str(err) or "out of memory"
     print(f"error: {message}", file=sys.stderr)
     return 2
 

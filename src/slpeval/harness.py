@@ -189,9 +189,8 @@ def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hash
     """
     path = where = Path(manifest_path).parent / entry.pose_path
     try:
-        # the bytes are freed once decoded
-        text = _read_bytes(path, hasher, entry.id.encode()).decode("utf-8")
-        seq = parse_pose_file(text, id=entry.id, layout=layout)
+        # parsed as read, with no decoded copy, and freed before the sequence is validated
+        seq = parse_pose_file(_read_bytes(path, hasher, entry.id.encode()), id=entry.id, layout=layout)
         found = validate_sequence(seq)
         if not found:
             return seq if prepare is None else prepare(seq)

@@ -117,6 +117,8 @@ MAX_COORDINATE = 1e75
 #: the exact reader takes the data section in blocks of whole lines of at most
 #: this many bytes (a longer line is a block of its own), bounding its scratch
 _BLOCK = 256 * 1024
+#: normalization translates and rotates this many frames at a time, bounding its scratch
+_NORMALIZE_FRAMES = 64
 
 
 def _midpoint_bits() -> tuple[int, int, int] | None:
@@ -247,8 +249,8 @@ def _format_value(x: float) -> str:
     return np.format_float_positional(x, unique=True, trim="0") if "e" in s else s
 
 
-def _read_exact(text: str, start: int, rows: int, width: int) -> np.ndarray | None:
-    """The data section ``text[start:]`` as a flat float64 array, or None.
+def _read_exact(text: str | bytes, start: int, rows: int, width: int) -> np.ndarray | None:
+    """The data section ``text[start:]``, ASCII text or bytes, as a flat float64 array, or None.
 
     Returns values only when the section is exactly ``rows`` lines of
     ``width`` tokens matching ``-?[0-9]+[.][0-9]+``, one space apart, the last
@@ -266,15 +268,15 @@ def _read_exact(text: str, start: int, rows: int, width: int) -> np.ndarray | No
     if 4 * rows * width - 1 > end - start:
         return None
     out = np.empty(rows * width, dtype=np.float64)
-    done = 0
+    done, newline_char = 0, "\n" if isinstance(text, str) else b"\n"
     while start < end:
         stop = end
         if end - start > _BLOCK:
-            newline = text.rfind("\n", start, start + _BLOCK)
+            newline = text.rfind(newline_char, start, start + _BLOCK)
             if newline < 0:
-                newline = text.find("\n", start + _BLOCK)
+                newline = text.find(newline_char, start + _BLOCK)
             stop = end if newline < 0 else newline + 1
-        block = text[start:stop].encode("ascii")
+        block = text[start:stop] if isinstance(text, bytes) else text[start:stop].encode("ascii")
         start = stop
         chars = np.frombuffer(block, dtype=np.uint8)
         if chars.max() > _DIGIT_9:
@@ -335,9 +337,9 @@ def _read_exact(text: str, start: int, rows: int, width: int) -> np.ndarray | No
     return out if done == len(out) else None
 
 
-def _read_lines(text: str, num_frames: int, expected: int) -> np.ndarray:
-    """The data lines of ``text`` parsed one by one; names the first format error."""
-    lines = text.split("\n")
+def _read_lines(text: str | bytes, num_frames: int, expected: int) -> np.ndarray:
+    """The data lines of ``text`` (or ASCII bytes) parsed one by one; names the first format error."""
+    lines = (text if isinstance(text, str) else text.decode("ascii")).split("\n")
     if lines[-1] == "":
         lines.pop()
     data_lines = lines[1:]
@@ -372,16 +374,21 @@ def _read_lines(text: str, num_frames: int, expected: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def parse_pose_file(text: str, id: str, layout: KeypointLayout = DEFAULT_LAYOUT) -> PoseSequence:
-    """Parse POSE v1 file contents into a :class:`PoseSequence`.
+def parse_pose_file(text: str | bytes, id: str, layout: KeypointLayout = DEFAULT_LAYOUT) -> PoseSequence:
+    """Parse POSE v1 file contents, its text or its bytes, into a :class:`PoseSequence`.
 
+    ASCII bytes are read as they are, with no decoded copy; other bytes are
+    decoded as strict UTF-8, whose :class:`UnicodeDecodeError` escapes.
     Raises :class:`PoseFormatError` naming the offending line (and token
     column where applicable) on any deviation from the declared header.
     """
+    if isinstance(text, bytes) and not text.isascii():
+        text = text.decode("utf-8")
     if not text:
         raise PoseFormatError("empty file: expected 'POSE v1 <frames> <keypoints> <dims>' header")
-    header_end = text.find("\n")
+    header_end = text.find("\n" if isinstance(text, str) else b"\n")
     header_line = text if header_end < 0 else text[:header_end]
+    header_line = header_line if isinstance(header_line, str) else header_line.decode("ascii")
     header = header_line.split()
     if len(header) != 5 or header[0] != "POSE" or header[1] != "v1":
         raise PoseFormatError(
@@ -522,6 +529,9 @@ def normalize_sequence(seq: PoseSequence) -> PoseSequence:
     applied rigidly to the whole sequence, so relative inter-keypoint
     distances are preserved and within-sequence torso motion is kept.
     """
-    rot = torso_rotation(seq.frames[0], seq.layout)
-    necks = seq.frames[:, seq.layout.neck, :]
-    return _adopt(seq.id, (seq.frames - necks[:, None, :]) @ rot.T, seq.layout)
+    rot, neck = torso_rotation(seq.frames[0], seq.layout), seq.layout.neck
+    out = np.empty_like(seq.frames)
+    for s in range(0, seq.num_frames, _NORMALIZE_FRAMES):  # scratch: one chunk's difference
+        chunk = seq.frames[s : s + _NORMALIZE_FRAMES]
+        np.matmul(chunk - chunk[:, neck, None], rot.T, out=out[s : s + len(chunk)])
+    return _adopt(seq.id, out, seq.layout)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -19,6 +21,16 @@ TINY_LAYOUT = KeypointLayout(
     left_shoulder=1,
     right_shoulder=2,
 )
+
+
+def traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def flat_layout(total: int) -> KeypointLayout:

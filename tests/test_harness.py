@@ -6,12 +6,12 @@ import importlib.util
 import io
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slpeval
-from conftest import SENTENCE_TEXT
+from conftest import SENTENCE_TEXT, traced_peak
 from slpeval import pose_metrics
 from slpeval.cli import main
 from slpeval.harness import (
@@ -867,14 +867,16 @@ def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
     ref = corpus_writer(corpus, "ref")
     pred = corpus_writer(corpus, "pred")
     victim = pred.parent / "poses" / f"{corpus[1][0].id}.pose"
-    victim.write_bytes(b"\xff" + victim.read_bytes())
+    data = victim.read_bytes()
+    at = data.index(b"\n") + 1  # past the header, so the position counts the whole file
+    victim.write_bytes(data[:at] + b"\xff" + data[at:])
+    problem = f"{victim}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
     capsys.readouterr()
     assert run_cli("validate", "--pred", str(pred), "--ref", str(ref),
                    "--phase", "dev", "--history", str(tmp_path / "h.log")) == 1
-    out = capsys.readouterr().out
-    assert f"prediction {corpus[1][0].id!r}: {victim}: 'utf-8' codec can't decode" in out
+    assert f"prediction {corpus[1][0].id!r}: {problem}\n" in capsys.readouterr().out
     assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref)) == 2
-    assert capsys.readouterr().err.startswith(f"error: {victim}: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 def set_frames(pose_path: Path, index, value) -> None:
@@ -1304,6 +1306,24 @@ def test_cli_synth_names_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--count", "1", "--frames", "100000000000000000"],  # the frame times
+    ["--count", "100000000000000000", "--frames", "2"],  # the corpus seed's states
+    ["--count", "1", "--frames", "2", "--layout", "{layout}"],  # the rest pose
+], ids=["frames", "count", "layout"])
+def test_cli_synth_names_a_size_it_cannot_allocate(argv, tmp_path):
+    # each array is far above 2**47 bytes, which no platform maps, whatever its overcommit rule
+    layout = tmp_path / "huge.layout"
+    layout.write_text("body 0 8\nface 8 128\nlhand 136 21\nrhand 157 1000000000000000\n"
+                      "neck 0\nlshoulder 1\nrshoulder 2\n", encoding="utf-8")
+    out = tmp_path / "corpus"
+    done = run_cli_process(["synth", "corpus", *(arg.format(layout=layout) for arg in argv),
+                            "--out", str(out)])
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", done.stderr), done.stderr
+    assert not out.exists()
+
+
 @settings(max_examples=150, deadline=None)
 @given(pairs=st.lists(st.tuples(SENTENCE_TEXT, SENTENCE_TEXT), max_size=5), extra=st.booleans())
 def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
@@ -1357,16 +1377,6 @@ def test_validate_and_evaluate_agree(mutation, side, entry):
         assert logged == prior
 
 
-def traced_peak(run) -> int:
-    """Peak bytes ``tracemalloc`` sees while ``run()`` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_evaluate_and_validate_hold_one_pair_at_a_time(tmp_path):
     run_cli("synth", "corpus", "--count", "32", "--frames", "120", "--out", str(tmp_path))
     full = tmp_path / "manifest.tsv"
@@ -1379,6 +1389,17 @@ def test_evaluate_and_validate_hold_one_pair_at_a_time(tmp_path):
         lambda m: validate_submission(m, m, DEVELOPMENT_RULES, [], now=NOW),
     ):
         assert traced_peak(lambda: run(full)) - traced_peak(lambda: run(first_8)) <= one_sequence
+
+
+def test_evaluate_holds_no_decoded_copy_of_a_pose_file(corpus_writer):
+    # one long pair: while the prediction is parsed, its bytes and its frames are alive beside
+    # the normalized reference, and a decoded str of the file would take as much again
+    pred_seq = synth_sequence(SynthSpec(frame_count=1500, seed=1), id="long")
+    ref_seq = synth_sequence(SynthSpec(frame_count=1200, seed=2), id="long")
+    pred, ref = corpus_writer([(pred_seq, "a")], "pred"), corpus_writer([(ref_seq, "a")], "ref")
+    size = (pred.parent / "poses" / "long.pose").stat().st_size
+    peak = traced_peak(lambda: evaluate(EvaluationConfig(pred_manifest=pred, ref_manifest=ref)))
+    assert peak < size + 2 * pred_seq.frames.nbytes, (peak, size)
 
 
 def test_synth_corpus_holds_one_sequence_at_a_time(tmp_path, capsys):

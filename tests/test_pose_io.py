@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import re
-import tracemalloc
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import TINY_LAYOUT, flat_layout
+from conftest import TINY_LAYOUT, flat_layout, traced_peak
 from slpeval import pose
 from slpeval.pose import (
     DEFAULT_LAYOUT,
@@ -24,6 +23,7 @@ from slpeval.pose import (
     normalize_sequence,
     parse_layout,
     parse_pose_file,
+    torso_rotation,
     validate_sequence,
     write_pose_file,
 )
@@ -179,15 +179,22 @@ def test_parsed_and_normalized_frames_are_allocated_once():
     # exact reader's per-block scratch, so a second copy would show in the peak
     line = " ".join(f"{k * k % 1000 / 1000:.3f}" for k in range(178 * 3))
     text = "POSE v1 4000 178 3\n" + f"{line}\n" * 4000
-    tracemalloc.start()
-    try:
-        seq = parse_pose_file(text, "s")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    parsed = []
+    peak = traced_peak(lambda: parsed.append(parse_pose_file(text, "s")))
+    seq = parsed[0]
     assert peak < 1.5 * seq.frames.nbytes
     for frames in (seq.frames, normalize_sequence(seq).frames):
         assert not frames.flags.writeable
+
+
+def test_normalization_writes_one_output_a_chunk_at_a_time(rng):
+    # many chunks and a part of one: the bits are the whole-sequence formula's, and the
+    # translated frames are held one chunk at a time beside the output, never whole
+    seq = PoseSequence(id="s", frames=rng.normal(size=(1000, 178, 3)) * 1e3)
+    whole = (seq.frames - seq.frames[:, seq.layout.neck, None]) @ torso_rotation(
+        seq.frames[0], seq.layout).T
+    assert normalize_sequence(seq).frames.tobytes() == whole.tobytes()
+    assert traced_peak(lambda: normalize_sequence(seq)) < 1.5 * seq.frames.nbytes
 
 
 def test_sequence_rejects_bad_shape(tiny_layout):
@@ -299,12 +306,23 @@ READERS = {
 
 
 def read(text: str, reader: str) -> np.ndarray | str:
-    """``parse_pose_file``'s values, flat, or the message of its ``PoseFormatError``."""
+    """``parse_pose_file``'s values, flat, or the message of its ``PoseFormatError``.
+
+    The file's UTF-8 bytes must give the same values, bit for bit, or the same message.
+    """
+    outcomes = []
     with mock.patch.multiple(pose, **READERS[reader]):
-        try:
-            return parse_pose_file(text, id="x").frames.reshape(-1)
-        except PoseFormatError as err:
-            return str(err)
+        for data in (text, text.encode("utf-8")):
+            try:
+                outcomes.append(parse_pose_file(data, id="x").frames.reshape(-1))
+            except PoseFormatError as err:
+                outcomes.append(str(err))
+    as_text, as_bytes = outcomes
+    if isinstance(as_text, str):
+        assert as_bytes == as_text
+    else:
+        assert as_bytes.tobytes() == as_text.tobytes()
+    return as_text
 
 
 def float_oracle(text: str) -> np.ndarray | None:

@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LEADERBOARD
+from conftest import LEADERBOARD, traced_peak
 from slpeval.cli import _MATRIX_BLOCK, main
 from slpeval.ranking import (
     CANONICAL_METRICS,
@@ -308,17 +307,16 @@ def test_one_astral_name_does_not_widen_the_ranking_output(tmp_path):
     rng = np.random.Generator(np.random.PCG64(5))
     items = [{"entrant": f"team{i}", "metrics": dict(zip(CANONICAL_METRICS, map(float, row)))}
              for i, row in enumerate(rng.uniform(1.0, 2.0, (300, len(CANONICAL_METRICS))))]
+    scores = tmp_path / "scores.json"
+
+    def rank() -> None:
+        assert main(["rank", "--scores", str(scores), "--out", str(tmp_path / "out.json")]) == 0
+
     peaks = []
     for name in ("team0", "team\U0001d11e"):
         items[0]["entrant"] = name
-        scores = tmp_path / "scores.json"
         scores.write_text(json.dumps(items), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            assert main(["rank", "--scores", str(scores), "--out", str(tmp_path / "out.json")]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(rank))
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
@@ -342,11 +340,10 @@ def test_rank_output_across_matrix_blocks_equals_the_plain_encoder(count, tmp_pa
 def test_rank_out_holds_one_block_of_the_matrix_at_a_time(tmp_path):
     scores, out = tmp_path / "scores.json", tmp_path / "ranking.json"
     scores.write_text(json.dumps(uniform_items(1000)), encoding="utf-8")
-    tracemalloc.start()
-    try:
+
+    def rank() -> None:
         assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(rank)
     # the whole output is about 15 MB; the bool matrix and one block of its text take about 5
     assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)

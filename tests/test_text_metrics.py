@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import builtins
 import math
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from slpeval import text_metrics
 from slpeval.cli import main
 from slpeval.synth import synth_sentence
@@ -519,6 +519,9 @@ oracle_sentence = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
 )
 
+#: the batch size the library uses, under an id that outlives a retuning of it
+DEFAULT_BATCH = pytest.param(text_metrics._BATCH_UNITS, id="default")
+
 oracle_corpora = st.integers(1, 6).flatmap(
     lambda size: st.tuples(
         st.lists(oracle_sentence, min_size=size, max_size=size),
@@ -527,7 +530,7 @@ oracle_corpora = st.integers(1, 6).flatmap(
 )
 
 
-@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
+@pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 1, 7])
 @settings(max_examples=300, deadline=None)
 @given(corpora=oracle_corpora)
 @example(corpora=([""], [""]))
@@ -587,7 +590,7 @@ def assert_wer_matches_the_alignment_oracle(h: TokenizedCorpus, r: TokenizedCorp
     assert top_error_words(result, 50) == reference_top_error_words(h, r, 50)
 
 
-@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
+@pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 1, 7])
 @settings(max_examples=300, deadline=None)
 @given(pairs=tie_corpora)
 @example(pairs=[("a b", "b a")])
@@ -598,7 +601,7 @@ def test_wer_edits_and_error_words_match_the_alignment_oracle(batch_units, pairs
         assert_wer_matches_the_alignment_oracle(h, r)
 
 
-@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 1, 7])
+@pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 1, 7])
 def test_wer_matches_the_alignment_oracle_across_lengths(batch_units):
     # one long pair among many short ones, with empty hypotheses and empty
     # references, so pairs of very different sizes share the corpus
@@ -649,16 +652,10 @@ def test_chrf_memory_is_bounded_by_a_batch():
     hyps = [synth_sentence(i if i % 3 else 5000 + i, 8, 16) for i in range(2000)] * 10
     h, r = corpus(*hyps), corpus(*refs)
     chars = sum(map(len, hyps + refs))
-    tracemalloc.start()
-    try:
-        chrf(h, r)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * chars / 4
+    assert traced_peak(lambda: chrf(h, r)) < 8 * chars / 4
 
 
-@pytest.mark.parametrize("batch_units", [text_metrics._BATCH_UNITS, 50])
+@pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 50])
 def test_text_metrics_are_pinned_on_a_synth_corpus(batch_units):
     # float.hex of the per-sentence Counter / DP implementation's values, and
     # WER's counts and error words from its per-sentence Python table
