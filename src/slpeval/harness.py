@@ -179,18 +179,22 @@ def _read_entries(path: Path, parse, kind: str, hasher, label: bytes = b""):
     return entries
 
 
-def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hasher, prepare):
+def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hasher, prepare,
+               first: int | None = None):
     """Read, digest, parse and validate one entry's pose file, then ``prepare`` the sequence.
 
     ``hasher`` receives the entry id, the file's length and its bytes.
-    Returns ``prepare(sequence)``, or the sequence when ``prepare`` is None.
+    Returns ``prepare(sequence)``, or the sequence when ``prepare`` is None;
+    with ``first``, the sequence may hold only its first frames, as
+    :func:`parse_pose_file` says, and its problems are the whole file's.
     A file that cannot be read, decoded, parsed, validated or prepared
     raises :class:`EvaluationError` with one line naming the file and its problem.
     """
     path = where = Path(manifest_path).parent / entry.pose_path
     try:
         # parsed as read, with no decoded copy, and freed before the sequence is validated
-        seq = parse_pose_file(_read_bytes(path, hasher, entry.id.encode()), id=entry.id, layout=layout)
+        seq = parse_pose_file(_read_bytes(path, hasher, entry.id.encode()), id=entry.id,
+                              layout=layout, first=first)
         found = validate_sequence(seq)
         if not found:
             return seq if prepare is None else prepare(seq)
@@ -241,7 +245,7 @@ def validate_submission(
         for entry in manifests[-1].values():
             try:  # scoring normalizes, and of that only frame 0's torso rotation can fail
                 _load_pose(path, entry, layout, role_hasher,
-                           lambda seq: torso_rotation(seq.frames[0], seq.layout))
+                           lambda seq: torso_rotation(seq.frames[0], seq.layout), first=1)
             except EvaluationError as err:
                 problems.append(f"{role} {entry.id!r}: {err}")
 

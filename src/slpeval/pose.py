@@ -148,6 +148,9 @@ _MIDPOINT = _midpoint_bits()
 _POW10 = np.concatenate(([1], np.cumprod(np.full(27, 10, dtype=np.longdouble))))
 #: a mantissa this far from zero may be a saturated int64 and is read by float()
 _MANTISSA_LIMIT = 10**18
+#: a token with at most this many integer digits is below 10**75, so its float
+#: is at most MAX_COORDINATE: finite and in range without being converted
+_BOUNDED_DIGITS = 75
 _NEWLINE, _SPACE, _MINUS, _DOT, _DIGIT_0, _DIGIT_9 = b"\n -.09"
 
 _LAYOUT_RANGE_KEYS = {"body": "body", "face": "face", "lhand": "left_hand", "rhand": "right_hand"}
@@ -249,7 +252,26 @@ def _format_value(x: float) -> str:
     return np.format_float_positional(x, unique=True, trim="0") if "e" in s else s
 
 
-def _read_exact(text: str | bytes, start: int, rows: int, width: int) -> np.ndarray | None:
+def _line_blocks(text: str | bytes, start: int):
+    """``text[start:]`` in slices of whole lines of at most ``_BLOCK`` characters.
+
+    A line longer than ``_BLOCK`` is a slice of its own; the last line may lack its newline.
+    """
+    end, newline = len(text), "\n" if isinstance(text, str) else b"\n"
+    while start < end:
+        stop = end
+        if end - start > _BLOCK:
+            cut = text.rfind(newline, start, start + _BLOCK)
+            if cut < 0:
+                cut = text.find(newline, start + _BLOCK)
+            stop = end if cut < 0 else cut + 1
+        yield text[start:stop]
+        start = stop
+
+
+def _read_exact(
+    text: str | bytes, start: int, rows: int, width: int, first: int | None = None
+) -> np.ndarray | None:
     """The data section ``text[start:]``, ASCII text or bytes, as a flat float64 array, or None.
 
     Returns values only when the section is exactly ``rows`` lines of
@@ -261,23 +283,20 @@ def _read_exact(text: str | bytes, start: int, rows: int, width: int) -> np.ndar
     That second rounding can differ from ``float()`` only when the long
     double lies on a float64 midpoint; such tokens, and those with
     ``|M| >= 10**18`` or ``f > 27``, are read by ``float()`` instead.
+
+    With ``first``, every line is still checked but only the first ``first``
+    rows are converted and returned, and a token with more than
+    ``_BOUNDED_DIGITS`` integer digits gives None: every other token is then
+    below ``10**75`` in magnitude, so finite and within ``MAX_COORDINATE``.
     """
     word, mask, half = _MIDPOINT
-    end = len(text)
     # a value takes at least three characters and a separator
-    if 4 * rows * width - 1 > end - start:
+    if 4 * rows * width - 1 > len(text) - start:
         return None
-    out = np.empty(rows * width, dtype=np.float64)
-    done, newline_char = 0, "\n" if isinstance(text, str) else b"\n"
-    while start < end:
-        stop = end
-        if end - start > _BLOCK:
-            newline = text.rfind(newline_char, start, start + _BLOCK)
-            if newline < 0:
-                newline = text.find(newline_char, start + _BLOCK)
-            stop = end if newline < 0 else newline + 1
-        block = text[start:stop] if isinstance(text, bytes) else text[start:stop].encode("ascii")
-        start = stop
+    out = np.empty(min(rows, first or rows) * width, dtype=np.float64)
+    seen = 0
+    for block in _line_blocks(text, start):
+        block = block if isinstance(block, bytes) else block.encode("ascii")
         chars = np.frombuffer(block, dtype=np.uint8)
         if chars.max() > _DIGIT_9:
             return None
@@ -304,16 +323,28 @@ def _read_exact(text: str | bytes, start: int, rows: int, width: int) -> np.ndar
         if (
             len(seps) != tokens + 1
             or tokens % width
-            or done + tokens > len(out)
+            or seen + tokens > rows * width
             or (kinds[1::2] != _DOT).any()
         ):
             return None
         lines = kinds[2::2].reshape(-1, width)
         if (lines[:, :-1] != _SPACE).any() or (lines[:, -1] != _NEWLINE).any():
             return None
-
-        mantissas = np.fromstring(block.replace(b".", b""), dtype=np.int64, sep=" ")
-        fraction_digits = seps[1:] - dots - 1
+        if first is not None:
+            digits = dots - seps[:-1] - 1 - (chars[seps[:-1] + 1] == _MINUS)
+            if digits.max() > _BOUNDED_DIGITS:
+                return None
+        # the block's tokens that ``out`` still lacks, a prefix of whole lines
+        convert = min(tokens, len(out) - seen)
+        seen += tokens
+        if convert <= 0:
+            continue
+        # up to the separator after the last converted token: the whole block, uncopied, if all
+        mantissas = np.fromstring(
+            block[: seps[convert] + 1].replace(b".", b""), dtype=np.int64, sep=" "
+        )
+        seps = seps[: convert + 1]
+        fraction_digits = seps[1:] - dots[:convert] - 1
         slow = (
             (mantissas >= _MANTISSA_LIMIT)  # an int64 overflow saturates, to either extreme
             | (mantissas <= -_MANTISSA_LIMIT)
@@ -332,55 +363,69 @@ def _read_exact(text: str | bytes, start: int, rows: int, width: int) -> np.ndar
             if not math.isfinite(value):
                 return None
             values[k] = value
-        out[done : done + len(values)] = values
-        done += len(values)
-    return out if done == len(out) else None
+        out[seen - tokens : seen - tokens + convert] = values
+    return out if seen == rows * width else None
 
 
-def _read_lines(text: str | bytes, num_frames: int, expected: int) -> np.ndarray:
-    """The data lines of ``text`` (or ASCII bytes) parsed one by one; names the first format error."""
-    lines = (text if isinstance(text, str) else text.decode("ascii")).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    data_lines = lines[1:]
-    if len(data_lines) != num_frames:
-        raise PoseFormatError(
-            f"frame count mismatch: header declares {num_frames} frames, file has {len(data_lines)}"
-        )
+def _read_lines(text: str | bytes, start: int, rows: int, width: int) -> np.ndarray:
+    """The data section ``text[start:]`` (text, or ASCII bytes) parsed line by line.
 
-    rows = []
-    for i, line in enumerate(data_lines):
-        lineno = i + 2
-        tokens = line.split()
-        if len(tokens) != expected:
-            raise PoseFormatError(f"line {lineno}: expected {expected} values, found {len(tokens)}")
-        try:
-            row = np.array(tokens, dtype=np.float64)
-        except ValueError:
-            for col, tok in enumerate(tokens, start=1):
-                try:
-                    float(tok)
-                except ValueError:
-                    raise PoseFormatError(
-                        f"line {lineno}, column {col}: unparseable value {tok!r}"
-                    ) from None
-            raise  # pragma: no cover - every token parsed individually
-        if not np.isfinite(row).all():
-            col = int(np.flatnonzero(~np.isfinite(row))[0]) + 1
-            raise PoseFormatError(f"line {lineno}, column {col}: non-finite value {tokens[col - 1]!r}")
-        rows.append(row)
-    # stacked only once every line has its values, so a header that declares
+    Lines are decoded and split a block of whole lines at a time, so the
+    scratch is one block's strings; names the first format error.
+    """
+    newline = "\n" if isinstance(text, str) else b"\n"
+    found = text.count(newline, start) + (start < len(text) and not text.endswith(newline))
+    if found != rows:
+        raise PoseFormatError(f"frame count mismatch: header declares {rows} frames, file has {found}")
+    # every value takes a character and a separator, so a shorter section fails
+    # some line's count; it is read into nothing, and a header that declares
     # more keypoints than the file holds allocates nothing
-    return np.stack(rows)
+    out = np.empty((rows, width)) if len(text) - start >= 2 * rows * width - 1 else None
+    lineno = 1
+    for block in _line_blocks(text, start):
+        lines = (block if isinstance(block, str) else block.decode("ascii")).split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        for line in lines:
+            lineno += 1
+            tokens = line.split()
+            if len(tokens) != width:
+                raise PoseFormatError(f"line {lineno}: expected {width} values, found {len(tokens)}")
+            try:
+                row = np.array(tokens, dtype=np.float64)
+            except ValueError:
+                for col, tok in enumerate(tokens, start=1):
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise PoseFormatError(
+                            f"line {lineno}, column {col}: unparseable value {tok!r}"
+                        ) from None
+                raise  # pragma: no cover - every token parsed individually
+            if not np.isfinite(row).all():
+                col = int(np.flatnonzero(~np.isfinite(row))[0]) + 1
+                raise PoseFormatError(f"line {lineno}, column {col}: non-finite value {tokens[col - 1]!r}")
+            if out is not None:
+                out[lineno - 2] = row
+    return out
 
 
-def parse_pose_file(text: str | bytes, id: str, layout: KeypointLayout = DEFAULT_LAYOUT) -> PoseSequence:
+def parse_pose_file(
+    text: str | bytes, id: str, layout: KeypointLayout = DEFAULT_LAYOUT, *, first: int | None = None
+) -> PoseSequence:
     """Parse POSE v1 file contents, its text or its bytes, into a :class:`PoseSequence`.
 
     ASCII bytes are read as they are, with no decoded copy; other bytes are
     decoded as strict UTF-8, whose :class:`UnicodeDecodeError` escapes.
     Raises :class:`PoseFormatError` naming the offending line (and token
     column where applicable) on any deviation from the declared header.
+
+    With ``first`` (at least 1), every line is still checked, and the file is
+    accepted or refused with the same message as without it, but the sequence
+    may hold only its first ``first`` frames: it does when the exact reader
+    takes the file and no value has more than 75 integer digits, so that every
+    value left out is finite and within ``MAX_COORDINATE`` and
+    :func:`validate_sequence` could flag none of them. Otherwise it holds every frame.
     """
     if isinstance(text, bytes) and not text.isascii():
         text = text.decode("utf-8")
@@ -403,13 +448,13 @@ def parse_pose_file(text: str | bytes, id: str, layout: KeypointLayout = DEFAULT
     if dims != 3:
         raise PoseFormatError(f"line 1: only 3-dimensional poses are supported, header declares {dims}")
 
-    expected = num_keypoints * dims
+    expected, start = num_keypoints * dims, len(text) if header_end < 0 else header_end + 1
     frames = None
     if _MIDPOINT is not None and header_end >= 0 and text.isascii():
-        frames = _read_exact(text, header_end + 1, num_frames, expected)
+        frames = _read_exact(text, start, num_frames, expected, first)
     if frames is None:
-        frames = _read_lines(text, num_frames, expected)
-    return _adopt(id, frames.reshape(num_frames, num_keypoints, dims), layout)
+        frames = _read_lines(text, start, num_frames, expected)
+    return _adopt(id, frames.reshape(-1, num_keypoints, dims), layout)
 
 
 def _nearest(a: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -106,13 +106,16 @@ def _check_paired(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> None:
 
 
 def _clipped_counts(
-    lengths: list[list[int]], unit_ids: Callable[[slice], tuple[np.ndarray, int]], max_n: int
+    sizes: list[list[int]],
+    unit_ids: Callable[[slice], tuple[np.ndarray, int, Sequence[int]]],
+    max_n: int,
 ) -> list[tuple[int, int, int]]:
     """``(clipped matches, hyp n-grams, ref n-grams)`` per order 1..max_n, pooled.
 
-    ``lengths`` holds the hypotheses' and the references' unit counts;
-    ``unit_ids(pairs)`` gives ``size`` and the ids in ``range(size)`` of a
-    slice of pairs' hypothesis units, then their reference units. A hypothesis
+    ``sizes`` bounds the hypotheses' and the references' unit counts, and
+    batches are cut by it; ``unit_ids(pairs)`` gives the ids in ``range(size)``
+    of a slice of pairs' hypothesis units, then their reference units,
+    ``size``, and the unit count of each of those sentences. A hypothesis
     n-gram matches at most as often as it occurs in the paired reference. An
     n-gram's id is the (n-1)-gram id at its position times ``size`` plus its
     last unit's id. Each kept n-gram gets the key ``(pair * span + gram) * 2 +
@@ -120,16 +123,16 @@ def _clipped_counts(
     an order and batch are sorted once: a hypothesis run followed by a run of
     its key + 1 is a match.
     """
-    lengths = np.array(lengths, np.int64)
-    pair_off = np.concatenate(([0], np.cumsum(lengths.sum(axis=0))))
+    sizes = np.array(sizes, np.int64)
+    pair_off = np.concatenate(([0], np.cumsum(sizes.sum(axis=0))))
     totals = np.zeros((max_n, 3), np.int64)
     start = 0
-    while start < lengths.shape[1]:
+    while start < sizes.shape[1]:
         stop = int(np.searchsorted(pair_off, pair_off[start] + _BATCH_UNITS, "right")) - 1
         stop = max(stop, start + 1)
         # hypothesis units of the batch's pairs, then their reference units
-        batch = lengths[:, start:stop].ravel()
-        units, size = unit_ids(slice(start, stop))
+        units, size, batch = unit_ids(slice(start, stop))
+        batch = np.asarray(batch, np.int64)
         split = batch[: stop - start].sum()
         pair = np.tile(np.arange(stop - start), 2).repeat(batch)
         side = np.arange(len(units)) >= split
@@ -169,11 +172,12 @@ def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ..
 
     vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(*hyps.sentences, *refs.sentences)))}
 
-    def token_ids(pairs: slice) -> tuple[np.ndarray, int]:
+    def token_ids(pairs: slice) -> tuple[np.ndarray, int, np.ndarray]:
         tokens = chain(*hyps.sentences[pairs], *refs.sentences[pairs])
-        return np.fromiter(map(vocab.__getitem__, tokens), np.int64), len(vocab)
+        ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64)
+        return ids, len(vocab), lengths[:, pairs].ravel()
 
-    lengths = [[len(s) for s in corpus.sentences] for corpus in (hyps, refs)]
+    lengths = np.array([[len(s) for s in corpus.sentences] for corpus in (hyps, refs)], np.int64)
     counts = _clipped_counts(lengths, token_ids, 4)
     precisions = [m / t if t else 0.0 for m, t, _ in counts]
     _, hyp_len, ref_len = counts[0]
@@ -196,15 +200,17 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     """
     _check_paired(hyps, refs)
 
-    def code_points(pairs: slice) -> tuple[np.ndarray, int]:
-        # "surrogatepass" gives a lone surrogate its own code point, as len() counts it
-        text = "".join("".join([*hyps.raw[pairs], *refs.raw[pairs]]).split())
-        ids = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        return ids.astype(np.int64), int(ids.max(initial=0)) + 1
+    def code_points(pairs: slice) -> tuple[np.ndarray, int, list[int]]:
+        # each sentence is split once, here; "surrogatepass" gives a lone surrogate its
+        # own code point, as len() counts it
+        kept = ["".join(s.split()) for s in (*hyps.raw[pairs], *refs.raw[pairs])]
+        ids = np.frombuffer("".join(kept).encode("utf-32-le", "surrogatepass"), np.uint32)
+        return ids.astype(np.int64), int(ids.max(initial=0)) + 1, list(map(len, kept))
 
-    lengths = [[len("".join(s.split())) for s in corpus.raw] for corpus in (hyps, refs)]
+    # batches are cut by raw length, which bounds the characters split() keeps
+    sizes = [list(map(len, corpus.raw)) for corpus in (hyps, refs)]
     f_sum, orders = 0.0, 0
-    for matched, total_hyp, total_ref in _clipped_counts(lengths, code_points, CHRF_MAX_ORDER):
+    for matched, total_hyp, total_ref in _clipped_counts(sizes, code_points, CHRF_MAX_ORDER):
         if total_hyp == 0 and total_ref == 0:
             continue
         precision = matched / total_hyp if total_hyp else 0.0

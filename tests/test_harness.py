@@ -18,12 +18,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slpeval
 from conftest import SENTENCE_TEXT, traced_peak
-from slpeval import pose_metrics
+from slpeval import pose, pose_metrics
 from slpeval.cli import main
 from slpeval.harness import (
     DEVELOPMENT_RULES,
@@ -915,6 +915,18 @@ def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> Path:
         set_frames(victim, np.s_[0, :3], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     elif mutation == "past-bound":
         set_frames(victim, np.s_[-1, -1, 1], np.nextafter(MAX_COORDINATE, np.inf))
+    elif mutation in ("huge-integer", "inf-integer"):
+        # a frame 0 does not show: past MAX_COORDINATE in 77 integer digits in a middle
+        # frame, or in 400, which float() reads as inf, in the last frame
+        lines = text.split("\n")
+        row, token = (2, "1" + "0" * 76 + ".0") if mutation == "huge-integer" else (-2, "9" * 400 + ".0")
+        lines[row] = token + lines[row][lines[row].index(" "):]
+        victim.write_text("\n".join(lines), encoding="utf-8")
+    elif mutation == "malformed-last-line":  # in a file longer than one block of the reader
+        frames = parse_pose_file(text, id="x").frames
+        frames = np.tile(frames, (pose._BLOCK // len(text) + 1, 1, 1))
+        text = write_pose_file(PoseSequence(id="x", frames=frames))
+        victim.write_text(text[: text.rindex(" ")] + " 0.5.5\n", encoding="utf-8")
     elif mutation == "nan":
         header, first, rest = text.split("\n", 2)
         first = "nan " + first.split(" ", 1)[1]
@@ -1350,10 +1362,14 @@ def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
 @given(
     mutation=st.sampled_from(["none", "collinear", "empty-ref", "empty-both", "past-bound",
                               "nan", "point-count", "missing-frame", "missing-file", "non-utf8",
-                              "missing-id", "unknown-id", "duplicate-id"]),
+                              "missing-id", "unknown-id", "duplicate-id", "huge-integer",
+                              "inf-integer", "malformed-last-line"]),
     side=st.sampled_from(["pred", "ref"]),
     entry=st.integers(0, 2),
 )
+@example(mutation="huge-integer", side="pred", entry=1)
+@example(mutation="inf-integer", side="ref", entry=2)
+@example(mutation="malformed-last-line", side="pred", entry=0)
 def test_validate_and_evaluate_agree(mutation, side, entry):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -1400,6 +1416,20 @@ def test_evaluate_holds_no_decoded_copy_of_a_pose_file(corpus_writer):
     size = (pred.parent / "poses" / "long.pose").stat().st_size
     peak = traced_peak(lambda: evaluate(EvaluationConfig(pred_manifest=pred, ref_manifest=ref)))
     assert peak < size + 2 * pred_seq.frames.nbytes, (peak, size)
+
+
+def test_validate_builds_no_frames_array(corpus_writer):
+    # validate checks every line of both files but converts only frame 0, so beside the
+    # bytes of the file being read it holds one block's scratch, not the file's frames
+    pred_seq = synth_sequence(SynthSpec(frame_count=1500, seed=1), id="long")
+    ref_seq = synth_sequence(SynthSpec(frame_count=1500, seed=2), id="long")
+    pred, ref = corpus_writer([(pred_seq, "a")], "pred"), corpus_writer([(ref_seq, "a")], "ref")
+    size = max((m.parent / "poses" / "long.pose").stat().st_size for m in (pred, ref))
+    report = []
+    peak = traced_peak(
+        lambda: report.append(validate_submission(pred, ref, DEVELOPMENT_RULES, [], now=NOW)))
+    assert report[0].violations == ()
+    assert peak < size + pred_seq.frames.nbytes / 2, (peak, size)
 
 
 def test_synth_corpus_holds_one_sequence_at_a_time(tmp_path, capsys):

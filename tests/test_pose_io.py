@@ -173,7 +173,6 @@ def test_sequence_copies_input(tiny_layout):
     assert seq.frames[0, 0, 0] == 0.0
 
 
-@pytest.mark.skipif(pose._MIDPOINT is None, reason="the line reader stacks its rows")
 def test_parsed_and_normalized_frames_are_allocated_once():
     # 4000 equal lines of the default layout: 17 MB of frames, far above the
     # exact reader's per-block scratch, so a second copy would show in the peak
@@ -185,6 +184,17 @@ def test_parsed_and_normalized_frames_are_allocated_once():
     assert peak < 1.5 * seq.frames.nbytes
     for frames in (seq.frames, normalize_sequence(seq).frames):
         assert not frames.flags.writeable
+
+
+def test_line_reader_holds_one_block_of_lines():
+    # CRLF line ends send a written file to the line reader, which decodes, splits and
+    # parses it a block at a time: beyond the bytes it holds the frames and one block's strings
+    seq = synth_sequence(SynthSpec(frame_count=1500, seed=1), id="s")
+    data = write_pose_file(seq).replace("\n", "\r\n").encode()
+    parsed = []
+    peak = traced_peak(lambda: parsed.append(parse_pose_file(data, "s")))
+    assert parsed[0] == seq
+    assert peak < 2.5 * seq.frames.nbytes, (peak, seq.frames.nbytes)
 
 
 def test_normalization_writes_one_output_a_chunk_at_a_time(rng):
@@ -308,21 +318,32 @@ READERS = {
 def read(text: str, reader: str) -> np.ndarray | str:
     """``parse_pose_file``'s values, flat, or the message of its ``PoseFormatError``.
 
-    The file's UTF-8 bytes must give the same values, bit for bit, or the same message.
+    The file's UTF-8 bytes must give the same values, bit for bit, or the same
+    message (a text with a lone surrogate has no UTF-8 bytes). So must a read
+    of the first frame only, whose frame 0 must be the full read's.
     """
     outcomes = []
+    try:
+        datas = [text, text.encode("utf-8")]
+    except UnicodeEncodeError:
+        datas = [text]
     with mock.patch.multiple(pose, **READERS[reader]):
-        for data in (text, text.encode("utf-8")):
-            try:
-                outcomes.append(parse_pose_file(data, id="x").frames.reshape(-1))
-            except PoseFormatError as err:
-                outcomes.append(str(err))
-    as_text, as_bytes = outcomes
-    if isinstance(as_text, str):
-        assert as_bytes == as_text
-    else:
-        assert as_bytes.tobytes() == as_text.tobytes()
-    return as_text
+        for data in datas:
+            for first in (None, 1):
+                try:
+                    outcomes.append((first, parse_pose_file(data, id="x", first=first).frames))
+                except PoseFormatError as err:
+                    outcomes.append((first, str(err)))
+    (_, as_text), *others = outcomes
+    for first, other in others:
+        if isinstance(as_text, str):
+            assert other == as_text
+        else:
+            # a first-frame read holds frame 0 alone, or every frame
+            assert isinstance(other, np.ndarray)
+            assert len(other) in ((1, len(as_text)) if first else (len(as_text),))
+            assert other.tobytes() == as_text[: len(other)].tobytes()
+    return as_text if isinstance(as_text, str) else as_text.reshape(-1)
 
 
 def float_oracle(text: str) -> np.ndarray | None:
@@ -397,6 +418,11 @@ def test_written_files_read_like_float(reader, frames):
 @example(tokens=["-922337203685477580.8"])  # its mantissa is the int64 minimum
 @example(tokens=["-99999999999999999999.9"])  # its mantissa saturates int64
 @example(tokens=["0." + "0" * 27 + "1"])  # 10**28 is not exact in a long double
+# past frame 0: the most integer digits a first-frame read leaves unconverted, one more
+# (past MAX_COORDINATE), and so many that float() reads inf
+@example(tokens=["0.5"] * 3 + ["-" + "9" * 75 + ".9"])
+@example(tokens=["0.5"] * 3 + ["1" + "0" * 75 + ".0"])
+@example(tokens=["0.5"] * 3 + ["9" * 400 + ".0"])
 def test_decimal_tokens_read_like_float(reader, tokens):
     assert_reads_like_float(tokens_file(tokens), reader)
 
