@@ -106,7 +106,7 @@ def _check_paired(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> None:
 
 
 def _clipped_counts(
-    sizes: list[list[int]],
+    sizes: np.ndarray | list[list[int]],
     unit_ids: Callable[[slice], tuple[np.ndarray, int, Sequence[int]]],
     max_n: int,
 ) -> list[tuple[int, int, int]]:
