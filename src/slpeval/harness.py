@@ -183,7 +183,8 @@ def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hash
                first: int | None = None):
     """Read, digest, parse and validate one entry's pose file, then ``prepare`` the sequence.
 
-    ``hasher`` receives the entry id, the file's length and its bytes.
+    ``hasher`` receives the entry id, the file's length and its bytes, which
+    :func:`parse_pose_file` then reads as strict UTF-8.
     Returns ``prepare(sequence)``, or the sequence when ``prepare`` is None;
     with ``first``, the sequence may hold only its first frames, as
     :func:`parse_pose_file` says, and its problems are the whole file's.
@@ -192,7 +193,7 @@ def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hash
     """
     path = where = Path(manifest_path).parent / entry.pose_path
     try:
-        # parsed as read, with no decoded copy, and freed before the sequence is validated
+        # parsed from the bytes as read, and freed before the sequence is validated
         seq = parse_pose_file(_read_bytes(path, hasher, entry.id.encode()), id=entry.id,
                               layout=layout, first=first)
         found = validate_sequence(seq)

@@ -12,7 +12,6 @@ a written file reads back exactly. Files in another spelling are read line by li
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -148,8 +147,8 @@ _MIDPOINT = _midpoint_bits()
 _POW10 = np.concatenate(([1], np.cumprod(np.full(27, 10, dtype=np.longdouble))))
 #: a mantissa this far from zero may be a saturated int64 and is read by float()
 _MANTISSA_LIMIT = 10**18
-#: a token with at most this many integer digits is below 10**75, so its float
-#: is at most MAX_COORDINATE: finite and in range without being converted
+#: the exact reader takes a token with at most this many characters before its
+#: point, sign included: it is below 10**75, so its float is at most MAX_COORDINATE
 _BOUNDED_DIGITS = 75
 _NEWLINE, _SPACE, _MINUS, _DOT, _DIGIT_0, _DIGIT_9 = b"\n -.09"
 
@@ -252,51 +251,49 @@ def _format_value(x: float) -> str:
     return np.format_float_positional(x, unique=True, trim="0") if "e" in s else s
 
 
-def _line_blocks(text: str | bytes, start: int):
-    """``text[start:]`` in slices of whole lines of at most ``_BLOCK`` characters.
+def _line_blocks(data: bytes, start: int):
+    """``data[start:]`` in slices of whole lines of at most ``_BLOCK`` bytes.
 
     A line longer than ``_BLOCK`` is a slice of its own; the last line may lack its newline.
     """
-    end, newline = len(text), "\n" if isinstance(text, str) else b"\n"
+    end = len(data)
     while start < end:
         stop = end
         if end - start > _BLOCK:
-            cut = text.rfind(newline, start, start + _BLOCK)
+            cut = data.rfind(b"\n", start, start + _BLOCK)
             if cut < 0:
-                cut = text.find(newline, start + _BLOCK)
+                cut = data.find(b"\n", start + _BLOCK)
             stop = end if cut < 0 else cut + 1
-        yield text[start:stop]
+        yield data[start:stop]
         start = stop
 
 
 def _read_exact(
-    text: str | bytes, start: int, rows: int, width: int, first: int | None = None
+    data: bytes, start: int, rows: int, width: int, first: int | None = None
 ) -> np.ndarray | None:
-    """The data section ``text[start:]``, ASCII text or bytes, as a flat float64 array, or None.
+    """The data section ``data[start:]`` as a flat float64 array, or None.
 
     Returns values only when the section is exactly ``rows`` lines of
     ``width`` tokens matching ``-?[0-9]+[.][0-9]+``, one space apart, the last
-    newline optional, and every value is finite; each value then has the
-    bits ``float()`` gives. A token with ``f`` fraction digits is the integer
-    mantissa ``M`` of its digits over ``10**f``: both are exact in a long
-    double, whose one correctly rounded division is then rounded to float64.
-    That second rounding can differ from ``float()`` only when the long
-    double lies on a float64 midpoint; such tokens, and those with
-    ``|M| >= 10**18`` or ``f > 27``, are read by ``float()`` instead.
+    newline optional, and no token has more than ``_BOUNDED_DIGITS`` characters
+    before its point; each value then has the bits ``float()`` gives. A token
+    with ``f`` fraction digits is the integer mantissa ``M`` of its digits over
+    ``10**f``: both are exact in a long double, whose one correctly rounded
+    division is then rounded to float64. That second rounding can differ from
+    ``float()`` only when the long double lies on a float64 midpoint; such
+    tokens, and those with ``|M| >= 10**18`` or ``f > 27``, are read by
+    ``float()`` instead.
 
     With ``first``, every line is still checked but only the first ``first``
-    rows are converted and returned, and a token with more than
-    ``_BOUNDED_DIGITS`` integer digits gives None: every other token is then
-    below ``10**75`` in magnitude, so finite and within ``MAX_COORDINATE``.
+    rows are converted and returned.
     """
     word, mask, half = _MIDPOINT
     # a value takes at least three characters and a separator
-    if 4 * rows * width - 1 > len(text) - start:
+    if 4 * rows * width - 1 > len(data) - start:
         return None
     out = np.empty(min(rows, first or rows) * width, dtype=np.float64)
     seen = 0
-    for block in _line_blocks(text, start):
-        block = block if isinstance(block, bytes) else block.encode("ascii")
+    for block in _line_blocks(data, start):
         chars = np.frombuffer(block, dtype=np.uint8)
         if chars.max() > _DIGIT_9:
             return None
@@ -316,12 +313,13 @@ def _read_exact(
             or (kinds[touching + 1] != _MINUS).any()
         ):
             return None
-        # the rest alternate separator, dot, separator: one dot a token
+        # the rest alternate separator, dot, separator: one dot a token, its sign and digits between
         marks, kinds = marks[~minus], kinds[~minus]
         seps, dots = marks[0::2], marks[1::2]
         tokens = len(dots)
         if (
             len(seps) != tokens + 1
+            or (dots - seps[:-1]).max() > _BOUNDED_DIGITS + 1
             or tokens % width
             or seen + tokens > rows * width
             or (kinds[1::2] != _DOT).any()
@@ -330,10 +328,6 @@ def _read_exact(
         lines = kinds[2::2].reshape(-1, width)
         if (lines[:, :-1] != _SPACE).any() or (lines[:, -1] != _NEWLINE).any():
             return None
-        if first is not None:
-            digits = dots - seps[:-1] - 1 - (chars[seps[:-1] + 1] == _MINUS)
-            if digits.max() > _BOUNDED_DIGITS:
-                return None
         # the block's tokens that ``out`` still lacks, a prefix of whole lines
         convert = min(tokens, len(out) - seen)
         seen += tokens
@@ -359,31 +353,28 @@ def _read_exact(
         zeros = np.flatnonzero(mantissas == 0)
         values[zeros[chars[seps[zeros] + 1] == _MINUS]] = -0.0
         for k in np.flatnonzero(slow).tolist():
-            value = float(block[seps[k] + 1 : seps[k + 1]])
-            if not math.isfinite(value):
-                return None
-            values[k] = value
+            values[k] = float(block[seps[k] + 1 : seps[k + 1]])
         out[seen - tokens : seen - tokens + convert] = values
     return out if seen == rows * width else None
 
 
-def _read_lines(text: str | bytes, start: int, rows: int, width: int) -> np.ndarray:
-    """The data section ``text[start:]`` (text, or ASCII bytes) parsed line by line.
+def _read_lines(data: bytes, start: int, rows: int, width: int) -> np.ndarray:
+    """The data section ``data[start:]``, valid UTF-8, parsed line by line.
 
     Lines are decoded and split a block of whole lines at a time, so the
-    scratch is one block's strings; names the first format error.
+    scratch is one block's strings; names the first format error. A block
+    ends at a newline, which is never inside a UTF-8 sequence.
     """
-    newline = "\n" if isinstance(text, str) else b"\n"
-    found = text.count(newline, start) + (start < len(text) and not text.endswith(newline))
+    found = data.count(b"\n", start) + (start < len(data) and not data.endswith(b"\n"))
     if found != rows:
         raise PoseFormatError(f"frame count mismatch: header declares {rows} frames, file has {found}")
     # every value takes a character and a separator, so a shorter section fails
     # some line's count; it is read into nothing, and a header that declares
     # more keypoints than the file holds allocates nothing
-    out = np.empty((rows, width)) if len(text) - start >= 2 * rows * width - 1 else None
+    out = np.empty((rows, width)) if len(data) - start >= 2 * rows * width - 1 else None
     lineno = 1
-    for block in _line_blocks(text, start):
-        lines = (block if isinstance(block, str) else block.decode("ascii")).split("\n")
+    for block in _line_blocks(data, start):
+        lines = block.decode("utf-8").split("\n")
         if lines[-1] == "":
             lines.pop()
         for line in lines:
@@ -411,29 +402,28 @@ def _read_lines(text: str | bytes, start: int, rows: int, width: int) -> np.ndar
 
 
 def parse_pose_file(
-    text: str | bytes, id: str, layout: KeypointLayout = DEFAULT_LAYOUT, *, first: int | None = None
+    data: bytes, id: str, layout: KeypointLayout = DEFAULT_LAYOUT, *, first: int | None = None
 ) -> PoseSequence:
-    """Parse POSE v1 file contents, its text or its bytes, into a :class:`PoseSequence`.
+    """Parse a POSE v1 file's bytes into a :class:`PoseSequence`.
 
-    ASCII bytes are read as they are, with no decoded copy; other bytes are
-    decoded as strict UTF-8, whose :class:`UnicodeDecodeError` escapes.
-    Raises :class:`PoseFormatError` naming the offending line (and token
-    column where applicable) on any deviation from the declared header.
+    The bytes must be strict UTF-8; a :class:`UnicodeDecodeError` is the
+    first error reported, and escapes. Raises :class:`PoseFormatError`
+    naming the offending line (and token column where applicable) on any
+    deviation from the declared header.
 
     With ``first`` (at least 1), every line is still checked, and the file is
     accepted or refused with the same message as without it, but the sequence
     may hold only its first ``first`` frames: it does when the exact reader
-    takes the file and no value has more than 75 integer digits, so that every
-    value left out is finite and within ``MAX_COORDINATE`` and
-    :func:`validate_sequence` could flag none of them. Otherwise it holds every frame.
+    takes the file, whose values are all finite and within ``MAX_COORDINATE``,
+    so that :func:`validate_sequence` could flag none of those left out.
+    Otherwise it holds every frame.
     """
-    if isinstance(text, bytes) and not text.isascii():
-        text = text.decode("utf-8")
-    if not text:
+    if not data.isascii():
+        data.decode("utf-8")  # only a check; each line is decoded as it is read
+    if not data:
         raise PoseFormatError("empty file: expected 'POSE v1 <frames> <keypoints> <dims>' header")
-    header_end = text.find("\n" if isinstance(text, str) else b"\n")
-    header_line = text if header_end < 0 else text[:header_end]
-    header_line = header_line if isinstance(header_line, str) else header_line.decode("ascii")
+    header_end = data.find(b"\n")
+    header_line = (data if header_end < 0 else data[:header_end]).decode("utf-8")
     header = header_line.split()
     if len(header) != 5 or header[0] != "POSE" or header[1] != "v1":
         raise PoseFormatError(
@@ -448,12 +438,12 @@ def parse_pose_file(
     if dims != 3:
         raise PoseFormatError(f"line 1: only 3-dimensional poses are supported, header declares {dims}")
 
-    expected, start = num_keypoints * dims, len(text) if header_end < 0 else header_end + 1
+    expected, start = num_keypoints * dims, len(data) if header_end < 0 else header_end + 1
     frames = None
-    if _MIDPOINT is not None and header_end >= 0 and text.isascii():
-        frames = _read_exact(text, start, num_frames, expected, first)
+    if _MIDPOINT is not None and header_end >= 0:
+        frames = _read_exact(data, start, num_frames, expected, first)
     if frames is None:
-        frames = _read_lines(text, start, num_frames, expected)
+        frames = _read_lines(data, start, num_frames, expected)
     return _adopt(id, frames.reshape(-1, num_keypoints, dims), layout)
 
 
@@ -513,7 +503,7 @@ def _write_block(rows: np.ndarray) -> str:
 
 
 def write_pose_file(seq: PoseSequence) -> str:
-    """Serialize a sequence canonically; ``parse_pose_file`` inverts this exactly."""
+    """Serialize a sequence canonically; ``parse_pose_file`` of its UTF-8 bytes inverts this exactly."""
     t, k = seq.num_frames, seq.num_keypoints
     rows, step = seq.frames.reshape(t, k * 3), max(1, _BLOCK // 16 // (k * 3))
     blocks = [_write_block(rows[i : i + step]) for i in range(0, t, step)]

@@ -336,6 +336,19 @@ def test_cli_names_backtranslation_output_that_is_not_utf8(
     )
 
 
+def test_cli_names_backtranslation_command_that_cannot_start(
+    corpus_writer, sentence_writer, tmp_path, capsys
+):
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "pred")
+    ref_text = hook_references(corpus, sentence_writer)
+    assert run_cli("evaluate", "--pred", str(manifest), "--backtranslate", str(tmp_path / "absent"),
+                   "--ref-text", str(ref_text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: back-translation command failed to start: ")
+    assert err.count("\n") == 1
+
+
 def test_run_backtranslation_rejects_empty_command():
     with pytest.raises(EvaluationError, match="empty"):
         run_backtranslation("", [])
@@ -486,6 +499,12 @@ def test_dev_phase_daily_quota(corpus_writer):
     assert any("daily quota" in v for v in report.violations)
     yesterday = [record(1) for _ in range(100)]
     assert validate_submission(manifest, manifest, DEVELOPMENT_RULES, yesterday, now=NOW).ok
+    # a naive timestamp counts on the day it names
+    naive = [SubmissionRecord(NOW.replace(tzinfo=None), "development", "d") for _ in range(100)]
+    report = validate_submission(manifest, manifest, DEVELOPMENT_RULES, naive, now=NOW)
+    assert any("daily quota" in v for v in report.violations)
+    naive = [SubmissionRecord(rec.timestamp - timedelta(days=1), rec.phase, rec.digest) for rec in naive]
+    assert validate_submission(manifest, manifest, DEVELOPMENT_RULES, naive, now=NOW).ok
 
 
 def test_dev_phase_total_quota(corpus_writer):
@@ -881,7 +900,7 @@ def test_non_utf8_pose_file_is_named(corpus_writer, tmp_path, capsys):
 
 def set_frames(pose_path: Path, index, value) -> None:
     """Rewrite a pose file with ``frames[index] = value``."""
-    frames = parse_pose_file(pose_path.read_text(encoding="utf-8"), id="x").frames.copy()
+    frames = parse_pose_file(pose_path.read_bytes(), id="x").frames.copy()
     frames[index] = value
     pose_path.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
 
@@ -923,7 +942,7 @@ def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> Path:
         lines[row] = token + lines[row][lines[row].index(" "):]
         victim.write_text("\n".join(lines), encoding="utf-8")
     elif mutation == "malformed-last-line":  # in a file longer than one block of the reader
-        frames = parse_pose_file(text, id="x").frames
+        frames = parse_pose_file(text.encode(), id="x").frames
         frames = np.tile(frames, (pose._BLOCK // len(text) + 1, 1, 1))
         text = write_pose_file(PoseSequence(id="x", frames=frames))
         victim.write_text(text[: text.rindex(" ")] + " 0.5.5\n", encoding="utf-8")
@@ -932,7 +951,7 @@ def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> Path:
         first = "nan " + first.split(" ", 1)[1]
         victim.write_text(f"{header}\n{first}\n{rest}", encoding="utf-8")
     elif mutation == "point-count":
-        frames = parse_pose_file(text, id="x").frames[:, :-1]
+        frames = parse_pose_file(text.encode(), id="x").frames[:, :-1]
         victim.write_text(write_pose_file(PoseSequence(id="x", frames=frames)), encoding="utf-8")
     elif mutation == "missing-frame":
         victim.write_text(text[: text.rstrip("\n").rindex("\n") + 1], encoding="utf-8")

@@ -158,6 +158,8 @@ def test_parse_layout_malformed_line():
         parse_layout("body zero 3")
     with pytest.raises(LayoutError, match="line 1"):  # longer than len() can measure
         parse_layout("body 0 " + "9" * 30)
+    with pytest.raises(LayoutError, match="^layout descriptor line 2: malformed entry 'neck 0 1'$"):
+        parse_layout("body 0 3\nneck 0 1")
 
 
 def test_sequence_frames_are_read_only(tiny_layout):
@@ -177,9 +179,9 @@ def test_parsed_and_normalized_frames_are_allocated_once():
     # 4000 equal lines of the default layout: 17 MB of frames, far above the
     # exact reader's per-block scratch, so a second copy would show in the peak
     line = " ".join(f"{k * k % 1000 / 1000:.3f}" for k in range(178 * 3))
-    text = "POSE v1 4000 178 3\n" + f"{line}\n" * 4000
+    data = ("POSE v1 4000 178 3\n" + f"{line}\n" * 4000).encode()
     parsed = []
-    peak = traced_peak(lambda: parsed.append(parse_pose_file(text, "s")))
+    peak = traced_peak(lambda: parsed.append(parse_pose_file(data, "s")))
     seq = parsed[0]
     assert peak < 1.5 * seq.frames.nbytes
     for frames in (seq.frames, normalize_sequence(seq).frames):
@@ -230,8 +232,7 @@ def test_sequence_needs_a_keypoint():
 def test_write_parse_round_trip_is_exact(frames):
     layout = flat_layout(frames.shape[1])
     seq = PoseSequence(id="rt", frames=frames, layout=layout)
-    text = write_pose_file(seq)
-    again = parse_pose_file(text, id="rt", layout=layout)
+    again = parse_pose_file(write_pose_file(seq).encode(), id="rt", layout=layout)
     assert np.array_equal(again.frames, seq.frames)
     assert again == seq
 
@@ -241,43 +242,43 @@ def test_written_values_are_plain_decimal():
     text = write_pose_file(PoseSequence(id="s", frames=values, layout=flat_layout(1)))
     body = text.split("\n", 1)[1]
     assert "e" not in body and "E" not in body
-    again = parse_pose_file(text, id="s", layout=flat_layout(1))
+    again = parse_pose_file(text.encode(), id="s", layout=flat_layout(1))
     assert np.array_equal(again.frames, values)
 
 
 def test_parse_rejects_bad_header():
     with pytest.raises(PoseFormatError, match="header"):
-        parse_pose_file("JUNK v1 1 1 3\n0 0 0\n", id="x")
+        parse_pose_file(b"JUNK v1 1 1 3\n0 0 0\n", id="x")
     with pytest.raises(PoseFormatError, match="3-dimensional"):
-        parse_pose_file("POSE v1 1 1 2\n0 0\n", id="x")
+        parse_pose_file(b"POSE v1 1 1 2\n0 0\n", id="x")
     with pytest.raises(PoseFormatError, match="non-integer"):
-        parse_pose_file("POSE v1 one 1 3\n0 0 0\n", id="x")
+        parse_pose_file(b"POSE v1 one 1 3\n0 0 0\n", id="x")
     with pytest.raises(PoseFormatError, match="positive"):
-        parse_pose_file("POSE v1 0 1 3\n", id="x")
+        parse_pose_file(b"POSE v1 0 1 3\n", id="x")
     with pytest.raises(PoseFormatError, match="empty file"):
-        parse_pose_file("", id="x")
+        parse_pose_file(b"", id="x")
 
 
 def test_parse_rejects_frame_count_mismatch():
     with pytest.raises(PoseFormatError, match="declares 2 frames, file has 1"):
-        parse_pose_file("POSE v1 2 1 3\n0 0 0\n", id="x")
+        parse_pose_file(b"POSE v1 2 1 3\n0 0 0\n", id="x")
 
 
 def test_parse_rejects_wrong_value_count():
     with pytest.raises(PoseFormatError, match="line 2: expected 6 values, found 5"):
-        parse_pose_file("POSE v1 1 2 3\n0 0 0 0 0\n", id="x")
+        parse_pose_file(b"POSE v1 1 2 3\n0 0 0 0 0\n", id="x")
 
 
 def test_parse_names_bad_token_position():
     with pytest.raises(PoseFormatError, match="line 3, column 2: unparseable"):
-        parse_pose_file("POSE v1 2 1 3\n0 0 0\n0 oops 0\n", id="x")
+        parse_pose_file(b"POSE v1 2 1 3\n0 0 0\n0 oops 0\n", id="x")
 
 
 def test_parse_rejects_non_finite():
     with pytest.raises(PoseFormatError, match="non-finite"):
-        parse_pose_file("POSE v1 1 1 3\n0 nan 0\n", id="x")
+        parse_pose_file(b"POSE v1 1 1 3\n0 nan 0\n", id="x")
     with pytest.raises(PoseFormatError, match="non-finite"):
-        parse_pose_file("POSE v1 1 1 3\n0 inf 0\n", id="x")
+        parse_pose_file(b"POSE v1 1 1 3\n0 inf 0\n", id="x")
 
 
 def test_validate_sequence_checks_point_count(tiny_layout):
@@ -315,35 +316,29 @@ READERS = {
 }
 
 
-def read(text: str, reader: str) -> np.ndarray | str:
-    """``parse_pose_file``'s values, flat, or the message of its ``PoseFormatError``.
+def read(data: bytes, reader: str) -> np.ndarray | str:
+    """``parse_pose_file``'s values of ``data``, flat, or the message of the error it raises.
 
-    The file's UTF-8 bytes must give the same values, bit for bit, or the same
-    message (a text with a lone surrogate has no UTF-8 bytes). So must a read
-    of the first frame only, whose frame 0 must be the full read's.
+    A ``PoseFormatError`` or a ``UnicodeDecodeError`` is an outcome; any other
+    exception escapes. A read of the first frame only must give the same
+    message, or frame 0 alone or every frame, bit for bit; it may leave frames
+    out only when every value is within ``MAX_COORDINATE``.
     """
     outcomes = []
-    try:
-        datas = [text, text.encode("utf-8")]
-    except UnicodeEncodeError:
-        datas = [text]
     with mock.patch.multiple(pose, **READERS[reader]):
-        for data in datas:
-            for first in (None, 1):
-                try:
-                    outcomes.append((first, parse_pose_file(data, id="x", first=first).frames))
-                except PoseFormatError as err:
-                    outcomes.append((first, str(err)))
-    (_, as_text), *others = outcomes
-    for first, other in others:
-        if isinstance(as_text, str):
-            assert other == as_text
-        else:
-            # a first-frame read holds frame 0 alone, or every frame
-            assert isinstance(other, np.ndarray)
-            assert len(other) in ((1, len(as_text)) if first else (len(as_text),))
-            assert other.tobytes() == as_text[: len(other)].tobytes()
-    return as_text if isinstance(as_text, str) else as_text.reshape(-1)
+        for first in (None, 1):
+            try:
+                outcomes.append(parse_pose_file(data, id="x", first=first).frames)
+            except (PoseFormatError, UnicodeDecodeError) as err:
+                outcomes.append(str(err))
+    whole, head = outcomes
+    if isinstance(whole, str):
+        assert head == whole
+        return whole
+    assert isinstance(head, np.ndarray)
+    assert len(head) == len(whole) or (len(head) == 1 and (np.abs(whole) <= MAX_COORDINATE).all())
+    assert head.tobytes() == whole[: len(head)].tobytes()
+    return whole.reshape(-1)
 
 
 def float_oracle(text: str) -> np.ndarray | None:
@@ -363,9 +358,9 @@ def float_oracle(text: str) -> np.ndarray | None:
 
 
 def assert_reads_like_float(text: str, reader: str) -> None:
-    expected, got = float_oracle(text), read(text, reader)
+    expected, got = float_oracle(text), read(text.encode(), reader)
     if expected is None:
-        assert isinstance(got, str) and got == read(text, "lines")
+        assert isinstance(got, str) and got == read(text.encode(), "lines")
     else:
         assert isinstance(got, np.ndarray)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -418,10 +413,15 @@ def test_written_files_read_like_float(reader, frames):
 @example(tokens=["-922337203685477580.8"])  # its mantissa is the int64 minimum
 @example(tokens=["-99999999999999999999.9"])  # its mantissa saturates int64
 @example(tokens=["0." + "0" * 27 + "1"])  # 10**28 is not exact in a long double
-# past frame 0: the most integer digits a first-frame read leaves unconverted, one more
-# (past MAX_COORDINATE), and so many that float() reads inf
+# past frame 0: the longest integer parts the exact reader takes (75 characters before the
+# point, sign included), unsigned and negative; those a character longer, which it refuses:
+# negative, unsigned at MAX_COORDINATE and unsigned past it; and one so long that float()
+# reads inf
+@example(tokens=["0.5"] * 3 + ["9" * 75 + ".9"])
+@example(tokens=["0.5"] * 3 + ["-" + "9" * 74 + ".9"])
 @example(tokens=["0.5"] * 3 + ["-" + "9" * 75 + ".9"])
 @example(tokens=["0.5"] * 3 + ["1" + "0" * 75 + ".0"])
+@example(tokens=["0.5"] * 3 + ["9" * 76 + ".0"])
 @example(tokens=["0.5"] * 3 + ["9" * 400 + ".0"])
 def test_decimal_tokens_read_like_float(reader, tokens):
     assert_reads_like_float(tokens_file(tokens), reader)
@@ -502,16 +502,20 @@ def test_mutated_files_read_like_float(reader, frames, faults):
 @pytest.mark.parametrize("reader", READERS)
 @settings(max_examples=150, deadline=None)
 @given(
-    text=st.text()
-    | st.builds(
-        "POSE v1 {} {} 3\n{}".format,
-        st.integers(-1, 3) | st.integers(0, 10**20),
-        st.integers(-1, 3) | st.integers(0, 10**20),
-        st.text(st.sampled_from("0123456789.- \n\t\re+_") | st.characters()),
-    )
+    data=st.binary()
+    | st.binary().map(b"POSE v1 2 1 3\n".__add__)
+    | (
+        st.text()
+        | st.builds(
+            "POSE v1 {} {} 3\n{}".format,
+            st.integers(-1, 3) | st.integers(0, 10**20),
+            st.integers(-1, 3) | st.integers(0, 10**20),
+            st.text(st.sampled_from("0123456789.- \n\t\re+_") | st.characters()),
+        )
+    ).map(lambda text: text.encode("utf-8", "surrogatepass"))  # a lone surrogate is not UTF-8
 )
-def test_parse_raises_only_pose_format_error(reader, text):
-    read(text, reader)  # any other exception fails the test
+def test_parse_raises_only_pose_format_error(reader, data):
+    read(data, reader)  # any other exception fails the test
 
 
 # ------------------------------------------------- the exact writer against _format_value

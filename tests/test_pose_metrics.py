@@ -164,6 +164,11 @@ def test_single_frame_against_two():
     assert dtw_mje(pred, ref) == pytest.approx(0.5)
 
 
+def test_dtw_refuses_different_keypoint_counts():
+    with pytest.raises(ValueError, match="^keypoint counts differ: 2 vs 3$"):
+        dtw_align(seq_of(np.zeros((2, 2, 3))), seq_of(np.zeros((2, 3, 3))))
+
+
 def test_path_is_monotone_and_anchored():
     # a monotone path from (0, 0) to (4, 6) visits between max(p, r) and p + r - 1 cells
     rng = np.random.Generator(np.random.PCG64(3))

@@ -271,6 +271,8 @@ def test_length_error_correlation_absent_cases():
     assert length_error_correlation([3], [50.0]) is None
     assert length_error_correlation([2, 4, 6], [30.0, 30.0, 30.0]) is None
     assert length_error_correlation([4, 4, 4], [10.0, 20.0, 30.0]) is None
+    with pytest.raises(ValueError, match="differ in size"):
+        length_error_correlation([2, 4], [30.0])
 
 
 def test_length_error_correlation_matches_numpy():
