@@ -20,6 +20,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .harness import (
 )
 from .manifest import open_regular, read_input, read_regular
 from .pose import DEFAULT_LAYOUT, KeypointLayout, parse_layout, write_pose_file
-from .ranking import ScoreVector, pareto_fronts
+from .ranking import CANONICAL_METRICS, Ranking, ScoreVector, pareto_fronts
 from .synth import iter_synth_corpus
 
 __all__ = ["main"]
@@ -202,6 +203,26 @@ def _matrix_rows(matrix: np.ndarray) -> Iterable[str]:
     yield "\n    ]"
 
 
+#: an entrant's scores after its name, metrics in sorted-name order, each spelled by repr
+_SCORES = ": {" + ",".join(f'\n      "{name}": %({name})r' for name in sorted(CANONICAL_METRICS))
+
+
+def _rank_json(entries: list[ScoreVector], ranking: Ranking) -> Iterable[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` and a newline, in pieces
+    (head, matrix blocks, fronts, each entrant's scores, tail): a wide name widens only its own."""
+    def names(items: Iterable[str]) -> str:  # a list of names, two levels deep
+        return "[\n      " + ",\n      ".join(map(encode_basestring, items)) + "\n    ]"
+    yield '{\n  "dominance": {\n    "entrants": ' + names(entry.entrant for entry in entries)
+    yield ',\n    "matrix": '
+    yield from _matrix_rows(ranking.dominance)
+    fronts = ",\n    ".join(map(names, ranking.fronts))
+    yield '\n  },\n  "fronts": [\n    ' + fronts + '\n  ],\n  "scores": {'
+    for i, entry in enumerate(sorted(entries, key=lambda entry: entry.entrant)):
+        name = encode_basestring(entry.entrant)
+        yield ("," if i else "") + "\n    " + name + _SCORES % entry.as_dict() + "\n    }"
+    yield "\n  }\n}\n"
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
     entries = [entry for path in args.scores for entry in read_input(path, _parse_scores)]
     ranking = pareto_fronts(entries)
@@ -209,15 +230,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         pieces = [f"{front_index}  {name}\n"
                   for front_index, front in enumerate(ranking.fronts, 1) for name in front]
     else:
-        doc = {
-            "fronts": [list(front) for front in ranking.fronts],
-            "dominance": {"entrants": [entry.entrant for entry in entries], "matrix": []},
-            "scores": {entry.entrant: entry.as_dict() for entry in entries},
-        }
-        # the encoder's chunks, so a wide name widens only its own; the matrix is doc's only "[]"
-        chunks = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(doc)
-        head = iter(chunks.__next__, "[]")  # stops on the matrix's chunk, consuming it
-        pieces = itertools.chain(head, _matrix_rows(ranking.dominance), chunks, ["\n"])
+        pieces = _rank_json(entries, ranking)
     _emit(pieces, args.out)
     return 0
 

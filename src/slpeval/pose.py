@@ -406,10 +406,10 @@ def parse_pose_file(
 ) -> PoseSequence:
     """Parse a POSE v1 file's bytes into a :class:`PoseSequence`.
 
-    The bytes must be strict UTF-8; a :class:`UnicodeDecodeError` is the
-    first error reported, and escapes. Raises :class:`PoseFormatError`
-    naming the offending line (and token column where applicable) on any
-    deviation from the declared header.
+    The bytes must be strict UTF-8, checked one block of whole lines at a time; a
+    :class:`UnicodeDecodeError`, placed in the whole file, is the first error reported, and
+    escapes. Raises :class:`PoseFormatError` naming the offending line (and token column
+    where applicable) on any deviation from the declared header.
 
     With ``first`` (at least 1), every line is still checked, and the file is
     accepted or refused with the same message as without it, but the sequence
@@ -418,8 +418,15 @@ def parse_pose_file(
     so that :func:`validate_sequence` could flag none of those left out.
     Otherwise it holds every frame.
     """
-    if not data.isascii():
-        data.decode("utf-8")  # only a check; each line is decoded as it is read
+    if not data.isascii():  # only a check; each line is decoded as it is read
+        offset = 0
+        for block in _line_blocks(data, 0):
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as err:  # placed in the whole file, as its decode does
+                raise UnicodeDecodeError(
+                    "utf-8", data, offset + err.start, offset + err.end, err.reason) from None
+            offset += len(block)
     if not data:
         raise PoseFormatError("empty file: expected 'POSE v1 <frames> <keypoints> <dims>' header")
     header_end = data.find(b"\n")

@@ -80,7 +80,8 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
             # summed as dx*dx + dy*dy + dz*dz, the order np.linalg.norm uses: bit-identical
             sq[0] += sq[1]
             sq[0] += sq[2]
-            np.sqrt(sq[0], out=sq[0]).mean(axis=1, out=costs[a - lo : b - lo])
+            np.add.reduce(np.sqrt(sq[0], out=sq[0]), axis=1, out=costs[a - lo : b - lo])
+        costs[: hi - lo + 1] /= pred.num_keypoints  # means as ndarray.mean: sum, then divide
         if d == 0:
             acc[0, 1], length[0, 1] = costs[0], 1
             continue

@@ -142,15 +142,14 @@ def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
 
 
 def dominance_matrix(entries: list[ScoreVector]) -> np.ndarray:
-    """Pairwise (N, N) bool array in input order: cell [i, j] means i dominates j."""
+    """Pairwise (N, N) bool array in input order: cell [i, j] means i dominates j, which, as
+    every objective is finite, is ``no_worse[i, j] and not no_worse[j, i]``."""
     values = np.array([entry.values for entry in entries])
     no_worse = np.ones((len(entries), len(entries)), dtype=bool)
-    better = np.zeros_like(no_worse)
     for metric, column in zip(METRICS, values.T):
         if metric.objective == "max":
             column = -column
         elif metric.objective == "one":  # hand-travel ratio: optimum is 1
             column = np.abs(1.0 - column)
         no_worse &= column[:, None] <= column
-        better |= column[:, None] < column
-    return no_worse & better
+    return no_worse & ~no_worse.T

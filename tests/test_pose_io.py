@@ -199,6 +199,49 @@ def test_line_reader_holds_one_block_of_lines():
     assert peak < 2.5 * seq.frames.nbytes, (peak, seq.frames.nbytes)
 
 
+def non_ascii_pose_file(frame_count: int) -> tuple[PoseSequence, bytes]:
+    """A written sequence whose first frame separator is U+3000, which ``str.split`` takes as
+    whitespace: the file is valid UTF-8 that only the line reader reads."""
+    seq = synth_sequence(SynthSpec(frame_count=frame_count, seed=1), id="s")
+    data = write_pose_file(seq).encode()
+    at = data.index(b" ", data.index(b"\n"))
+    return seq, data[:at] + "\u3000".encode() + data[at + 1 :]
+
+
+def test_non_ascii_file_is_checked_as_utf8_one_block_at_a_time():
+    # 1500 frames, about 14.6 MB: a whole-file decode to check it peaked at about three
+    # times its bytes; one block at a time, the frames and one block's text stay below them
+    seq, data = non_ascii_pose_file(1500)
+    parsed = []
+    peak = traced_peak(lambda: parsed.append(parse_pose_file(data, "s")))
+    assert parsed[0] == seq
+    assert peak < len(data), (peak, len(data))
+
+
+@pytest.mark.parametrize("block", [pose._BLOCK, 64])
+@pytest.mark.parametrize("fault", ["invalid start byte", "invalid continuation byte",
+                                   "unexpected end of data"])
+def test_utf8_error_reads_as_a_whole_file_decode(monkeypatch, block, fault):
+    # errors at 5000, at 300000 (past the first block of either size) and at the end of the
+    # file: each gives the text, position and bytes of data.decode("utf-8")
+    _, data = non_ascii_pose_file(80)
+    if fault == "invalid start byte":
+        data = data[:5000] + b"\xff" + data[5000:]
+    elif fault == "invalid continuation byte":
+        data = data[:300000] + b"\xe3\x81" + data[300000:]
+    else:
+        data += b"\xe3\x81"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    monkeypatch.setattr(pose, "_BLOCK", block)
+    with pytest.raises(UnicodeDecodeError) as blocks:
+        parse_pose_file(data, "s")
+    assert whole.value.reason == fault
+    assert str(blocks.value) == str(whole.value)
+    assert (blocks.value.start, blocks.value.end) == (whole.value.start, whole.value.end)
+    assert blocks.value.object == data
+
+
 def test_normalization_writes_one_output_a_chunk_at_a_time(rng):
     # many chunks and a part of one: the bits are the whole-sequence formula's, and the
     # translated frames are held one chunk at a time beside the output, never whole

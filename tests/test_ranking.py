@@ -150,6 +150,25 @@ def test_over_articulation_is_penalized():
     assert dominance(calm, wild) == (True, False)
 
 
+#: -0.0 ties 0.0, and the "one" objective maps 0.5 and 1.5 to the same 0.5
+TIE_VALUE = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[TIE_VALUE] * len(CANONICAL_METRICS)), min_size=1, max_size=10))
+@example(rows=[(0.0,) * 9, (-0.0,) * 9, (0.0,) * 8 + (0.5,), (-0.0,) * 8 + (1.5,)])
+@example(rows=[(1.0,) * 9, (1.0,) * 8 + (0.5,), (1.0,) * 8 + (1.5,), (2.0,) * 8 + (1.5,)])
+def test_dominance_matrix_with_ties_matches_the_oracle_cell_by_cell(rows):
+    entries = [ScoreVector(f"e{i}", row) for i, row in enumerate(rows)]
+    matrix = dominance_matrix(entries)
+    scores = [entry.as_dict() for entry in entries]
+    assert matrix.dtype == bool and matrix.shape == (len(rows), len(rows))
+    assert not matrix.diagonal().any()
+    for i, a in enumerate(scores):
+        for j, b in enumerate(scores):
+            assert matrix[i, j] == oracle_dominates(a, b), (i, j)
+
+
 # ---------------------------------------------------------------- fronts
 
 
@@ -250,6 +269,21 @@ def oracle_rank_json(items: list[dict]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def assert_rank_output_is_the_plain_encoders(items: list[dict]) -> None:
+    """``rank --format structured`` of ``items``, to stdout and to ``--out``, is
+    :func:`oracle_rank_json`'s text."""
+    expected = oracle_rank_json(items)
+    with tempfile.TemporaryDirectory() as tmp:
+        scores, out = Path(tmp) / "scores.json", Path(tmp) / "ranking.json"
+        scores.write_text(json.dumps(items), encoding="utf-8")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["rank", "--scores", str(scores)]) == 0
+        assert stdout.getvalue() == expected
+        assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
+
 #: names JSON must escape, that spell the matrix key, or that are not ASCII;
 #: no character of category Cc, Zl or Zp, which entrant names may not hold
 ENTRANT_NAME = st.one_of(
@@ -289,16 +323,35 @@ ALL_TIED = [{"entrant": name, "metrics": dict(LEADERBOARD["team1"])} for name in
 @example(items=ONE_ENTRANT)
 @example(items=ALL_TIED)
 def test_structured_rank_output_equals_the_plain_encoder(items):
-    expected = oracle_rank_json(items)
-    with tempfile.TemporaryDirectory() as tmp:
-        scores, out = Path(tmp) / "scores.json", Path(tmp) / "ranking.json"
-        scores.write_text(json.dumps(items), encoding="utf-8")
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(["rank", "--scores", str(scores)]) == 0
-        assert stdout.getvalue() == expected
-        assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
-        assert out.read_bytes() == expected.encode("utf-8")
+    assert_rank_output_is_the_plain_encoders(items)
+
+
+#: one value of each spelling ``repr`` gives a finite float: signed zero, the least
+#: subnormal, an exponent, the largest float, integers (as JSON writes them) and plain decimals
+SPELLINGS = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, 3, -7, 0.1, -2.5e-7, 123456789.25]
+#: names JSON escapes, non-ASCII and astral, in an order that sorting changes
+UNSORTED_NAMES = ["\u00e4", '"', "\\", "\U0001d11e", "b", "a"]
+
+
+@st.composite
+def finite_score_items(draw):
+    """Score-file entries with arbitrary finite values, floats or JSON integers."""
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.integers(-(10**18), 10**18))
+    names = draw(st.lists(ENTRANT_NAME, min_size=1, max_size=8, unique=True))
+    return [{"entrant": name, "metrics": {metric: draw(value) for metric in CANONICAL_METRICS}}
+            for name in names]
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=finite_score_items())
+@example(items=[{"entrant": name, "metrics": dict(zip(CANONICAL_METRICS,
+                                                       SPELLINGS[i:] + SPELLINGS[:i]))}
+                for i, name in enumerate(UNSORTED_NAMES)])
+@example(items=[{"entrant": name, "metrics": dict.fromkeys(CANONICAL_METRICS, value)}
+                for name, value in zip(UNSORTED_NAMES, SPELLINGS)])
+def test_structured_rank_output_of_any_finite_values_equals_the_plain_encoder(items):
+    assert_rank_output_is_the_plain_encoders(items)
 
 
 def test_one_astral_name_does_not_widen_the_ranking_output(tmp_path):
