@@ -219,24 +219,22 @@ def test_non_ascii_file_is_checked_as_utf8_one_block_at_a_time():
 
 
 @pytest.mark.parametrize("block", [pose._BLOCK, 64])
-@pytest.mark.parametrize("fault", ["invalid start byte", "invalid continuation byte",
-                                   "unexpected end of data"])
-def test_utf8_error_reads_as_a_whole_file_decode(monkeypatch, block, fault):
-    # errors at 5000, at 300000 (past the first block of either size) and at the end of the
-    # file: each gives the text, position and bytes of data.decode("utf-8")
+@pytest.mark.parametrize("at, inserted, reason", [
+    (5000, b"\xff", "invalid start byte"),
+    (300000, b"\xe3\x81", "invalid continuation byte"),  # past the first block of either size
+    (None, b"\xe3\x81", "unexpected end of data"),  # the end of the file
+])
+def test_utf8_error_reads_as_a_whole_file_decode(monkeypatch, block, at, inserted, reason):
+    # each error gives the text, position and bytes of data.decode("utf-8")
     _, data = non_ascii_pose_file(80)
-    if fault == "invalid start byte":
-        data = data[:5000] + b"\xff" + data[5000:]
-    elif fault == "invalid continuation byte":
-        data = data[:300000] + b"\xe3\x81" + data[300000:]
-    else:
-        data += b"\xe3\x81"
+    at = len(data) if at is None else at
+    data = data[:at] + inserted + data[at:]
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
     monkeypatch.setattr(pose, "_BLOCK", block)
     with pytest.raises(UnicodeDecodeError) as blocks:
         parse_pose_file(data, "s")
-    assert whole.value.reason == fault
+    assert whole.value.reason == reason
     assert str(blocks.value) == str(whole.value)
     assert (blocks.value.start, blocks.value.end) == (whole.value.start, whole.value.end)
     assert blocks.value.object == data
