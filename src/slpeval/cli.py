@@ -141,6 +141,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     rules = TEST_RULES if args.phase == "test" else DEVELOPMENT_RULES
     now = args.now or datetime.now(timezone.utc)
+    try:  # the daily quota counts by UTC date, which an offset can carry out of range
+        if now.tzinfo is not None:
+            now.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"--now {now.isoformat()}: outside UTC's date range") from None
     layout = _read_layout(args.layout)
     with contextlib.ExitStack() as stack:
         if args.record:

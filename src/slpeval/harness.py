@@ -41,7 +41,7 @@ from .pose import (
     torso_rotation,
     validate_sequence,
 )
-from .pose_metrics import PairScore, PoseScore, aggregate_pairs, score_pair
+from .pose_metrics import PoseScore, aggregate_pairs, score_pair
 from .ranking import METRICS, Metric
 from .text_metrics import (
     TextScore,
@@ -105,9 +105,10 @@ def load_history(text: str) -> list[SubmissionRecord]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"history line {lineno}: expected 3 tab-separated fields, got {line!r}")
-        try:
+        try:  # a stamp must also have a UTC date, which the daily quota counts by
             stamp = datetime.fromisoformat(parts[0])
-        except ValueError:
+            _utc_date(stamp)
+        except (ValueError, OverflowError):
             raise ValueError(f"history line {lineno}: bad timestamp {parts[0]!r}") from None
         records.append(SubmissionRecord(timestamp=stamp, phase=parts[1], digest=parts[2]))
     return records
@@ -369,40 +370,35 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     (a file, or a back-translation command run over the prediction pose
     files) plus reference sentences (from ``reference_text`` or the
     reference manifest's third field). Pose files are read only when poses
-    are scored or back-translated, one prediction and its reference at a
-    time, after the manifests' ids and the sentences are checked. Each input
-    file is read once, and those bytes feed ``input_digest``. The first
-    failure aborts the run, naming its file.
+    are scored or back-translated, after the ids and sentences are checked:
+    pair by pair in reference-manifest order, prediction first. Each input
+    file is read once and hashed into ``input_digest`` as it is read. The
+    first failure aborts the run, naming its file.
     """
     hasher = hashlib.sha256()
-    layout, layout_data = DEFAULT_LAYOUT, None
+    layout = DEFAULT_LAYOUT
     if config.layout_file is not None:
-        layout_data = read_regular(config.layout_file)
-        layout = read_input(config.layout_file, parse_layout, layout_data)
+        layout = read_input(config.layout_file, parse_layout,
+                            _read_bytes(config.layout_file, hasher, b"layout"))
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 
-    ref_part: list[bytes] = []  # hashed after the prediction part, which its pose files end
     manifests: dict[str, dict[str, ManifestEntry]] = {}
-    for role, path, role_hasher in (
-        ("pred", config.pred_manifest, hasher),
-        ("ref", config.ref_manifest, SimpleNamespace(update=ref_part.append)),
-    ):
+    for role, path in (("pred", config.pred_manifest), ("ref", config.ref_manifest)):
         if path is not None:
-            role_hasher.update(role.encode())
-            manifests[role] = _read_entries(Path(path), load_manifest, "manifest", role_hasher)
+            manifests[role] = _read_entries(Path(path), load_manifest, "manifest", hasher,
+                                            role.encode())
     if score_poses:
         _require_same_ids(manifests["ref"], manifests["pred"],
                           f"{config.pred_manifest}: id set mismatch with reference manifest")
 
-    # the sentence files are read and checked before any pose file, and hashed after them all
-    text_part: list[bytes] = []
-    text_hasher, hyp_map, ref_map = SimpleNamespace(update=text_part.append), None, None
+    # the sentence files are read and checked before any pose file
+    hyp_map, ref_map = None, None
     if config.hypothesis_file is not None:
         hyp_map = _read_entries(config.hypothesis_file, load_sentence_file, "sentence file",
-                                text_hasher, b"hyp")
+                                hasher, b"hyp")
     if config.reference_text is not None:
         ref_map = _read_entries(config.reference_text, load_sentence_file, "sentence file",
-                                text_hasher, b"ref-text")
+                                hasher, b"ref-text")
     score_text = hyp_map is not None or config.backtranslate_command is not None
     if score_text:
         text_source = config.hypothesis_file or config.pred_manifest
@@ -424,29 +420,19 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
         _require_same_ids(ref_map, manifests["pred"] if hyp_map is None else hyp_map,
                           f"{text_source}: hypothesis ids do not match reference ids")
 
-    pairs: dict[str, PairScore] = {}
-    if score_poses or config.backtranslate_command is not None:
-        prepare = normalize_sequence if score_poses and config.normalize else None
-        # in reference-manifest order, each reference pose file with a hasher of its own
-        ref_hashers = {i: hashlib.sha256() for i in manifests["ref"]} if score_poses else {}
+    prepare = normalize_sequence if config.normalize else None
+    # pairs in the order the corpus sums run; no pair's sequences outlive its score_pair
+    pose_score, ratio = aggregate_pairs([
+        score_pair(_load_pose(config.pred_manifest, manifests["pred"][i], layout, hasher, prepare),
+                   _load_pose(config.ref_manifest, entry, layout, hasher, prepare))
+        for i, entry in manifests["ref"].items()
+    ]) if score_poses else (None, None)
+    if config.backtranslate_command is not None and not score_poses:
         for entry in manifests["pred"].values():
-            pred = _load_pose(config.pred_manifest, entry, layout, hasher, prepare)
-            if score_poses:
-                ref = _load_pose(config.ref_manifest, manifests["ref"][entry.id], layout,
-                                 ref_hashers[entry.id], prepare)
-                pairs[entry.id] = score_pair(pred, ref)
-        ref_part.extend(ref_hasher.digest() for ref_hasher in ref_hashers.values())
-    hasher.update(b"".join(ref_part + text_part))
-    if layout_data is not None:
-        _digest_bytes(hasher, b"layout", layout_data)
+            _load_pose(config.pred_manifest, entry, layout, hasher, None)
     if config.backtranslate_command is not None:
         _digest_bytes(hasher, b"backtranslate", config.backtranslate_command.encode())
     hasher.update(b"normalize" if config.normalize else b"raw")
-
-    # summed in reference-manifest order, whatever order the predictions came in
-    pose_score, ratio = (
-        aggregate_pairs([pairs[i] for i in manifests["ref"]]) if score_poses else (None, None)
-    )
 
     text_score: TextScore | None = None
     correlation: float | None = None

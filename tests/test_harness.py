@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import slpeval
 from conftest import SENTENCE_TEXT, traced_peak
-from slpeval import pose, pose_metrics
+from slpeval import harness, pose, pose_metrics
 from slpeval.cli import main
 from slpeval.harness import (
     DEVELOPMENT_RULES,
@@ -38,6 +38,7 @@ from slpeval.harness import (
     run_backtranslation,
     validate_submission,
 )
+from slpeval.manifest import read_regular
 from slpeval.pose import MAX_COORDINATE, PoseSequence, parse_pose_file, write_pose_file
 from slpeval.pose_metrics import aggregate_pairs, score_pair
 from slpeval.synth import SynthSpec, perturb, synth_corpus, synth_sequence
@@ -845,26 +846,45 @@ def test_text_only_evaluate_reads_no_pose_files(corpus_writer, sentence_writer, 
     assert report["provenance"]["input_digest"] == hasher.hexdigest()
 
 
-def test_pose_and_text_digest_follows_its_definition(corpus_writer, sentence_writer, capsys):
+@pytest.mark.parametrize("argv", [
+    ["--pred", "{pred}", "--ref", "{ref}", "--hyp", "{hyp}", "--layout", "{layout}"],
+    ["--pred", "{pred}", "--backtranslate", "{hook}", "--ref-text", "{ref_text}"],
+    ["--hyp", "{hyp}", "--ref", "{ref}"],
+], ids=["pose-text-layout", "backtranslate", "text"])
+def test_pose_and_text_digest_follows_its_definition(argv, corpus_writer, sentence_writer,
+                                                     tmp_path, monkeypatch, capsys):
     corpus = small_corpus()
     ref = corpus_writer(corpus, "ref")
     pred = corpus_writer(corpus[::-1], "pred")  # listed in the other order
-    hyp = sentence_writer(hyp_pairs(corpus), "hyp.tsv")
-    assert run_cli("evaluate", "--pred", str(pred), "--ref", str(ref), "--hyp", str(hyp)) == 0
+    paths = {"pred": pred, "ref": ref, "hyp": sentence_writer(hyp_pairs(corpus), "hyp.tsv"),
+             "ref_text": hook_references(corpus, sentence_writer), "layout": tmp_path / "layout"}
+    paths["layout"].write_text("body 0 8\nface 8 128\nlhand 136 21\nrhand 157 21\n"
+                               "neck 0\nlshoulder 1\nrshoulder 2\n", encoding="utf-8")
+    labels = {path: name.replace("_", "-").encode() for name, path in paths.items()}
+    for manifest in (pred, ref):  # each pose file is labelled by its entry id
+        labels.update({file: file.stem.encode() for file in (manifest.parent / "poses").iterdir()})
+    reads = []
+
+    def recording_read(path):
+        reads.append((Path(path), read_regular(path)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(harness, "read_regular", recording_read)
+    args = [arg.format(hook=hook_command(), **paths) for arg in argv]
+    assert run_cli("evaluate", *args) == 0
     report = json.loads(capsys.readouterr().out)
-
-    def item(label: bytes, data: bytes) -> bytes:
-        return label + len(data).to_bytes(8, "big") + data
-
-    def pose_items(manifest: Path) -> list[bytes]:
-        entries = [line.split("\t") for line in manifest.read_text(encoding="utf-8").splitlines()]
-        return [item(i.encode(), (manifest.parent / path).read_bytes()) for i, path, _ in entries]
-
-    hasher = hashlib.sha256(item(b"pred", pred.read_bytes()) + b"".join(pose_items(pred)))
-    hasher.update(item(b"ref", ref.read_bytes()))
-    for pose in pose_items(ref):  # each reference pose file hashed on its own
-        hasher.update(hashlib.sha256(pose).digest())
-    hasher.update(item(b"hyp", hyp.read_bytes()) + b"normalize")
+    read_paths = [path for path, _ in reads]
+    assert len(set(read_paths)) == len(read_paths)  # no input is read twice
+    if "--ref" in argv and "--pred" in argv:  # pair by pair in reference order, prediction first
+        assert [(labels[path], path.parents[1]) for path in read_paths[-2 * len(corpus):]] == [
+            (seq.id.encode(), root) for seq, _ in corpus for root in (pred.parent, ref.parent)]
+    hasher = hashlib.sha256()
+    for path, data in reads:
+        hasher.update(labels[path] + len(data).to_bytes(8, "big") + data)
+    if "--backtranslate" in argv:
+        command = args[argv.index("--backtranslate") + 1].encode()
+        hasher.update(b"backtranslate" + len(command).to_bytes(8, "big") + command)
+    hasher.update(b"normalize")
     assert report["provenance"]["input_digest"] == hasher.hexdigest()
 
 
@@ -1055,12 +1075,16 @@ MALFORMED_INPUT = {
                "layout descriptor line 4: malformed entry 'rhand 1 x'"),
     "history": (b"yesterday\tdevelopment\tdeadbeef\n",
                 "history line 1: bad timestamp 'yesterday'"),
+    # in UTC it would fall in the year 10000, so it has no date to count by
+    "history-utc": (b"9999-12-31T23:00:00-05:00\tdevelopment\tdeadbeef\n",
+                    "history line 1: bad timestamp '9999-12-31T23:00:00-05:00'"),
 }
 
 
-@pytest.mark.parametrize(
-    "kind, argv", [row for row in INPUT_FILE_ARGV if row[0] in MALFORMED_INPUT]
-)
+@pytest.mark.parametrize("kind, argv", [
+    (kind, argv) for kind in MALFORMED_INPUT for row_kind, argv in INPUT_FILE_ARGV
+    if row_kind == kind.split("-")[0]
+])
 def test_malformed_input_file_is_named(kind, argv, corpus_writer, tmp_path, capsys):
     ref = corpus_writer(small_corpus(), "ref")
     data, message = MALFORMED_INPUT[kind]
@@ -1071,6 +1095,18 @@ def test_malformed_input_file_is_named(kind, argv, corpus_writer, tmp_path, caps
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert bad.read_bytes() == data
     assert not paths["history"].exists() and not paths["out"].exists()
+
+
+@pytest.mark.parametrize("phase, now", [
+    ("dev", "0001-01-01T00:00:00+05:00"), ("test", "9999-12-31T23:00:00-05:00"),
+])
+def test_validate_refuses_a_now_outside_utc_dates(phase, now, tmp_path, capsys):
+    pair = synth_submission(tmp_path)
+    history = tmp_path / "h.log"
+    assert run_cli("validate", *pair, "--phase", phase, "--history", str(history), "--record",
+                   "--now", now) == 2
+    assert capsys.readouterr().err == f"error: --now {now}: outside UTC's date range\n"
+    assert not history.exists()
 
 
 def cli_env() -> dict[str, str]:
@@ -1415,15 +1451,16 @@ def test_validate_and_evaluate_agree(mutation, side, entry):
 def test_evaluate_and_validate_hold_one_pair_at_a_time(tmp_path):
     run_cli("synth", "corpus", "--count", "32", "--frames", "120", "--out", str(tmp_path))
     full = tmp_path / "manifest.tsv"
-    first_8 = tmp_path / "first_8.tsv"
-    first_8.write_text("".join(full.read_text(encoding="utf-8").splitlines(True)[:8]),
-                       encoding="utf-8")
+    first = tmp_path / "first.tsv"
+    first.write_text(full.read_text(encoding="utf-8").splitlines(True)[0], encoding="utf-8")
     one_sequence = 120 * 178 * 3 * 8
     for run in (
         lambda m: evaluate(EvaluationConfig(pred_manifest=m, ref_manifest=m)),
         lambda m: validate_submission(m, m, DEVELOPMENT_RULES, [], now=NOW),
     ):
-        assert traced_peak(lambda: run(full)) - traced_peak(lambda: run(first_8)) <= one_sequence
+        # no pair outlives its score: 32 entries cost what one does, bar their manifest lines
+        growth = traced_peak(lambda: run(full)) - traced_peak(lambda: run(first))
+        assert growth <= one_sequence / 4, growth / one_sequence
 
 
 def test_evaluate_holds_no_decoded_copy_of_a_pose_file(corpus_writer):
