@@ -276,7 +276,10 @@ def _read_exact(
     Returns values only when the section is exactly ``rows`` lines of
     ``width`` tokens matching ``-?[0-9]+[.][0-9]+``, one space apart, the last
     newline optional, and no token has more than ``_BOUNDED_DIGITS`` characters
-    before its point; each value then has the bits ``float()`` gives. A token
+    before its point; each value then has the bits ``float()`` gives. The scan
+    marks each block's dots and separators, which must alternate, and checks the
+    minus signs token by token: as many tokens start with one as the block holds,
+    and each token has a digit after its sign and one after its point. A token
     with ``f`` fraction digits is the integer mantissa ``M`` of its digits over
     ``10**f``: both are exact in a long double, whose one correctly rounded
     division is then rounded to float64. That second rounding can differ from
@@ -292,41 +295,36 @@ def _read_exact(
     if 4 * rows * width - 1 > len(data) - start:
         return None
     out = np.empty(min(rows, first or rows) * width, dtype=np.float64)
-    seen = 0
+    view, seen = np.frombuffer(data, dtype=np.uint8), 0
     for block in _line_blocks(data, start):
-        chars = np.frombuffer(block, dtype=np.uint8)
+        # the block after the newline before it: its token k is block[seps[k] : seps[k + 1] - 1]
+        chars, start = view[start - 1 : start + len(block)], start + len(block)
         if chars.max() > _DIGIT_9:
             return None
-        # the characters that are not digits, between a newline before the
-        # block and one after it that the last line of the file may lack
-        marks = np.flatnonzero(chars < _DIGIT_0)
+        # the dots and separators, every character below "0" but the minus, and a newline
+        # after the block where the last line of the file lacks it
+        marked, signs = chars < _DIGIT_0, np.count_nonzero(chars == _MINUS)
+        marked ^= chars == _MINUS
+        marks = np.flatnonzero(marked)
+        del marked  # no block-sized scratch is held while the block converts
+        kinds = chars[marks]
         if chars[-1] != _NEWLINE:
-            marks = np.append(marks, len(chars))
-        marks = np.insert(marks, 0, -1)
-        kinds = np.append(chars, np.uint8(_NEWLINE))[marks]  # -1 and len(chars) read it
-        # two marks touch only as a separator then a minus, as every minus must
-        touching = np.flatnonzero(marks[1:] == marks[:-1] + 1)
-        minus = kinds == _MINUS
-        if (
-            len(touching) != np.count_nonzero(minus)
-            or (kinds[touching] > _SPACE).any()
-            or (kinds[touching + 1] != _MINUS).any()
-        ):
-            return None
-        # the rest alternate separator, dot, separator: one dot a token, its sign and digits between
-        marks, kinds = marks[~minus], kinds[~minus]
-        seps, dots = marks[0::2], marks[1::2]
-        tokens = len(dots)
+            marks, kinds = np.append(marks, len(chars)), np.append(kinds, np.uint8(_NEWLINE))
+        # they alternate separator, dot, separator: one dot a token, its sign and digits between
+        seps, dots, lines = marks[0::2], marks[1::2], kinds[2::2]
+        tokens, signed = len(dots), chars[1:][seps[:-1]] == _MINUS
         if (
             len(seps) != tokens + 1
-            or (dots - seps[:-1]).max() > _BOUNDED_DIGITS + 1
             or tokens % width
             or seen + tokens > rows * width
             or (kinds[1::2] != _DOT).any()
+            or (lines.reshape(-1, width)[:, :-1] != _SPACE).any()
+            or (lines[width - 1 :: width] != _NEWLINE).any()
+            or np.count_nonzero(signed) != signs  # a minus starts a token, and none is elsewhere
+            or (dots - seps[:-1]).max() > _BOUNDED_DIGITS + 1
+            or (dots - seps[:-1] - signed).min() < 2  # a digit after the sign, before the point
+            or (seps[1:] - dots).min() < 2  # and one after it
         ):
-            return None
-        lines = kinds[2::2].reshape(-1, width)
-        if (lines[:, :-1] != _SPACE).any() or (lines[:, -1] != _NEWLINE).any():
             return None
         # the block's tokens that ``out`` still lacks, a prefix of whole lines
         convert = min(tokens, len(out) - seen)
@@ -334,9 +332,7 @@ def _read_exact(
         if convert <= 0:
             continue
         # up to the separator after the last converted token: the whole block, uncopied, if all
-        mantissas = np.fromstring(
-            block[: seps[convert] + 1].replace(b".", b""), dtype=np.int64, sep=" "
-        )
+        mantissas = np.fromstring(block[: seps[convert]].replace(b".", b""), dtype=np.int64, sep=" ")
         seps = seps[: convert + 1]
         fraction_digits = seps[1:] - dots[:convert] - 1
         slow = (
@@ -351,9 +347,9 @@ def _read_exact(
         slow |= (quotients.view(np.uint64)[word::2] & mask) == half
         # -0.0 has mantissa 0; its sign is the token's first character
         zeros = np.flatnonzero(mantissas == 0)
-        values[zeros[chars[seps[zeros] + 1] == _MINUS]] = -0.0
+        values[zeros[signed[zeros]]] = -0.0
         for k in np.flatnonzero(slow).tolist():
-            values[k] = float(block[seps[k] + 1 : seps[k + 1]])
+            values[k] = float(block[seps[k] : seps[k + 1] - 1])
         out[seen - tokens : seen - tokens + convert] = values
     return out if seen == rows * width else None
 

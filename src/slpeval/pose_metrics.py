@@ -52,8 +52,10 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
     A path runs from frame pair (0, 0) to (P-1, R-1); each step advances the
     prediction, the reference or both. Its cost is the frame-distance sum over the
     visited cells; among equal-cost paths the shortest wins. Cells are filled one
-    anti-diagonal ``i + j`` at a time, and only three diagonals of accumulated cost
-    and length are kept.
+    anti-diagonal ``i + j`` at a time, and only three diagonals are kept. A cell holds
+    its accumulated cost and path length as one complex number, cost the real part and
+    length the imaginary: numpy orders complex numbers by real part, then imaginary, so
+    ``np.minimum`` of two predecessors is the cheaper one, and of equal costs the shorter.
     """
     if pred.num_keypoints != ref.num_keypoints:
         raise ValueError(f"keypoint counts differ: {pred.num_keypoints} vs {ref.num_keypoints}")
@@ -62,13 +64,13 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
     # the reference is stored back to front, so its frames of a diagonal read forward
     pred_xyz = np.ascontiguousarray(np.moveaxis(pred.frames, 2, 0))
     ref_xyz = np.ascontiguousarray(np.moveaxis(ref.frames[::-1], 2, 0))
-    w = min(p, r)  # cells on the longest diagonal
     squares = np.empty((3, _CHUNK, pred.num_keypoints))
-    costs = np.empty(w)
-    # acc/length of diagonal d at row d % 3, slot i + 1; slot 0 (i = -1) and slots
-    # past a diagonal's end are never written, so a missing predecessor reads (inf, p + r)
-    acc = np.full((3, p + w + 1), np.inf)
-    length = np.full((3, p + w + 1), p + r, dtype=np.intp)
+    # one diagonal's steps: frame distance + 1j, each adding its cell's cost and one cell
+    steps = np.full(min(p, r), 1j)
+    costs = steps.real
+    # diagonal d at row d % 3, cell i at slot i + 1; slot 0 (i = -1) and slots past a
+    # diagonal's end are never written, so a missing predecessor reads (inf, p + r)
+    acc = np.full((3, p + 1), complex(np.inf, p + r))
     for d in range(p + r - 1):
         lo, hi = max(0, d - r + 1), min(d, p - 1)
         # cells (i, d - i) for a <= i < b, in row chunks so the squares stay in cache
@@ -81,25 +83,19 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
             sq[0] += sq[1]
             sq[0] += sq[2]
             np.add.reduce(np.sqrt(sq[0], out=sq[0]), axis=1, out=costs[a - lo : b - lo])
-        costs[: hi - lo + 1] /= pred.num_keypoints  # means as ndarray.mean: sum, then divide
+        n = hi - lo + 1
+        costs[:n] /= pred.num_keypoints  # means as ndarray.mean: sum, then divide
+        row = acc[d % 3, lo + 1 : hi + 2]
         if d == 0:
-            acc[0, 1], length[0, 1] = costs[0], 1
+            row[:] = steps[:1]
             continue
         # cell i's diagonal and pred-advance predecessors sit at slot i of diagonals
-        # d - 2 and d - 1, its ref-advance predecessor at slot i + 1. The w cells from
-        # lo are compared and those past hi dropped: temporaries of one length per
-        # pair, not one per diagonal, keep numpy's small-block cache from pinning the heap
-        best_acc, best_len = acc[(d - 2) % 3, lo : lo + w], length[(d - 2) % 3, lo : lo + w]
-        for slot in (lo, lo + 1):
-            cand_acc = acc[(d - 1) % 3, slot : slot + w]
-            cand_len = length[(d - 1) % 3, slot : slot + w]
-            better = (cand_acc < best_acc) | ((cand_acc == best_acc) & (cand_len < best_len))
-            best_acc = np.where(better, cand_acc, best_acc)
-            best_len = np.where(better, cand_len, best_len)
-        n = hi - lo + 1
-        np.add(best_acc[:n], costs[:n], out=acc[d % 3, lo + 1 : hi + 2])
-        np.add(best_len[:n], 1, out=length[d % 3, lo + 1 : hi + 2])
-    return float(acc[(p + r - 2) % 3, p]), int(length[(p + r - 2) % 3, p])
+        # d - 2 and d - 1, its ref-advance predecessor at slot i + 1
+        np.minimum(acc[(d - 2) % 3, lo : hi + 1], acc[(d - 1) % 3, lo : hi + 1], out=row)
+        np.minimum(row, acc[(d - 1) % 3, lo + 1 : hi + 2], out=row)
+        row += steps[:n]
+    last = acc[(p + r - 2) % 3, p]
+    return float(last.real), int(last.imag)
 
 
 def dtw_mje(pred: PoseSequence, ref: PoseSequence) -> float:

@@ -464,8 +464,42 @@ def test_written_files_read_like_float(reader, frames):
 @example(tokens=["0.5"] * 3 + ["1" + "0" * 75 + ".0"])
 @example(tokens=["0.5"] * 3 + ["9" * 76 + ".0"])
 @example(tokens=["0.5"] * 3 + ["9" * 400 + ".0"])
+# the scan marks no minus: a minus as the first byte of a block (the file's first, and the
+# first after a line that outruns a 64-byte block), and minus and plus spellings it refuses
+@example(tokens=["-1.5", "2.5", "-3.5"])
+@example(tokens=["1." + "0" * 30] * 3 + ["-2.5", "-0.0", "-0.5"])
+@example(tokens=["-.5"])
+@example(tokens=["1-2.5"])
+@example(tokens=["--1.5"])
+@example(tokens=["0.5-"])
+@example(tokens=["+0.5"])
+@example(tokens=["-1.5", "1-2.5"])
+# 75 and 76 characters before the point, and 75 and 76 digits, at the start of a block
+@example(tokens=["9" * 75 + ".9"])
+@example(tokens=["9" * 76 + ".9"])
+@example(tokens=["-" + "9" * 74 + ".9"])
+@example(tokens=["-" + "9" * 75 + ".9"])
+@example(tokens=["-" + "9" * 76 + ".9"])
 def test_decimal_tokens_read_like_float(reader, tokens):
     assert_reads_like_float(tokens_file(tokens), reader)
+
+
+@pytest.mark.skipif(pose._MIDPOINT is None, reason="no exact reader on this platform")
+@pytest.mark.parametrize("block", [pose._BLOCK, 64])
+@pytest.mark.parametrize("before", [[], ["1." + "0" * 30] * 3], ids=["first-token", "after-a-block"])
+@pytest.mark.parametrize("token", ["-.5", ".5", "5.", "-5.", "-.", ".", "-", "--1.5", "1-2.5",
+                                   "0.5-", "1.-5", "+0.5", "1.5.5", "-" + "9" * 75 + ".9",
+                                   "9" * 76 + ".9"])
+def test_exact_reader_leaves_tokens_outside_its_grammar_to_the_line_reader(
+    monkeypatch, block, before, token
+):
+    # several of these read right by the exact reader's arithmetic too ("-.5", "5."):
+    # pin the grammar it takes, -?[0-9]+[.][0-9]+ with at most 75 characters before the point
+    monkeypatch.setattr(pose, "_BLOCK", block)
+    for spelling, taken in ((token, False), ("-9.5", True)):
+        data = tokens_file([*before, spelling]).encode()
+        rows = data.count(b"\n") - 1
+        assert (pose._read_exact(data, data.index(b"\n") + 1, rows, 3) is not None) == taken
 
 
 def near_midpoint(value: float, digits: int, offset: int, negative: bool) -> str:

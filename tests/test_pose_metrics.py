@@ -224,6 +224,23 @@ def test_dtw_matches_reference_loop_on_every_two_frame_pattern(p, r):
         assert dtw_align(pred, ref) == reference_dtw_align(pred, ref), bits
 
 
+def test_complex_minimum_orders_by_cost_then_length():
+    # dtw_align keeps a cell's (cost, length) as cost + length*1j and takes the cheapest,
+    # then shortest, predecessor with np.minimum: pin that numpy orders complex numbers so,
+    # inf costs and the (inf, p + r) sentinel of a missing predecessor included
+    p_plus_r = 9
+    keys = [(0.0, 1), (0.0, 2), (0.5, 1), (1.0, 3), (1e308, 2), (np.inf, 1), (np.inf, 8),
+            (np.inf, p_plus_r)]
+    pairs = list(itertools.product(keys, repeat=2))
+    a = np.array([complex(*x) for x, _ in pairs])
+    b = np.array([complex(*y) for _, y in pairs])
+    expected = np.array([complex(*min(x, y)) for x, y in pairs])
+    for first, second in ((a, b), (b, a)):
+        out = first.copy()
+        np.minimum(out, second, out=out)  # in place, as each diagonal is filled
+        assert out.tolist() == expected.tolist()
+
+
 def test_dtw_mje_is_pinned_on_a_long_pair():
     # bit pattern from the per-cell implementation, above the sizes the loop oracle covers
     pred = synth_sequence(SynthSpec(frame_count=150, seed=1), id="a")
