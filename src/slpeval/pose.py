@@ -297,7 +297,7 @@ def _read_exact(
     out = np.empty(min(rows, first or rows) * width, dtype=np.float64)
     view, seen = np.frombuffer(data, dtype=np.uint8), 0
     for block in _line_blocks(data, start):
-        # the block after the newline before it: its token k is block[seps[k] : seps[k + 1] - 1]
+        # the newline before the block, then the block: token k is block[seps[k] : seps[k + 1] - 1]
         chars, start = view[start - 1 : start + len(block)], start + len(block)
         if chars.max() > _DIGIT_9:
             return None
