@@ -16,6 +16,7 @@ import contextlib
 import fcntl
 import itertools
 import json
+import operator
 import sys
 from collections.abc import Iterable
 from dataclasses import fields
@@ -191,6 +192,9 @@ def _parse_scores(text: str) -> list[ScoreVector]:
 
 
 _MATRIX_BLOCK = 64  # rows of the dominance matrix that ``rank`` renders at a time
+#: a matrix cell's text, indexed by the cell: one for the cells before a row's last, one for it
+_CELLS = np.array([b"\n        false,", b"\n        true,"], dtype="S15")
+_LAST_CELLS = np.array([b"\n        false", b"\n        true"], dtype="S15")
 
 
 def _matrix_rows(matrix: np.ndarray) -> Iterable[str]:
@@ -198,18 +202,19 @@ def _matrix_rows(matrix: np.ndarray) -> Iterable[str]:
     rows as fixed-width byte grids of _MATRIX_BLOCK rows, each line led by its newline."""
     yield "["
     for start in range(0, len(matrix), _MATRIX_BLOCK):
-        rows = matrix[start : start + _MATRIX_BLOCK]
-        grid = np.full((len(rows), len(matrix) + 2), b"\n      [", dtype="S15")
-        grid[:, 1:-1] = np.where(rows, b"\n        true,", b"\n        false,")
-        grid[:, -2] = np.where(rows[:, -1], b"\n        true", b"\n        false")
-        grid[:, -1] = b"\n      ],"
+        rows = matrix[start : start + _MATRIX_BLOCK].view(np.uint8)
+        grid = np.empty((len(rows), len(matrix) + 2), dtype="S15")
+        grid[:, 0], grid[:, -1] = b"\n      [", b"\n      ],"
+        np.take(_CELLS, rows[:, :-1], out=grid[:, 1:-2])  # no temporary, unlike _CELLS[rows]
+        np.take(_LAST_CELLS, rows[:, -1], out=grid[:, -2])
         grid[len(matrix) - 1 - start :, -1] = b"\n      ]"  # the matrix's last row, if here
         yield grid.tobytes().replace(b"\0", b"").decode("ascii")
     yield "\n    ]"
 
 
 #: an entrant's scores after its name, metrics in sorted-name order, each spelled by repr
-_SCORES = ": {" + ",".join(f'\n      "{name}": %({name})r' for name in sorted(CANONICAL_METRICS))
+_SCORES = ": {" + ",".join(f'\n      "{name}": %r' for name in sorted(CANONICAL_METRICS))
+_SORTED_VALUES = operator.itemgetter(*map(CANONICAL_METRICS.index, sorted(CANONICAL_METRICS)))
 
 
 def _rank_json(entries: list[ScoreVector], ranking: Ranking) -> Iterable[str]:
@@ -224,7 +229,7 @@ def _rank_json(entries: list[ScoreVector], ranking: Ranking) -> Iterable[str]:
     yield '\n  },\n  "fronts": [\n    ' + fronts + '\n  ],\n  "scores": {'
     for i, entry in enumerate(sorted(entries, key=lambda entry: entry.entrant)):
         name = encode_basestring(entry.entrant)
-        yield ("," if i else "") + "\n    " + name + _SCORES % entry.as_dict() + "\n    }"
+        yield ("," if i else "") + "\n    " + name + _SCORES % _SORTED_VALUES(entry.values) + "\n    }"
     yield "\n  }\n}\n"
 
 

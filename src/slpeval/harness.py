@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 TOP_ERROR_WORD_COUNT = 10
+BACKTRANSLATION_TIMEOUT_S = 3600  # seconds a back-translation command may run
 
 
 class EvaluationError(RuntimeError):
@@ -345,9 +346,13 @@ def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
         raise EvaluationError("back-translation command is empty")
     payload = "".join(f"{path}\n" for path in pose_paths).encode("utf-8")
     try:
-        proc = subprocess.run(argv, input=payload, capture_output=True, check=False)
+        proc = subprocess.run(argv, input=payload, capture_output=True, check=False,
+                              timeout=BACKTRANSLATION_TIMEOUT_S)
     except OSError as err:
         raise EvaluationError(f"back-translation command failed to start: {err}") from err
+    except subprocess.TimeoutExpired:  # run has killed the command and waited for it
+        raise EvaluationError(
+            f"back-translation command timed out after {BACKTRANSLATION_TIMEOUT_S} s") from None
     if proc.returncode != 0:
         detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
         suffix = f": {detail[0]}" if detail else ""

@@ -351,6 +351,7 @@ def _read_exact(
         for k in np.flatnonzero(slow).tolist():
             values[k] = float(block[seps[k] : seps[k + 1] - 1])
         out[seen - tokens : seen - tokens + convert] = values
+        del mantissas, fraction_digits, quotients, values, slow, zeros  # not held into the next block
     return out if seen == rows * width else None
 
 

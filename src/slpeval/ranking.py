@@ -59,6 +59,7 @@ METRICS = (
            lambda pose: pose.total_distance_ratio),
 )
 CANONICAL_METRICS = tuple(metric.name for metric in METRICS)
+_CANONICAL_SET = frozenset(CANONICAL_METRICS)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ class ScoreVector:
         if not isinstance(self.entrant, str) or not self.entrant:
             raise ValueError(f"entrant must be a non-empty string, got {self.entrant!r}")
         # line boundaries (Cc, Zl, Zp) would forge table lines; a lone surrogate has no UTF-8
-        if any(unicodedata.category(char) in ("Cc", "Cs", "Zl", "Zp") for char in self.entrant):
+        categories = () if self.entrant.isprintable() else map(unicodedata.category, self.entrant)
+        if not {"Cc", "Cs", "Zl", "Zp"}.isdisjoint(categories):  # none of them is printable
             raise ValueError(f"entrant {self.entrant!r} holds a control, line-break or surrogate")
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
@@ -92,9 +94,9 @@ class ScoreVector:
     @classmethod
     def from_metrics(cls, entrant: str, metrics: dict[str, float]) -> "ScoreVector":
         """Build from a name→value mapping, normalizing to canonical order."""
-        missing = [name for name in CANONICAL_METRICS if name not in metrics]
-        extra = [name for name in metrics if name not in CANONICAL_METRICS]
-        if missing or extra:
+        if metrics.keys() != _CANONICAL_SET:
+            missing = [name for name in CANONICAL_METRICS if name not in metrics]
+            extra = [name for name in metrics if name not in CANONICAL_METRICS]
             raise ValueError(
                 f"score vector for {entrant!r}: missing {missing}, unknown {extra}"
             )
@@ -142,14 +144,17 @@ def pareto_fronts(entries: list[ScoreVector]) -> Ranking:
 
 
 def dominance_matrix(entries: list[ScoreVector]) -> np.ndarray:
-    """Pairwise (N, N) bool array in input order: cell [i, j] means i dominates j, which, as
-    every objective is finite, is ``no_worse[i, j] and not no_worse[j, i]``."""
+    """Pairwise (N, N) bool array in input order: cell [i, j] means i dominates j, that is
+    ``no_worse[i, j] and not no_worse[j, i]``, each objective compared by its dense integer
+    ranks: finite values are totally ordered and ``np.unique`` groups equal ones, -0.0 and 0.0."""
     values = np.array([entry.values for entry in entries])
     no_worse = np.ones((len(entries), len(entries)), dtype=bool)
+    scratch = np.empty_like(no_worse)
     for metric, column in zip(METRICS, values.T):
         if metric.objective == "max":
             column = -column
         elif metric.objective == "one":  # hand-travel ratio: optimum is 1
             column = np.abs(1.0 - column)
-        no_worse &= column[:, None] <= column
-    return no_worse & ~no_worse.T
+        ranks = np.unique(column, return_inverse=True)[1].astype(np.min_scalar_type(len(entries)))
+        no_worse &= np.less_equal(ranks[:, None], ranks, out=scratch)
+    return np.logical_and(no_worse, np.logical_not(no_worse.T, out=scratch), out=scratch)

@@ -350,6 +350,29 @@ def test_cli_names_backtranslation_command_that_cannot_start(
     assert err.count("\n") == 1
 
 
+def test_cli_stops_a_backtranslation_command_that_runs_past_its_timeout(
+    corpus_writer, sentence_writer, capsys, monkeypatch
+):
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "pred")
+    ref_text = hook_references(corpus, sentence_writer)
+    started = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(harness, "BACKTRANSLATION_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    hook = hook_command("import time; time.sleep(30)")
+    assert run_cli("evaluate", "--pred", str(manifest), "--backtranslate", hook,
+                   "--ref-text", str(ref_text)) == 2
+    assert capsys.readouterr().err == "error: back-translation command timed out after 0.5 s\n"
+    # the command was killed and reaped, not left running for its 30 s
+    assert len(started) == 1 and started[0].poll() is not None
+
+
 def test_run_backtranslation_rejects_empty_command():
     with pytest.raises(EvaluationError, match="empty"):
         run_backtranslation("", [])
@@ -765,9 +788,15 @@ def test_cli_rank_refuses_an_entrant_that_is_not_a_name(tmp_path, capsys, entran
     assert err.startswith(f"error: {scores}: entrant must be a non-empty string")
 
 
-@pytest.mark.parametrize("breaker", ["\n", "\r", "\x85", "\u2028"],
-                         ids=["line-feed", "carriage-return", "next-line", "line-separator"])
-def test_cli_rank_refuses_an_entrant_that_breaks_a_line(tmp_path, capsys, breaker):
+@pytest.mark.parametrize("breaker, refused", [
+    ("\n", True), ("\r", True), ("\x85", True), ("\t", True), ("\u2028", True), ("\u2029", True),
+    # unprintable, but none of them ends a line: format (Cf), space (Zs), private use (Co)
+    # and unassigned (Cn) characters stay within the name's own table line
+    ("\u200b", False), ("\u00a0", False), ("\ue000", False), ("\u0378", False),
+], ids=["line-feed", "carriage-return", "next-line", "tab", "line-separator",
+        "paragraph-separator", "zero-width-space-kept", "no-break-space-kept",
+        "private-use-kept", "unassigned-kept"])
+def test_cli_rank_refuses_an_entrant_that_breaks_a_line(tmp_path, capsys, breaker, refused):
     from conftest import LEADERBOARD
 
     # taken as a name, this one would print a forged front-1 line "1  winner" in the table
@@ -777,8 +806,12 @@ def test_cli_rank_refuses_an_entrant_that_breaks_a_line(tmp_path, capsys, breake
         {"entrant": "best", "metrics": dict(LEADERBOARD["team1"], **{"BLEU-1": 99.0})},
         {"entrant": entrant, "metrics": LEADERBOARD["team1"]},
     ]), encoding="utf-8")
-    assert run_cli("rank", "--scores", str(scores), "--format", "table") == 2
+    code = run_cli("rank", "--scores", str(scores), "--format", "table")
     captured = capsys.readouterr()
+    if not refused:
+        assert (code, captured.out, captured.err) == (0, f"1  best\n2  {entrant}\n", "")
+        return
+    assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {scores}: entrant {entrant!r} holds a control")
 

@@ -188,6 +188,18 @@ def test_parsed_and_normalized_frames_are_allocated_once():
         assert not frames.flags.writeable
 
 
+def test_exact_reader_holds_no_block_scratch_past_its_block():
+    # 120 frames, about 1.17 MB in blocks of 256 KiB: beyond the frames (0.5 MB) only one
+    # block's scan and conversion arrays are alive; a block's arrays held while the next
+    # one is scanned took the peak to 1.94 times the file's bytes
+    seq = synth_sequence(SynthSpec(frame_count=120, seed=1), id="s")
+    data = write_pose_file(seq).encode()
+    parsed = []
+    peak = traced_peak(lambda: parsed.append(parse_pose_file(data, "s")))
+    assert parsed[0] == seq
+    assert peak <= 1.8 * len(data), (peak, len(data))
+
+
 def test_line_reader_holds_one_block_of_lines():
     # CRLF line ends send a written file to the line reader, which decodes, splits and
     # parses it a block at a time: beyond the bytes it holds the frames and one block's strings

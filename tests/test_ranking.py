@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -158,12 +159,40 @@ TIE_VALUE = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
 @given(rows=st.lists(st.tuples(*[TIE_VALUE] * len(CANONICAL_METRICS)), min_size=1, max_size=10))
 @example(rows=[(0.0,) * 9, (-0.0,) * 9, (0.0,) * 8 + (0.5,), (-0.0,) * 8 + (1.5,)])
 @example(rows=[(1.0,) * 9, (1.0,) * 8 + (0.5,), (1.0,) * 8 + (1.5,), (2.0,) * 8 + (1.5,)])
+@example(rows=[(0.0,) * 8 + (1.0,), (-0.0,) * 8 + (1.0,), (-0.0,) + (0.0,) * 7 + (1.0,),
+               (0.0,) * 7 + (-0.0, 1.0), (-0.0,) * 7 + (0.0, 1.0)])
+@example(rows=[(1.0,) * 9, (np.nextafter(1.0, 2.0),) * 9, (np.nextafter(1.0, 0.0),) * 9,
+               (1.0,) * 6 + (np.nextafter(1.0, 0.0),) * 3, (1.0,) * 6 + (np.nextafter(1.0, 2.0),) * 3,
+               (np.nextafter(0.0, 1.0),) * 9, (0.0,) * 9])
+@example(rows=[(sys.float_info.max,) * 9, (-sys.float_info.max,) * 9, (0.0,) * 9,
+               (sys.float_info.max,) * 8 + (-sys.float_info.max,),
+               (-sys.float_info.max,) * 8 + (sys.float_info.max,)])
+@example(rows=[(5e-324,) * 9, (-5e-324,) * 9, (0.0,) * 9, (2.2250738585072014e-308,) * 9,
+               (1e-310,) * 8 + (-1e-310,), (-1e-310,) * 8 + (1.0,)])
+@example(rows=[(2.0,) * 8 + (0.75,), (2.0,) * 8 + (1.25,), (1.0,) * 8 + (1.25,),
+               (1.0,) * 8 + (0.75,), (2.0,) * 8 + (0.5,), (2.0,) * 8 + (1.0,)])
 def test_dominance_matrix_with_ties_matches_the_oracle_cell_by_cell(rows):
     entries = [ScoreVector(f"e{i}", row) for i, row in enumerate(rows)]
     matrix = dominance_matrix(entries)
     scores = [entry.as_dict() for entry in entries]
     assert matrix.dtype == bool and matrix.shape == (len(rows), len(rows))
     assert not matrix.diagonal().any()
+    for i, a in enumerate(scores):
+        for j, b in enumerate(scores):
+            assert matrix[i, j] == oracle_dominates(a, b), (i, j)
+
+
+@pytest.mark.parametrize("count", [255, 256, 257])
+def test_dominance_matrix_across_the_rank_dtype_change_matches_the_oracle(count):
+    # the ranks of BLEU-1's all-distinct values reach count - 1, which needs uint16 from 256
+    # entrants on; the other metrics take three values each, so that many pairs compare
+    rng = np.random.Generator(np.random.PCG64(count))
+    rows = rng.choice([0.5, 1.0, 1.5], size=(count, len(CANONICAL_METRICS)))
+    rows[:, 0] = rng.permutation(count)
+    entries = [ScoreVector(f"e{i}", tuple(map(float, row))) for i, row in enumerate(rows)]
+    matrix = dominance_matrix(entries)
+    scores = [entry.as_dict() for entry in entries]
+    assert matrix.any()
     for i, a in enumerate(scores):
         for j, b in enumerate(scores):
             assert matrix[i, j] == oracle_dominates(a, b), (i, j)
