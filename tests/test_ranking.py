@@ -184,8 +184,9 @@ def test_dominance_matrix_with_ties_matches_the_oracle_cell_by_cell(rows):
 
 @pytest.mark.parametrize("count", [255, 256, 257])
 def test_dominance_matrix_across_the_rank_dtype_change_matches_the_oracle(count):
-    # the ranks of BLEU-1's all-distinct values reach count - 1, which needs uint16 from 256
-    # entrants on; the other metrics take three values each, so that many pairs compare
+    # the ranks of BLEU-1's all-distinct values reach count - 1; they are uint8 below 256
+    # entrants and uint16 from there; the other metrics take three values each, so that
+    # many pairs compare
     rng = np.random.Generator(np.random.PCG64(count))
     rows = rng.choice([0.5, 1.0, 1.5], size=(count, len(CANONICAL_METRICS)))
     rows[:, 0] = rng.permutation(count)
