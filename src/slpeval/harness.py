@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -345,21 +347,25 @@ def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
     if not argv:
         raise EvaluationError("back-translation command is empty")
     payload = "".join(f"{path}\n" for path in pose_paths).encode("utf-8")
-    try:
-        proc = subprocess.run(argv, input=payload, capture_output=True, check=False,
-                              timeout=BACKTRANSLATION_TIMEOUT_S)
+    try:  # in its own session, so a timeout can kill all it started with it
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, start_new_session=True)
     except OSError as err:
         raise EvaluationError(f"back-translation command failed to start: {err}") from err
-    except subprocess.TimeoutExpired:  # run has killed the command and waited for it
-        raise EvaluationError(
-            f"back-translation command timed out after {BACKTRANSLATION_TIMEOUT_S} s") from None
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(payload, timeout=BACKTRANSLATION_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # leaving the with block reaps the command
+            raise EvaluationError(
+                f"back-translation command timed out after {BACKTRANSLATION_TIMEOUT_S} s") from None
     if proc.returncode != 0:
-        detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
+        detail = stderr.decode("utf-8", "replace").strip().splitlines()
         suffix = f": {detail[0]}" if detail else ""
         raise EvaluationError(
             f"back-translation command exited with status {proc.returncode}{suffix}"
         )
-    sentences = read_input("back-translation output", split_lines, proc.stdout)
+    sentences = read_input("back-translation output", split_lines, stdout)
     if len(sentences) != len(pose_paths):
         raise EvaluationError(
             f"back-translation produced {len(sentences)} sentences "

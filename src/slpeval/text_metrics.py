@@ -1,25 +1,25 @@
 """Back-translation text metrics: BLEU-1..4, CHRF, ROUGE-L, and WER.
 
 All metrics take id-aligned hypothesis/reference corpora and report
-percentages. BLEU pools n-gram counts over the corpus (no smoothing: a zero
-precision at any order zeroes the score). CHRF pools character n-gram counts
-per order and averages the per-order F-scores. Both clip n-gram matches per
-sentence pair and count them for the whole corpus in numpy, in batches of
-about ``_BATCH_UNITS`` units (tokens, or characters whose ids are their code
-points), one sort per order and batch. ROUGE-L averages
-per-sentence LCS F1, with the LCS length from a bit-parallel recurrence (Hyyrö
-2004). WER is token-level Levenshtein with unit costs, with the full
-substitution/deletion/insertion decomposition, so rates above 100 are possible
-and expected for verbose hypotheses; batches of its tables fill a row at a
-time in numpy and are traced back together.
+percentages. A corpus encodes its tokens as dense ids once, when it is built.
+BLEU pools n-gram counts over the corpus (no smoothing: a zero precision at any
+order zeroes the score). CHRF pools character n-gram counts per order and
+averages the per-order F-scores. Both clip n-gram matches per sentence pair and
+count them in numpy, in batches of about ``_BATCH_UNITS`` units (tokens, or
+characters whose ids are their code points). ROUGE-L averages per-sentence LCS
+F1, the LCS from a bit-parallel recurrence (Hyyrö 2004). WER is token-level
+Levenshtein with unit costs and its substitution/deletion/insertion counts, so
+rates above 100 are possible for verbose hypotheses. Both run on batches of
+length-sorted pairs in numpy: ROUGE-L's recurrence over a batch's pairs at
+once, WER's tables a row at a time and traced back together.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -43,6 +43,8 @@ CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 #: sentence pairs are counted in batches of about this many units
 _BATCH_UNITS = 16384
+#: one bits per byte value, for ROUGE-L
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -54,6 +56,18 @@ def tokenize(sentence: str) -> list[str]:
 class TokenizedCorpus:
     raw: tuple[str, ...]
     sentences: tuple[tuple[str, ...], ...]
+    #: distinct tokens in first-occurrence order, each token's index into them, sentence lengths
+    vocab: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    ids: np.ndarray = field(init=False, compare=False, repr=False)
+    lengths: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__  # a new token gets the next id
+        lengths = np.fromiter(map(len, self.sentences), np.int64, len(self.sentences))
+        ids = np.fromiter(map(index.__getitem__, chain(*self.sentences)), np.int32, lengths.sum())
+        for name, value in (("vocab", tuple(index)), ("ids", ids), ("lengths", lengths)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_raw(cls, sentences: list[str]) -> "TokenizedCorpus":
@@ -103,6 +117,16 @@ def _check_paired(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> None:
         raise ValueError(f"corpus sizes differ: {len(hyps)} hypotheses vs {len(refs)} references")
     if len(refs) == 0:
         raise ValueError("empty corpus")
+
+
+def _joint_ids(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[list[tuple], int]:
+    """Per side, hypotheses first: token ids in one id space followed by the side's padding
+    id (-1, -2), pair offsets and lengths; and the id space's size."""
+    index = {t: i for i, t in enumerate(refs.vocab)}
+    joint = np.array([index.setdefault(t, len(index)) for t in hyps.vocab], np.int32)
+    sides = [(np.append(ids, np.int32(pad)), np.cumsum(c.lengths) - c.lengths, c.lengths)
+             for ids, c, pad in ((joint[hyps.ids], hyps, -1), (refs.ids, refs, -2))]
+    return sides, len(index)
 
 
 def _clipped_counts(
@@ -169,15 +193,14 @@ def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ..
     shorter than the reference corpus.
     """
     _check_paired(hyps, refs)
-
-    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain(*hyps.sentences, *refs.sentences)))}
+    sides, size = _joint_ids(hyps, refs)
 
     def token_ids(pairs: slice) -> tuple[np.ndarray, int, np.ndarray]:
-        tokens = chain(*hyps.sentences[pairs], *refs.sentences[pairs])
-        ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64)
-        return ids, len(vocab), lengths[:, pairs].ravel()
+        batch = lengths[:, pairs]
+        units = [ids[off[pairs.start] :][:n] for (ids, off, _), n in zip(sides, batch.sum(axis=1))]
+        return np.concatenate(units, dtype=np.int64), size, batch.ravel()
 
-    lengths = np.array([[len(s) for s in corpus.sentences] for corpus in (hyps, refs)], np.int64)
+    lengths = np.array([hyps.lengths, refs.lengths])
     counts = _clipped_counts(lengths, token_ids, 4)
     precisions = [m / t if t else 0.0 for m, t, _ in counts]
     _, hyp_len, ref_len = counts[0]
@@ -224,79 +247,80 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     return 100.0 * f_sum / orders
 
 
-def _lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    # bit i of v is 0 when a[: i + 1] has a longer LCS with the part of b seen
-    # so far than a[:i] has, so the zeros count the LCS length (Hyyrö 2004)
-    masks: dict[str, int] = {}
-    for i, tok in enumerate(a):
-        masks[tok] = masks.get(tok, 0) | 1 << i
-    full = (1 << len(a)) - 1
-    v = full
-    for tok in b:
-        u = v & masks.get(tok, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
-
-
-def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
-    """Sentence-level LCS F1 over tokens, arithmetic-averaged, as a percentage."""
-    _check_paired(hyps, refs)
-    f_sum = 0.0
-    for hyp, ref in zip(hyps.sentences, refs.sentences):
-        if not hyp and not ref:
-            f_sum += 1.0
-            continue
-        lcs = _lcs_length(hyp, ref)
-        precision = lcs / len(hyp) if hyp else 0.0
-        recall = lcs / len(ref) if ref else 0.0
-        if precision + recall > 0:
-            f_sum += 2.0 * precision * recall / (precision + recall)
-    return 100.0 * f_sum / len(hyps)
-
-
 def _padded(ids: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Rows ``ids[off : off + lens]``, right-padded with the padding id ``ids[-1]``."""
     cols = np.arange(lens.max())
     return ids[np.where(cols < lens[:, None], off[:, None] + cols, len(ids) - 1)]
 
 
-def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
-    """Word error rate with its substitution/deletion/insertion decomposition per sentence.
-
-    Pairs are sorted by (reference, hypothesis) length into batches whose
-    tables hold about ``16 * _BATCH_UNITS`` cells. A batch's Levenshtein
-    tables are filled one reference position at a time: with ``t[j]`` the
-    better of the diagonal and the step from above, the row is
-    ``j + min(t[k] - k for k <= j)``. All its pairs are then traced back at
-    once, preferring on cost ties the diagonal (match or substitution), then
-    deletion, then insertion.
-    """
-    _check_paired(hyps, refs)
-    ref_words = list(chain(*refs.sentences))
-    if not ref_words:
-        raise ValueError("empty reference corpus: no reference tokens")
-    vocab = {w: i for i, w in enumerate(dict.fromkeys(chain(ref_words, *hyps.sentences)))}
-    # per side: token ids followed by the side's padding id, pair offsets and lengths
-    sides = []
-    for corpus, pad in ((refs, -2), (hyps, -1)):
-        lengths = np.array([len(s) for s in corpus.sentences], np.int64)
-        ids = np.fromiter(map(vocab.__getitem__, chain(*corpus.sentences)), np.int64, lengths.sum())
-        sides.append((np.append(ids, pad), np.cumsum(lengths) - lengths, lengths))
-    (ref_ids, ref_off, ref_len), (hyp_ids, hyp_off, hyp_len) = sides
-    edits = np.zeros((len(refs), 3), np.int64)
-    errors = []  # positions in ref_ids of substituted or deleted tokens
+def _batches(ref_len: np.ndarray, hyp_len: np.ndarray) -> list[np.ndarray]:
+    """Pairs by (reference, hypothesis) length, in batches of ~16 * _BATCH_UNITS table cells."""
     order = np.lexsort((hyp_len, ref_len))
     # a batch ends before the pair that would take its padded tables past the budget
-    bounds, size, widest = [0], 0, 0
+    bounds, size, widest = [], 0, 0
     for k, (r, h) in enumerate(zip(ref_len[order].tolist(), hyp_len[order].tolist())):
         widest = max(widest, h)
         if size and (size + 1) * (r + 1) * (widest + 1) > 16 * _BATCH_UNITS:
             bounds.append(k)
             size, widest = 0, h
         size += 1
-    for start, stop in zip(bounds, [*bounds[1:], len(order)]):
-        pairs = order[start:stop]
-        ref, hyp = (_padded(ids, off[pairs], lens[pairs]) for ids, off, lens in sides)
+    return np.split(order, bounds)
+
+
+def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
+    """Sentence-level LCS F1 over tokens, arithmetic-averaged, as a percentage.
+
+    Hyyrö's (2004) bit-parallel LCS runs on whole batches (cut as in ``wer``): bit i
+    of ``v`` is 0 when ``hyp[: i + 1]`` has a longer LCS with the reference seen so
+    far than ``hyp[:i]``. ``v`` is in 56-bit words; bit 56 of a word's sum carries on.
+    """
+    _check_paired(hyps, refs)
+    sides, _ = _joint_ids(hyps, refs)
+    hyp_len, ref_len = sides[0][2], sides[1][2]
+    ones = np.zeros(len(hyps), np.int64)
+    for pairs in _batches(ref_len, hyp_len):
+        hyp, ref = (_padded(ids, off[pairs], lens[pairs]) for ids, off, lens in sides)
+        # row 0: the hypothesis positions; row j + 1: where the hypothesis holds ref[:, j]
+        bits = np.concatenate(((hyp != -1)[:, None], ref[:, :, None] == hyp[:, None]), axis=1)
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        words = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // 7) * 8), np.uint8)
+        words[..., np.arange(packed.shape[-1]) * 8 // 7] = packed  # 7 bytes and a 0 a word
+        full, masks = words.view("<u8")[:, 0], words.view("<u8")[:, 1:]
+        v = full.copy()
+        for j in range(ref.shape[1]):
+            carry = 0
+            for k in range(v.shape[1]):  # u is a subset of v, so v - u is v ^ u, with no borrow
+                u = v[:, k] & masks[:, j, k]
+                total = v[:, k] + u + carry
+                carry = total >> 56
+                v[:, k] = (total | v[:, k] ^ u) & full[:, k]
+        ones[pairs] = _POPCOUNT[v.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    precision, recall = (np.divide(hyp_len - ones, n, out=np.zeros(len(n)), where=n > 0)
+                         for n in (hyp_len, ref_len))
+    f = ((hyp_len == 0) & (ref_len == 0)).astype(float)  # a pair of empty sentences scores 1
+    np.divide(2.0 * precision * recall, precision + recall, out=f, where=precision + recall > 0)
+    return 100.0 * float(np.cumsum(f)[-1]) / len(hyps)  # cumsum adds left to right
+
+
+def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
+    """Word error rate with its substitution/deletion/insertion decomposition per sentence.
+
+    Pairs are batched by ``_batches``. A batch's Levenshtein tables are
+    filled one reference position at a time: with ``t[j]`` the
+    better of the diagonal and the step from above, the row is
+    ``j + min(t[k] - k for k <= j)``. All its pairs are then traced back at
+    once, preferring on cost ties the diagonal (match or substitution), then
+    deletion, then insertion.
+    """
+    _check_paired(hyps, refs)
+    if not len(refs.ids):
+        raise ValueError("empty reference corpus: no reference tokens")
+    sides, _ = _joint_ids(hyps, refs)
+    (hyp_ids, hyp_off, hyp_len), (ref_ids, ref_off, ref_len) = sides
+    edits = np.zeros((len(refs), 3), np.int64)
+    errors = []  # positions in ref_ids of substituted or deleted tokens
+    for pairs in _batches(ref_len, hyp_len):
+        hyp, ref = (_padded(ids, off[pairs], lens[pairs]) for ids, off, lens in sides)
         width = hyp.shape[1] + 1
         cols = np.arange(width, dtype=np.int32)
         table = np.empty((len(pairs), ref.shape[1] + 1, width), np.int32)
@@ -329,21 +353,15 @@ def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
             i, j = i - (diag | delete), j - (diag | insert)
         edits[pairs] = counts.T
 
-    words = [ref_words[k] for k in np.sort(np.concatenate(errors)).tolist()]
+    words = [refs.vocab[t] for t in refs.ids[np.sort(np.concatenate(errors))].tolist()]
     ends = np.cumsum(edits[:, 0] + edits[:, 1]).tolist()
     per_sentence = tuple(
         SentenceEdits(subs, dels, ins, length, tuple(words[end - subs - dels : end]))
         for (subs, dels, ins), length, end in zip(edits.tolist(), ref_len.tolist(), ends)
     )
     subs, dels, ins = (int(v) for v in edits.sum(axis=0))
-    return WerBreakdown(
-        substitutions=subs,
-        deletions=dels,
-        insertions=ins,
-        ref_tokens=len(ref_words),
-        rate=100.0 * (subs + dels + ins) / len(ref_words),
-        per_sentence=per_sentence,
-    )
+    return WerBreakdown(substitutions=subs, deletions=dels, insertions=ins, ref_tokens=len(refs.ids),
+                        rate=100.0 * (subs + dels + ins) / len(refs.ids), per_sentence=per_sentence)
 
 
 def top_error_words(breakdown: WerBreakdown, k: int) -> list[tuple[str, int]]:

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -371,6 +372,36 @@ def test_cli_stops_a_backtranslation_command_that_runs_past_its_timeout(
     assert capsys.readouterr().err == "error: back-translation command timed out after 0.5 s\n"
     # the command was killed and reaped, not left running for its 30 s
     assert len(started) == 1 and started[0].poll() is not None
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        return "\nState:\tZ" not in Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads process states in /proc")
+def test_backtranslation_timeout_stops_what_the_command_started(
+    corpus_writer, sentence_writer, tmp_path, capsys, monkeypatch
+):
+    corpus = small_corpus()
+    manifest = corpus_writer(corpus, "pred")
+    ref_text = hook_references(corpus, sentence_writer)
+    pid_file = tmp_path / "sleep.pid"
+    monkeypatch.setattr(harness, "BACKTRANSLATION_TIMEOUT_S", 0.5)
+    hook = f"sh -c {shlex.quote(f'sleep 30 & echo $! > {pid_file}; wait')}"
+    assert run_cli("evaluate", "--pred", str(manifest), "--backtranslate", hook,
+                   "--ref-text", str(ref_text)) == 2
+    assert capsys.readouterr().err == "error: back-translation command timed out after 0.5 s\n"
+    # the shell's background sleep went with it: gone, or a zombie left for its new parent
+    pid = int(pid_file.read_text())
+    for _ in range(500):  # SIGKILL is delivered asynchronously
+        if not _running(pid):
+            break
+        time.sleep(0.01)
+    assert not _running(pid)
 
 
 def test_run_backtranslation_rejects_empty_command():

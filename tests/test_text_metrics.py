@@ -18,7 +18,6 @@ from slpeval.text_metrics import (
     CHRF_BETA,
     CHRF_MAX_ORDER,
     TokenizedCorpus,
-    _lcs_length,
     bleu_corpus,
     chrf,
     length_error_correlation,
@@ -286,15 +285,6 @@ def test_length_error_correlation_matches_numpy():
 # ---------------------------------------------------------------- bundle and invariances
 
 
-def test_text_scores_bundles_all_metrics():
-    hyps = corpus("a b c d")
-    score = text_scores(hyps, hyps)
-    assert score.bleu == (100.0, 100.0, 100.0, 100.0)
-    assert score.chrf == pytest.approx(100.0)
-    assert score.rouge == pytest.approx(100.0)
-    assert score.wer.rate == 0.0
-
-
 def test_bleu_identity_on_short_corpus_zeroes_high_orders():
     # a 3-token corpus has no 4-grams at all; without smoothing that order
     # scores 0 even for a perfect hypothesis
@@ -558,13 +548,47 @@ def test_text_metrics_match_reference_exactly(batch_units, corpora):
         assert_matches_reference(*corpora)
 
 
+@settings(max_examples=200, deadline=None)
+@given(corpora=oracle_corpora)
+@example(corpora=(["a b c d"], ["a b c d"]))
+@example(corpora=(["a"], [" "]))
+def test_text_scores_bundles_all_metrics(corpora):
+    h, r = corpus(*corpora[0]), corpus(*corpora[1])
+    # corpora of the same sentences are equal however they are built: the encoding is not compared
+    assert h == corpus(*corpora[0]) == TokenizedCorpus(h.raw, h.sentences)
+    assert hash(r) == hash(TokenizedCorpus(r.raw, r.sentences))
+    parts = [_outcome(metric, h, r) for metric in (bleu_corpus, chrf, rouge_l, wer)]
+    failed = [part for part in parts if part.startswith("ValueError")]
+    if failed:  # the first metric that fails fails the bundle
+        assert _outcome(text_scores, h, r) == failed[0]
+        return
+    score = text_scores(h, r)
+    assert score.bleu == bleu_corpus(h, r)
+    assert score.chrf == chrf(h, r)
+    assert score.rouge == rouge_l(h, r)
+    assert score.wer == wer(h, r)
+
+
+lcs_tokens = st.lists(st.sampled_from("abcä\U0001F600"), max_size=130).map(" ".join)
+
+
+@pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 1, 7])
 @settings(max_examples=300, deadline=None)
-@given(
-    a=st.lists(st.sampled_from("abcä\U0001F600"), max_size=70).map(tuple),
-    b=st.lists(st.sampled_from("abcä\U0001F600"), max_size=70).map(tuple),
-)
-def test_lcs_length_matches_reference(a, b):
-    assert _lcs_length(a, b) == reference_lcs_length(a, b)
+@given(pairs=st.lists(st.tuples(lcs_tokens, lcs_tokens), min_size=1, max_size=3))
+# hypotheses that end just before, on and after the first and second 56-bit word boundary
+@example(pairs=[(" ".join("abc"[k % 3] for k in range(n)), "c b a " * 20) for n in (55, 56, 57)])
+@example(pairs=[(" ".join("ab"[k % 5 == 0] for k in range(n)), "a b " * 60) for n in (112, 113)])
+# every token equal: each reference token extends the LCS until the hypothesis runs out
+@example(pairs=[("a " * 113, "a " * 120), ("a " * 57, "a " * 30)])
+@example(pairs=[("", "a b"), ("a b", ""), ("", "")])
+@example(pairs=[("", "a " * 130), ("a " * 130, "")])
+def test_lcs_length_matches_reference(batch_units, pairs):
+    # ROUGE-L's F1 of each one-pair corpus, and of all of them as one corpus,
+    # against the one from the quadratic LCS table
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        for hyps, refs in [*(([h], [r]) for h, r in pairs), tuple(map(list, zip(*pairs)))]:
+            h, r = corpus(*hyps), corpus(*refs)
+            assert rouge_l(h, r) == reference_rouge_l(h, r)
 
 
 #: sentences over three or four words, so equal-cost alignments are frequent
