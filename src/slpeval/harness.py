@@ -347,7 +347,7 @@ def run_backtranslation(command: str, pose_paths: list[Path]) -> list[str]:
     if not argv:
         raise EvaluationError("back-translation command is empty")
     payload = "".join(f"{path}\n" for path in pose_paths).encode("utf-8")
-    try:  # in its own session, so a timeout can kill all it started with it
+    try:  # in its own session, so that a timeout can kill everything it started
         proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, start_new_session=True)
     except OSError as err:
