@@ -149,6 +149,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise ValueError(f"--now {now.isoformat()}: outside UTC's date range") from None
     layout = _read_layout(args.layout)
     with contextlib.ExitStack() as stack:
+        data = b""
         if args.record:
             # the lock spans read, quota check and append, so concurrent
             # submissions are checked one after another; closing releases it
@@ -156,8 +157,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             fcntl.flock(log, fcntl.LOCK_EX)
             log.seek(0)
             data = log.read()
-        else:
-            data = read_regular(args.history) if args.history.exists() else b""
+        else:  # a log not made yet is empty; any other failure to read it is an error
+            with contextlib.suppress(FileNotFoundError):
+                data = read_regular(args.history)
         history = read_input(args.history, load_history, data)
         report = validate_submission(args.pred, args.ref, rules, history, now=now, layout=layout)
         if not report.ok:
@@ -181,6 +183,8 @@ def _parse_scores(text: str) -> list[ScoreVector]:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    if doc == []:
+        raise ValueError("score file lists no entries")
     entries = []
     for item in doc if isinstance(doc, list) else [doc]:
         if not isinstance(item, dict) or "entrant" not in item or (

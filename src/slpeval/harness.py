@@ -40,7 +40,6 @@ from .pose import (
     normalize_sequence,
     parse_layout,
     parse_pose_file,
-    torso_rotation,
     validate_sequence,
 )
 from .pose_metrics import PoseScore, aggregate_pairs, score_pair
@@ -191,7 +190,7 @@ def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hash
     :func:`parse_pose_file` then reads as strict UTF-8.
     Returns ``prepare(sequence)``, or the sequence when ``prepare`` is None;
     with ``first``, the sequence may hold only its first frames, as
-    :func:`parse_pose_file` says, and its problems are the whole file's.
+    :func:`parse_pose_file` says, and its problem is the whole file's.
     A file that cannot be read, decoded, parsed, validated or prepared
     raises :class:`EvaluationError` with one line naming the file and its problem.
     """
@@ -200,11 +199,9 @@ def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hash
         # parsed from the bytes as read, and freed before the sequence is validated
         seq = parse_pose_file(_read_bytes(path, hasher, entry.id.encode()), id=entry.id,
                               layout=layout, first=first)
-        found = validate_sequence(seq)
-        if not found:
+        problem = validate_sequence(seq)
+        if problem is None:
             return seq if prepare is None else prepare(seq)
-        # one line a file, however many coordinates are bad
-        problem = found[0] if len(found) == 1 else f"{found[0]}, and {len(found) - 1} more"
     except OSError as err:  # its own text repeats the path
         where, problem = f"cannot read {path}", err.strerror or err
     except ValueError as err:
@@ -229,7 +226,7 @@ def validate_submission(
     ref_manifest_path: Path,
     rules: PhaseRules,
     history: list[SubmissionRecord],
-    now: datetime | None = None,
+    now: datetime,
     layout: KeypointLayout = DEFAULT_LAYOUT,
 ) -> ValidationReport:
     """Check id coverage, pose file health, and submission quotas.
@@ -238,7 +235,6 @@ def validate_submission(
     Violations are data, not exceptions; the submission log is never
     mutated here (recording an accepted submission is the caller's append).
     """
-    now = now if now is not None else datetime.now(timezone.utc)
     hasher = hashlib.sha256()
     manifests, problems = [], []
     for role, path, role_hasher in (
@@ -248,9 +244,8 @@ def validate_submission(
     ):
         manifests.append(_read_entries(path, load_manifest, "manifest", role_hasher))
         for entry in manifests[-1].values():
-            try:  # scoring normalizes, and of that only frame 0's torso rotation can fail
-                _load_pose(path, entry, layout, role_hasher,
-                           lambda seq: torso_rotation(seq.frames[0], seq.layout), first=1)
+            try:  # prepared as scoring prepares it: frame 0 alone, if the exact reader takes it
+                _load_pose(path, entry, layout, role_hasher, normalize_sequence, first=1)
             except EvaluationError as err:
                 problems.append(f"{role} {entry.id!r}: {err}")
 

@@ -412,7 +412,7 @@ def parse_pose_file(
     accepted or refused with the same message as without it, but the sequence
     may hold only its first ``first`` frames: it does when the exact reader
     takes the file, whose values are all finite and within ``MAX_COORDINATE``,
-    so that :func:`validate_sequence` could flag none of those left out.
+    so that :func:`validate_sequence` gives the same answer as on every frame.
     Otherwise it holds every frame.
     """
     if not data.isascii():  # only a check; each line is decoded as it is read
@@ -514,22 +514,23 @@ def write_pose_file(seq: PoseSequence) -> str:
     return "".join([f"POSE v1 {t} {k} 3\n", *blocks])
 
 
-def validate_sequence(seq: PoseSequence) -> list[str]:
-    """Check a sequence against its layout; returns violations (empty = valid)."""
-    violations: list[str] = []
+def validate_sequence(seq: PoseSequence) -> str | None:
+    """None for a sequence that fits its layout, else one line: its first problem, how many more."""
     if seq.num_keypoints != seq.layout.total:
-        violations.append(f"point count {seq.num_keypoints} ≠ {seq.layout.total}")
-        return violations
+        return f"point count {seq.num_keypoints} ≠ {seq.layout.total}"
     # one comparison: nan fails it as well as inf and huge finite values
     bad = ~(np.abs(seq.frames) <= MAX_COORDINATE)
-    if bad.any():  # the per-keypoint reduction costs ten times the comparison
-        for frame_idx, point_idx in zip(*np.nonzero(bad.any(axis=2))):
-            where = f"coordinate at frame {frame_idx}, keypoint {point_idx}"
-            if np.isfinite(seq.frames[frame_idx, point_idx]).all():
-                violations.append(f"out-of-range {where} (|x| > {MAX_COORDINATE:g})")
-            else:
-                violations.append(f"non-finite {where}")
-    return violations
+    if not bad.any():  # the per-keypoint reduction costs ten times the comparison
+        return None
+    points = bad.any(axis=2)
+    frame_idx, point_idx = divmod(int(points.argmax()), seq.num_keypoints)
+    where = f"coordinate at frame {frame_idx}, keypoint {point_idx}"
+    if np.isfinite(seq.frames[frame_idx, point_idx]).all():
+        problem = f"out-of-range {where} (|x| > {MAX_COORDINATE:g})"
+    else:
+        problem = f"non-finite {where}"
+    more = np.count_nonzero(points) - 1
+    return f"{problem}, and {more} more" if more else problem
 
 
 def torso_rotation(frame: np.ndarray, layout: KeypointLayout) -> np.ndarray:

@@ -119,33 +119,32 @@ def _check_paired(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> None:
         raise ValueError("empty corpus")
 
 
-def _joint_ids(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[list[tuple], int]:
+def _joint_ids(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> list[tuple]:
     """Per side, hypotheses first: token ids in one id space followed by the side's padding
-    id (-1, -2), pair offsets and lengths; and the id space's size."""
+    id (-1, -2), pair offsets and lengths."""
     index = {t: i for i, t in enumerate(refs.vocab)}
     joint = np.array([index.setdefault(t, len(index)) for t in hyps.vocab], np.int32)
-    sides = [(np.append(ids, np.int32(pad)), np.cumsum(c.lengths) - c.lengths, c.lengths)
-             for ids, c, pad in ((joint[hyps.ids], hyps, -1), (refs.ids, refs, -2))]
-    return sides, len(index)
+    return [(np.append(ids, np.int32(pad)), np.cumsum(c.lengths) - c.lengths, c.lengths)
+            for ids, c, pad in ((joint[hyps.ids], hyps, -1), (refs.ids, refs, -2))]
 
 
 def _clipped_counts(
     sizes: np.ndarray | list[list[int]],
-    unit_ids: Callable[[slice], tuple[np.ndarray, int, Sequence[int]]],
+    unit_ids: Callable[[slice], tuple[np.ndarray, Sequence[int]]],
     max_n: int,
 ) -> list[tuple[int, int, int]]:
     """``(clipped matches, hyp n-grams, ref n-grams)`` per order 1..max_n, pooled.
 
     ``sizes`` bounds the hypotheses' and the references' unit counts, and
-    batches are cut by it; ``unit_ids(pairs)`` gives the ids in ``range(size)``
-    of a slice of pairs' hypothesis units, then their reference units,
-    ``size``, and the unit count of each of those sentences. A hypothesis
-    n-gram matches at most as often as it occurs in the paired reference. An
-    n-gram's id is the (n-1)-gram id at its position times ``size`` plus its
-    last unit's id. Each kept n-gram gets the key ``(pair * span + gram) * 2 +
-    side``, side 0 for the hypothesis and 1 for the reference, and the keys of
-    an order and batch are sorted once: a hypothesis run followed by a run of
-    its key + 1 is a match.
+    batches are cut by it; ``unit_ids(pairs)`` gives the non-negative ids of a
+    slice of pairs' hypothesis units, then their reference units, and the unit
+    count of each of those sentences. A hypothesis n-gram matches at most as
+    often as it occurs in the paired reference. With ``size`` one more than
+    the batch's largest unit id, an n-gram's id is the (n-1)-gram id at its
+    position times ``size`` plus its last unit's id. Each kept n-gram gets the
+    key ``(pair * span + gram) * 2 + side``, side 0 for the hypothesis and 1 for
+    the reference, and the keys of an order and batch are sorted once: a
+    hypothesis run followed by a run of its key + 1 is a match.
     """
     sizes = np.array(sizes, np.int64)
     pair_off = np.concatenate(([0], np.cumsum(sizes.sum(axis=0))))
@@ -155,8 +154,8 @@ def _clipped_counts(
         stop = int(np.searchsorted(pair_off, pair_off[start] + _BATCH_UNITS, "right")) - 1
         stop = max(stop, start + 1)
         # hypothesis units of the batch's pairs, then their reference units
-        units, size, batch = unit_ids(slice(start, stop))
-        batch = np.asarray(batch, np.int64)
+        units, batch = unit_ids(slice(start, stop))
+        size, batch = int(units.max(initial=0)) + 1, np.asarray(batch, np.int64)
         split = batch[: stop - start].sum()
         pair = np.tile(np.arange(stop - start), 2).repeat(batch)
         side = np.arange(len(units)) >= split
@@ -193,12 +192,12 @@ def bleu_corpus(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> tuple[float, ..
     shorter than the reference corpus.
     """
     _check_paired(hyps, refs)
-    sides, size = _joint_ids(hyps, refs)
+    sides = _joint_ids(hyps, refs)
 
-    def token_ids(pairs: slice) -> tuple[np.ndarray, int, np.ndarray]:
+    def token_ids(pairs: slice) -> tuple[np.ndarray, np.ndarray]:
         batch = lengths[:, pairs]
         units = [ids[off[pairs.start] :][:n] for (ids, off, _), n in zip(sides, batch.sum(axis=1))]
-        return np.concatenate(units, dtype=np.int64), size, batch.ravel()
+        return np.concatenate(units, dtype=np.int64), batch.ravel()
 
     lengths = np.array([hyps.lengths, refs.lengths])
     counts = _clipped_counts(lengths, token_ids, 4)
@@ -223,12 +222,12 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     """
     _check_paired(hyps, refs)
 
-    def code_points(pairs: slice) -> tuple[np.ndarray, int, list[int]]:
+    def code_points(pairs: slice) -> tuple[np.ndarray, list[int]]:
         # each sentence is split once, here; "surrogatepass" gives a lone surrogate its
         # own code point, as len() counts it
         kept = ["".join(s.split()) for s in (*hyps.raw[pairs], *refs.raw[pairs])]
         ids = np.frombuffer("".join(kept).encode("utf-32-le", "surrogatepass"), np.uint32)
-        return ids.astype(np.int64), int(ids.max(initial=0)) + 1, list(map(len, kept))
+        return ids.astype(np.int64), list(map(len, kept))
 
     # batches are cut by raw length, which bounds the characters split() keeps
     sizes = [list(map(len, corpus.raw)) for corpus in (hyps, refs)]
@@ -247,14 +246,10 @@ def chrf(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     return 100.0 * f_sum / orders
 
 
-def _padded(ids: np.ndarray, off: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Rows ``ids[off : off + lens]``, right-padded with the padding id ``ids[-1]``."""
-    cols = np.arange(lens.max())
-    return ids[np.where(cols < lens[:, None], off[:, None] + cols, len(ids) - 1)]
-
-
-def _batches(ref_len: np.ndarray, hyp_len: np.ndarray) -> list[np.ndarray]:
-    """Pairs by (reference, hypothesis) length, in batches of ~16 * _BATCH_UNITS table cells."""
+def _batches(sides: list[tuple]):
+    """Pairs by (reference, hypothesis) length, in batches of ~16 * _BATCH_UNITS table cells:
+    each batch's pair indices, then per side its rows right-padded with the padding id."""
+    (_, _, hyp_len), (_, _, ref_len) = sides
     order = np.lexsort((hyp_len, ref_len))
     # a batch ends before the pair that would take its padded tables past the budget
     bounds, size, widest = [], 0, 0
@@ -264,7 +259,13 @@ def _batches(ref_len: np.ndarray, hyp_len: np.ndarray) -> list[np.ndarray]:
             bounds.append(k)
             size, widest = 0, h
         size += 1
-    return np.split(order, bounds)
+    for pairs in np.split(order, bounds):
+        rows = []
+        for ids, off, lens in sides:  # ids[off : off + lens], then ids[-1]
+            off, lens = off[pairs], lens[pairs]
+            cols = np.arange(lens.max())
+            rows.append(ids[np.where(cols < lens[:, None], off[:, None] + cols, len(ids) - 1)])
+        yield pairs, *rows
 
 
 def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
@@ -275,11 +276,10 @@ def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     far than ``hyp[:i]``. ``v`` is in 56-bit words; bit 56 of a word's sum carries on.
     """
     _check_paired(hyps, refs)
-    sides, _ = _joint_ids(hyps, refs)
+    sides = _joint_ids(hyps, refs)
     hyp_len, ref_len = sides[0][2], sides[1][2]
     ones = np.zeros(len(hyps), np.int64)
-    for pairs in _batches(ref_len, hyp_len):
-        hyp, ref = (_padded(ids, off[pairs], lens[pairs]) for ids, off, lens in sides)
+    for pairs, hyp, ref in _batches(sides):
         # row 0: the hypothesis positions; row j + 1: where the hypothesis holds ref[:, j]
         bits = np.concatenate(((hyp != -1)[:, None], ref[:, :, None] == hyp[:, None]), axis=1)
         packed = np.packbits(bits, axis=-1, bitorder="little")
@@ -315,12 +315,11 @@ def wer(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> WerBreakdown:
     _check_paired(hyps, refs)
     if not len(refs.ids):
         raise ValueError("empty reference corpus: no reference tokens")
-    sides, _ = _joint_ids(hyps, refs)
+    sides = _joint_ids(hyps, refs)
     (hyp_ids, hyp_off, hyp_len), (ref_ids, ref_off, ref_len) = sides
     edits = np.zeros((len(refs), 3), np.int64)
     errors = []  # positions in ref_ids of substituted or deleted tokens
-    for pairs in _batches(ref_len, hyp_len):
-        hyp, ref = (_padded(ids, off[pairs], lens[pairs]) for ids, off, lens in sides)
+    for pairs, hyp, ref in _batches(sides):
         width = hyp.shape[1] + 1
         cols = np.arange(width, dtype=np.int32)
         table = np.empty((len(pairs), ref.shape[1] + 1, width), np.int32)

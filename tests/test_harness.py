@@ -799,12 +799,23 @@ def test_cli_rank_rejects_bad_entries(tmp_path, capsys):
     for entries, message in (
         ([{"entrant": "x"}], f"{scores}: each entry needs an 'entrant' and a 'metrics' object"),
         ([{"entrant": "x", "metrics": 5}], f"{scores}: each entry needs"),
-        ([], "no score entries given"),
+        ([], f"{scores}: score file lists no entries"),
         (twice, "duplicate entrant 'x'"),
     ):
         scores.write_text(json.dumps(entries), encoding="utf-8")
         assert run_cli("rank", "--scores", str(scores)) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_rank_refuses_an_empty_score_file_beside_others(tmp_path, capsys):
+    from conftest import LEADERBOARD
+
+    scores, empty = tmp_path / "scores.json", tmp_path / "empty.json"
+    scores.write_text(json.dumps([{"entrant": "x", "metrics": LEADERBOARD["team1"]}]),
+                      encoding="utf-8")
+    empty.write_text("[]", encoding="utf-8")
+    assert run_cli("rank", "--scores", str(scores), str(empty)) == 2
+    assert capsys.readouterr().err == f"error: {empty}: score file lists no entries\n"
 
 
 @pytest.mark.parametrize("entrant", [None, ["a"], "", 5], ids=["null", "list", "empty", "number"])
@@ -1014,8 +1025,12 @@ def mutate_submission(mutation: str, root: Path, side: str, entry: int) -> Path:
     lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
     victim = manifest.parent / lines[entry].split("\t")[1]
     text = victim.read_text(encoding="utf-8")
-    if mutation == "collinear":  # neck, left and right shoulder of frame 0 on one line
+    if mutation.startswith("collinear"):  # neck, left and right shoulder of frame 0 on one line
         set_frames(victim, np.s_[0, :3], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        if mutation == "collinear-exponent":  # frame 0 spelt so that the line reader reads the file
+            header, first, rest = victim.read_text(encoding="utf-8").split("\n", 2)
+            first = " ".join(format(float(token), ".17e") for token in first.split())
+            victim.write_text(f"{header}\n{first}\n{rest}", encoding="utf-8")
     elif mutation == "past-bound":
         set_frames(victim, np.s_[-1, -1, 1], np.nextafter(MAX_COORDINATE, np.inf))
     elif mutation in ("huge-integer", "inf-integer"):
@@ -1297,6 +1312,29 @@ def test_fifo_manifest_or_history_is_refused(argv, kind, corpus_writer, tmp_path
     assert kind == "fifo" or not bad.parent.exists()
 
 
+@pytest.mark.parametrize("record", [False, True], ids=["dry-run", "record"])
+@pytest.mark.parametrize("kind", ["missing", "symlink-loop", "not-a-directory"])
+def test_history_that_cannot_be_read_is_refused(kind, record, corpus_writer, tmp_path):
+    # only a history that does not exist yet is empty: Path.exists() is False for the other two
+    ref = corpus_writer(small_corpus(), "ref")
+    history = tmp_path / "h.log"
+    if kind == "symlink-loop":
+        history.symlink_to(history)
+    elif kind == "not-a-directory":
+        (tmp_path / "plain").write_bytes(b"")
+        history = tmp_path / "plain" / "h.log"
+    argv = ["validate", "--pred", str(ref), "--ref", str(ref), "--phase", "dev",
+            "--history", str(history), *["--record"] * record]
+    reason = {"symlink-loop": "Too many levels of symbolic links",
+              "not-a-directory": "Not a directory"}.get(kind)
+    if reason is None:
+        assert run_captured(argv) == (0, "submission valid (recorded)\n" if record
+                                      else "submission valid\n", "")
+        assert history.exists() == record
+    else:
+        assert run_captured(argv) == (2, "", f"error: {history}: {reason}\n")
+
+
 def test_score_pair_calls_dtw_align_once_per_pair(corpus_writer):
     # the benchmark's tracer times DTW and counts its cells by wrapping this module attribute
     corpus = small_corpus()
@@ -1479,16 +1517,19 @@ def test_cli_text_evaluate_never_crashes_on_any_unicode(pairs, extra):
 
 @settings(max_examples=120, deadline=None)
 @given(
-    mutation=st.sampled_from(["none", "collinear", "empty-ref", "empty-both", "past-bound",
-                              "nan", "point-count", "missing-frame", "missing-file", "non-utf8",
-                              "missing-id", "unknown-id", "duplicate-id", "huge-integer",
-                              "inf-integer", "malformed-last-line"]),
+    mutation=st.sampled_from(["none", "collinear", "collinear-exponent", "empty-ref",
+                              "empty-both", "past-bound", "nan", "point-count", "missing-frame",
+                              "missing-file", "non-utf8", "missing-id", "unknown-id",
+                              "duplicate-id", "huge-integer", "inf-integer",
+                              "malformed-last-line"]),
     side=st.sampled_from(["pred", "ref"]),
     entry=st.integers(0, 2),
 )
 @example(mutation="huge-integer", side="pred", entry=1)
 @example(mutation="inf-integer", side="ref", entry=2)
 @example(mutation="malformed-last-line", side="pred", entry=0)
+@example(mutation="collinear-exponent", side="pred", entry=0)
+@example(mutation="collinear-exponent", side="ref", entry=1)
 def test_validate_and_evaluate_agree(mutation, side, entry):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

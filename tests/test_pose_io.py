@@ -336,26 +336,39 @@ def test_parse_rejects_non_finite():
 
 def test_validate_sequence_checks_point_count(tiny_layout):
     seq = PoseSequence(id="s", frames=np.zeros((1, 5, 3)), layout=tiny_layout)
-    problems = validate_sequence(seq)
-    assert problems and "point count" in problems[0]
+    assert validate_sequence(seq) == "point count 5 ≠ 6"
 
 
-def test_validate_sequence_bounds_coordinates(tiny_layout):
+@pytest.mark.parametrize("first, problem", [
+    ("non-finite", "non-finite coordinate at frame 0, keypoint 5, and 2 more"),
+    ("out-of-range", "out-of-range coordinate at frame 0, keypoint 5 (|x| > 1e+75), and 2 more"),
+])
+def test_validate_sequence_bounds_coordinates(tiny_layout, first, problem):
+    # the first bad keypoint in frame order names the problem; the bound itself is valid
     frames = np.zeros((2, 6, 3))
     frames[0, 1] = [MAX_COORDINATE, -MAX_COORDINATE, 0.0]
-    frames[0, 5, 0] = -np.inf
+    frames[0, 5, 0] = -np.inf if first == "non-finite" else -np.nextafter(MAX_COORDINATE, np.inf)
     frames[1, 2, 1] = np.nextafter(MAX_COORDINATE, np.inf)
     frames[1, 4, 2] = np.nan
-    assert validate_sequence(PoseSequence(id="s", frames=frames, layout=tiny_layout)) == [
-        "non-finite coordinate at frame 0, keypoint 5",
-        "out-of-range coordinate at frame 1, keypoint 2 (|x| > 1e+75)",
-        "non-finite coordinate at frame 1, keypoint 4",
-    ]
+    assert validate_sequence(PoseSequence(id="s", frames=frames, layout=tiny_layout)) == problem
+    frames[1] = 0.0  # one bad keypoint is named alone
+    assert validate_sequence(PoseSequence(id="s", frames=frames, layout=tiny_layout)) == (
+        problem.removesuffix(", and 2 more"))
 
 
 def test_validate_sequence_accepts_good_sequence(tiny_layout):
     seq = PoseSequence(id="s", frames=np.zeros((2, 6, 3)), layout=tiny_layout)
-    assert validate_sequence(seq) == []
+    assert validate_sequence(seq) is None
+
+
+def test_validate_sequence_holds_one_line_however_many_coordinates_are_bad():
+    # one string for the sequence, not one per bad keypoint: the scratch is about
+    # one comparison's copy of the frames
+    seq = PoseSequence(id="s", frames=np.full((1000, 178, 3), 2e75))
+    found = []
+    assert traced_peak(lambda: found.append(validate_sequence(seq))) < 1.5 * seq.frames.nbytes
+    assert found == [
+        "out-of-range coordinate at frame 0, keypoint 0 (|x| > 1e+75), and 177999 more"]
 
 
 # ------------------------------------------------- the exact reader against float()

@@ -94,7 +94,7 @@ def test_spec_rejects_non_finite_parameters(value, field):
 
 def test_spec_keeps_coordinates_in_range():
     seq = synth_sequence(SynthSpec(frame_count=8, amplitude=MAX_COORDINATE, seed=4))
-    assert validate_sequence(seq) == []
+    assert validate_sequence(seq) is None
     for amplitude in (np.nextafter(MAX_COORDINATE, np.inf), 1e200):
         with pytest.raises(ValueError, match="amplitude must be at most 1e\\+75"):
             SynthSpec(frame_count=2, amplitude=amplitude)
