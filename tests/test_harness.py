@@ -1314,7 +1314,7 @@ def test_fifo_manifest_or_history_is_refused(argv, kind, corpus_writer, tmp_path
 
 @pytest.mark.parametrize("record", [False, True], ids=["dry-run", "record"])
 @pytest.mark.parametrize("kind", ["missing", "symlink-loop", "not-a-directory"])
-def test_history_that_cannot_be_read_is_refused(kind, record, corpus_writer, tmp_path):
+def test_history_is_empty_only_when_missing(kind, record, corpus_writer, tmp_path):
     # only a history that does not exist yet is empty: Path.exists() is False for the other two
     ref = corpus_writer(small_corpus(), "ref")
     history = tmp_path / "h.log"
