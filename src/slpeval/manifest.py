@@ -45,7 +45,7 @@ def open_regular(path: Path | str, mode: str = "rb"):
     finds a regular file: a FIFO would hang a read and ``/dev/zero`` would fill memory."""
 
     def opener(name, flags):
-        fd = os.open(name, flags | os.O_NONBLOCK)
+        fd = os.open(name, flags | os.O_NONBLOCK, 0o666)  # a created file: open()'s mode
         if stat.S_ISREG(os.fstat(fd).st_mode):
             return fd
         os.close(fd)

@@ -471,6 +471,12 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     doubt[up] |= unsure | ~ok[up]
     # reading back is monotone in the digit count: the first shorter decimal that fails ends it
     while len(down):
+        # an accepted mantissa's trailing zeros drop at once: the value lies within half a unit
+        # of its last digit, so it already is the nearest, read-back decimal at that count
+        end = down
+        while len(end := end[mantissas[end] % 10 == 0]):
+            mantissas[end] //= 10
+            digits[end] -= 1
         shorter, ok, unsure = _nearest(a[down], digits[down] - 1)
         doubt[down] |= unsure
         down, shorter = down[ok & ~unsure], shorter[ok & ~unsure]

@@ -8,6 +8,7 @@ values below 1 indicate under-articulated, "regressed to the mean" motion).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,15 @@ class PoseScore:
     excluded_ids: tuple[str, ...]
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of ``shape`` on a 64-byte boundary: ``np.empty`` may
+    start one mid cache line, and then each vector store into it spans two lines."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    skip = (-raw.ctypes.data // 8) % 8
+    return raw[skip : skip + size].reshape(shape)
+
+
 def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
     """Cost and cell count of the minimum-cost monotone alignment of two sequences.
 
@@ -64,7 +74,7 @@ def dtw_align(pred: PoseSequence, ref: PoseSequence) -> tuple[float, int]:
     # the reference is stored back to front, so its frames of a diagonal read forward
     pred_xyz = np.ascontiguousarray(np.moveaxis(pred.frames, 2, 0))
     ref_xyz = np.ascontiguousarray(np.moveaxis(ref.frames[::-1], 2, 0))
-    squares = np.empty((3, _CHUNK, pred.num_keypoints))
+    squares = _aligned_empty((3, _CHUNK, pred.num_keypoints))
     # one diagonal's steps: frame distance + 1j, each adding its cell's cost and one cell
     steps = np.full(min(p, r), 1j)
     costs = steps.real

@@ -9,6 +9,7 @@ import os
 import re
 import resource
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1242,6 +1243,30 @@ def test_record_ends_a_torn_last_record(tmp_path):
     code, _, err = run_captured(argv)
     assert code == 2 and err.startswith(f"error: {history}: history line 1: expected 3")
     assert history.read_bytes() == malformed
+
+
+def test_record_creates_a_missing_log_as_open_does(tmp_path):
+    # a new log gets mode 0o666 & ~umask, not executable bits; an existing log keeps its mode
+    pair = synth_submission(tmp_path)
+    empty = tmp_path / "empty.tsv"
+    empty.touch()
+    fresh, refused, existing = tmp_path / "h.log", tmp_path / "h2.log", tmp_path / "h3.log"
+    existing.touch()
+    existing.chmod(0o600)
+    record = ["--phase", "dev", "--record", "--now", NOW.isoformat()]
+    previous = os.umask(0o022)
+    try:
+        for log in (fresh, existing):
+            assert run_captured(["validate", *pair, "--history", str(log), *record])[0] == 0
+        # the log is made before the submission is checked, so a refused one leaves it empty
+        assert run_captured(["validate", "--pred", str(empty), "--ref", pair[3],
+                             "--history", str(refused), *record])[0] != 0
+    finally:
+        os.umask(previous)
+    assert [stat.S_IMODE(log.stat().st_mode) for log in (fresh, refused, existing)] == [
+        0o644, 0o644, 0o600]
+    assert refused.read_bytes() == b""
+    assert len(load_history(fresh.read_text())) == len(load_history(existing.read_text())) == 1
 
 
 def _limit_memory() -> None:

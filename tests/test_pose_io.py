@@ -685,6 +685,22 @@ def test_writer_spells_synth_like_values_per_value(frames):
     assert_spelt_per_value(frames)
 
 
+@st.composite
+def short_decimal(draw) -> float:
+    """A value below 1 in magnitude with 1 to 14 significant digits, such as ``0.409140625``:
+    its 16-digit mantissa ends in zeros, which the writer drops before it tries fewer digits."""
+    digits = draw(st.integers(1, 14))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    sign = draw(st.sampled_from(["", "-"]))
+    return float(f"{sign}0.{'0' * draw(st.integers(0, 9))}{mantissa}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=arrays(np.float64, frame_shapes(), elements=short_decimal()))
+def test_writer_spells_short_decimals_per_value(frames):
+    assert_spelt_per_value(frames)
+
+
 def next_up(x: float) -> float:
     return float(np.nextafter(x, math.inf))
 

@@ -250,6 +250,15 @@ def test_dtw_mje_is_pinned_on_a_long_pair():
             assert float.hex(dtw_mje(pred, ref)) == "0x1.5a70a065be63cp-6"
 
 
+def test_aligned_empty_starts_on_a_cache_line():
+    for k in range(1, 201):
+        shape = (3, pose_metrics._CHUNK, k)
+        scratch = pose_metrics._aligned_empty(shape)
+        assert scratch.shape == shape and scratch.dtype == np.float64
+        assert scratch.flags.c_contiguous and scratch.flags.writeable
+        assert scratch.ctypes.data % 64 == 0, k
+
+
 def test_dtw_is_symmetric_in_cost():
     rng = np.random.Generator(np.random.PCG64(5))
     a = seq_of(rng.normal(size=(4, 2, 3)))
