@@ -27,7 +27,6 @@ from types import SimpleNamespace
 from . import __version__
 from .manifest import (
     ManifestEntry,
-    ManifestError,
     load_manifest,
     load_sentence_file,
     read_input,
@@ -171,15 +170,8 @@ def _read_bytes(path: Path, hasher, label: bytes = b"") -> bytes:
     return data
 
 
-def _read_entries(path: Path, parse, kind: str, hasher, label: bytes = b""):
-    """The manifest or sentence file at ``path``, read, digested and parsed.
-
-    A file that lists no entries is refused with its path, like a malformed one.
-    """
-    entries = read_input(path, parse, _read_bytes(path, hasher, label))
-    if not entries:
-        raise ManifestError(f"{path}: {kind} lists no entries")
-    return entries
+def _read_parsed(path: Path, parse, hasher, label: bytes = b""):
+    return read_input(path, parse, _read_bytes(path, hasher, label))
 
 
 def _load_pose(manifest_path, entry: ManifestEntry, layout: KeypointLayout, hasher, prepare,
@@ -242,7 +234,7 @@ def validate_submission(
         # the digest covers the prediction side alone, so the reference bytes are not hashed
         ("reference", ref_manifest_path, SimpleNamespace(update=lambda data: None)),
     ):
-        manifests.append(_read_entries(path, load_manifest, "manifest", role_hasher))
+        manifests.append(_read_parsed(path, load_manifest, role_hasher))
         for entry in manifests[-1].values():
             try:  # prepared as scoring prepares it: frame 0 alone, if the exact reader takes it
                 _load_pose(path, entry, layout, role_hasher, normalize_sequence, first=1)
@@ -276,6 +268,9 @@ class EvaluationConfig:
             raise ValueError(
                 "evaluation needs pose inputs (--pred and --ref) or text inputs (--hyp)"
             )
+        if not has_pose and self.pred_manifest is not None and self.backtranslate_command is None:
+            raise ValueError("a prediction manifest needs a reference manifest (--ref) "
+                             "or a back-translation command (--backtranslate)")
         if self.hypothesis_file is not None and self.backtranslate_command is not None:
             raise ValueError(
                 "pass either a hypothesis file or a back-translation command, not both"
@@ -384,15 +379,13 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     hasher = hashlib.sha256()
     layout = DEFAULT_LAYOUT
     if config.layout_file is not None:
-        layout = read_input(config.layout_file, parse_layout,
-                            _read_bytes(config.layout_file, hasher, b"layout"))
+        layout = _read_parsed(config.layout_file, parse_layout, hasher, b"layout")
     score_poses = config.pred_manifest is not None and config.ref_manifest is not None
 
     manifests: dict[str, dict[str, ManifestEntry]] = {}
     for role, path in (("pred", config.pred_manifest), ("ref", config.ref_manifest)):
         if path is not None:
-            manifests[role] = _read_entries(Path(path), load_manifest, "manifest", hasher,
-                                            role.encode())
+            manifests[role] = _read_parsed(path, load_manifest, hasher, role.encode())
     if score_poses:
         _require_same_ids(manifests["ref"], manifests["pred"],
                           f"{config.pred_manifest}: id set mismatch with reference manifest")
@@ -400,11 +393,9 @@ def evaluate(config: EvaluationConfig) -> MetricReport:
     # the sentence files are read and checked before any pose file
     hyp_map, ref_map = None, None
     if config.hypothesis_file is not None:
-        hyp_map = _read_entries(config.hypothesis_file, load_sentence_file, "sentence file",
-                                hasher, b"hyp")
+        hyp_map = _read_parsed(config.hypothesis_file, load_sentence_file, hasher, b"hyp")
     if config.reference_text is not None:
-        ref_map = _read_entries(config.reference_text, load_sentence_file, "sentence file",
-                                hasher, b"ref-text")
+        ref_map = _read_parsed(config.reference_text, load_sentence_file, hasher, b"ref-text")
     score_text = hyp_map is not None or config.backtranslate_command is not None
     if score_text:
         text_source = config.hypothesis_file or config.pred_manifest

@@ -95,6 +95,7 @@ def load_manifest(text: str) -> dict[str, ManifestEntry]:
     """Parse manifest text into an id-keyed mapping in file order.
 
     The first problem in line order is reported: a malformed line or a repeated id.
+    Text that lists no entries is refused.
     """
     entries: dict[str, ManifestEntry] = {}
     for lineno, line in enumerate(split_lines(text), start=1):
@@ -110,11 +111,13 @@ def load_manifest(text: str) -> dict[str, ManifestEntry]:
             raise ManifestError(f"duplicate id {entry_id!r} in manifest")
         sentence = parts[2] if len(parts) == 3 else None
         entries[entry_id] = ManifestEntry(entry_id, parts[1].strip(), sentence)
+    if not entries:
+        raise ManifestError("manifest lists no entries")
     return entries
 
 
 def load_sentence_file(text: str) -> dict[str, str]:
-    """Parse ``id<TAB>sentence`` lines into an insertion-ordered mapping."""
+    """Parse ``id<TAB>sentence`` lines into an insertion-ordered mapping, refusing text with none."""
     sentences: dict[str, str] = {}
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
@@ -126,4 +129,6 @@ def load_sentence_file(text: str) -> dict[str, str]:
         if sid in sentences:
             raise ManifestError(f"sentence file line {lineno}: duplicate id {sid!r}")
         sentences[sid] = parts[1]
+    if not sentences:
+        raise ManifestError("sentence file lists no entries")
     return sentences

@@ -171,6 +171,8 @@ def parse_layout(text: str) -> KeypointLayout:
             continue
         parts = stripped.split()
         key = parts[0]
+        if _LAYOUT_RANGE_KEYS.get(key, _LAYOUT_INDEX_KEYS.get(key)) in fields:
+            raise LayoutError(f"layout descriptor line {lineno}: duplicate entry {key!r}")
         try:
             if key in _LAYOUT_RANGE_KEYS:
                 if len(parts) != 3:

@@ -964,6 +964,40 @@ def test_pose_and_text_digest_follows_its_definition(argv, corpus_writer, senten
     assert report["provenance"]["input_digest"] == hasher.hexdigest()
 
 
+def test_validate_digest_follows_its_definition(corpus_writer, tmp_path, monkeypatch):
+    corpus = small_corpus()
+    ref = corpus_writer(corpus, "ref")
+    pred = corpus_writer(corpus[::-1], "pred")  # listed in the other order
+    reads = []
+
+    def recording_read(path):
+        reads.append((Path(path), read_regular(path)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(harness, "read_regular", recording_read)
+    history = tmp_path / "h.log"
+    argv = ["validate", "--pred", str(pred), "--ref", str(ref), "--phase", "dev",
+            "--history", str(history), "--record"]
+    assert run_captured(argv) == (0, "submission valid (recorded)\n", "")
+    # the prediction manifest unlabelled, then its pose files by id in its own order
+    pred_reads = [(path, data) for path, data in reads if pred.parent in path.parents]
+    pred_files = [pred.parent / "poses" / f"{seq.id}.pose" for seq, _ in corpus[::-1]]
+    assert [path for path, _ in pred_reads] == [pred, *pred_files]
+    hasher = hashlib.sha256()
+    for label, (_, data) in zip([b""] + [seq.id.encode() for seq, _ in corpus[::-1]], pred_reads):
+        hasher.update(label + len(data).to_bytes(8, "big") + data)
+    assert history.read_text(encoding="utf-8").split("\t")[-1] == hasher.hexdigest() + "\n"
+
+    # the references are read and checked but not hashed: a valid change leaves the digest
+    victim = ref.parent / "poses" / f"{corpus[0][0].id}.pose"
+    before = victim.read_bytes()
+    set_frames(victim, np.s_[-1, 140, 0], 0.25)
+    assert victim.read_bytes() != before
+    assert run_captured(argv) == (0, "submission valid (recorded)\n", "")
+    first, second = history.read_text(encoding="utf-8").splitlines()
+    assert second.split("\t")[-1] == first.split("\t")[-1] == hasher.hexdigest()
+
+
 def test_evaluate_reports_an_id_mismatch_before_a_broken_pose_file(corpus_writer, capsys):
     corpus = small_corpus()
     ref, pred = corpus_writer(corpus, "ref"), corpus_writer(corpus, "pred")
@@ -1655,8 +1689,8 @@ def test_validate_folds_each_files_coordinate_faults(corpus_writer):
         ("empty", ["evaluate", "--hyp", "{bad}", "--ref-text", "{bad}"],
          "sentence file lists no entries"),
         ("empty", ["evaluate", "--hyp", "{hyp}", "--ref", "{bad}"], "manifest lists no entries"),
-        ("empty", ["evaluate", "--pred", "{bad}", "--hyp", "{hyp}", "--ref-text", "{hyp}"],
-         "manifest lists no entries"),
+        ("empty", ["evaluate", "--pred", "{bad}", "--ref", "{ref}", "--hyp", "{hyp}",
+                   "--ref-text", "{hyp}"], "manifest lists no entries"),
     ],
 )
 def test_manifest_and_sentence_file_errors_name_the_file(kind, argv, message, corpus_writer,
@@ -1670,6 +1704,35 @@ def test_manifest_and_sentence_file_errors_name_the_file(kind, argv, message, co
     paths = {"ref": ref, "hyp": hyp, "bad": bad, "history": tmp_path / "h.log"}
     assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pred", "{bogus}", "--hyp", "{hyp}", "--ref-text", "{ref_text}"],
+    ["--pred", "{bogus}", "--hyp", "{hyp}", "--layout", "{layout}"],
+], ids=["ref-text", "layout"])
+def test_evaluate_refuses_a_prediction_manifest_without_references(argv, tmp_path, monkeypatch):
+    reads = []
+    monkeypatch.setattr(harness, "read_regular", reads.append)
+    names = {name: tmp_path / name for name in ("bogus", "hyp", "ref_text", "layout")}
+    assert run_captured(["evaluate", *(arg.format(**names) for arg in argv)]) == (
+        2, "", "error: a prediction manifest needs a reference manifest (--ref) "
+               "or a back-translation command (--backtranslate)\n")
+    assert reads == []
+
+
+#: the seven entries of a descriptor of the default layout
+DEFAULT_LAYOUT_LINES = ["body 0 8", "face 8 128", "lhand 136 21", "rhand 157 21", "neck 0",
+                        "lshoulder 1", "rshoulder 2"]
+
+
+@pytest.mark.parametrize("line", DEFAULT_LAYOUT_LINES)
+def test_evaluate_refuses_a_layout_that_repeats_an_entry(line, corpus_writer, tmp_path, capsys):
+    ref = corpus_writer(small_corpus(), "ref")
+    layout = tmp_path / "layout"
+    layout.write_text("\n".join(DEFAULT_LAYOUT_LINES + [line]) + "\n", encoding="utf-8")
+    assert run_cli("evaluate", "--pred", str(ref), "--ref", str(ref), "--layout", str(layout)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {layout}: layout descriptor line 8: duplicate entry {line.split()[0]!r}\n")
 
 
 def test_cli_synth_amplitude_keeps_coordinates_in_range(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -102,6 +103,14 @@ def test_crlf_files_parse_like_lf_files():
     assert load_sentence_file("a\tx y\r\n\r\nb\t\r\n") == {"a": "x y", "b": ""}
 
 
+@pytest.mark.parametrize("text", ["", "\n", " \t \r\n\r\n\n"])
+@pytest.mark.parametrize("parse, kind", [(load_manifest, "manifest"),
+                                         (load_sentence_file, "sentence file")])
+def test_list_file_with_no_entries_is_refused(parse, kind, text):
+    with pytest.raises(ManifestError, match=f"^{kind} lists no entries$"):
+        parse(text)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sentences=st.lists(SENTENCE_TEXT, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
 def test_sentence_file_round_trips_any_unicode_sentence(sentences, newline):
@@ -109,6 +118,11 @@ def test_sentence_file_round_trips_any_unicode_sentence(sentences, newline):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "hyp.tsv"
         path.write_bytes(text.encode("utf-8"))
+        if not sentences:  # a file that lists no entries is refused, naming it
+            with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: sentence file "
+                               "lists no entries$"):
+                read_input(path, load_sentence_file)
+            return
         loaded = read_input(path, load_sentence_file)
     # a line loses one trailing \r, so under LF a sentence's own final \r goes
     expected = [s if newline == "\r\n" else s.removesuffix("\r") for s in sentences]

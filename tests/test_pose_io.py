@@ -162,6 +162,20 @@ def test_parse_layout_malformed_line():
         parse_layout("body 0 3\nneck 0 1")
 
 
+TINY_LAYOUT_LINES = ["body 0 3", "face 3 1", "lhand 4 1", "rhand 5 1", "neck 0", "lshoulder 1",
+                     "rshoulder 2"]
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["same", "other"])
+@pytest.mark.parametrize("line", TINY_LAYOUT_LINES)
+def test_parse_layout_refuses_a_repeated_entry(line, same):
+    key, *values = line.split()
+    again = line if same else " ".join([key] + ["5"] * len(values))
+    text = "\n".join(TINY_LAYOUT_LINES + ["# the same key again", again]) + "\n"
+    with pytest.raises(LayoutError, match=f"^layout descriptor line 9: duplicate entry '{key}'$"):
+        parse_layout(text)
+
+
 def test_sequence_frames_are_read_only(tiny_layout):
     seq = PoseSequence(id="s", frames=np.zeros((2, 6, 3)), layout=tiny_layout)
     with pytest.raises(ValueError):
