@@ -196,23 +196,24 @@ def _parse_scores(text: str) -> list[ScoreVector]:
 
 
 _MATRIX_BLOCK = 64  # rows of the dominance matrix that ``rank`` renders at a time
-#: a matrix cell's text, indexed by the cell: one for the cells before a row's last, one for it
-_CELLS = np.array([b"\n        false,", b"\n        true,"], dtype="S15")
-_LAST_CELLS = np.array([b"\n        false", b"\n        true"], dtype="S15")
+#: the text of eight cells that are not a row's last, indexed by their ``np.packbits`` octet
+_OCTETS = list(map("".join, itertools.product(("\n        false,", "\n        true,"), repeat=8)))
 
 
 def _matrix_rows(matrix: np.ndarray) -> Iterable[str]:
-    """A non-empty bool matrix as ``json.dumps(..., indent=2)`` writes it two levels deep, its
-    rows as fixed-width byte grids of _MATRIX_BLOCK rows, each line led by its newline."""
-    yield "["
+    """A non-empty bool matrix as ``json.dumps(..., indent=2)`` writes it two levels deep, each
+    line led by its newline, one string per _MATRIX_BLOCK rows. A row packs into octets: all but
+    the last are eight cells of _OCTETS, and the last holds its other ``(N - 1) % 8`` cells and
+    its last cell, whose text, with the row's end, is one of 512 ``table`` entries past _OCTETS."""
+    ends = [",".join(cells.split(",")[: (len(matrix) - 1) % 8 + 1]) for cells in _OCTETS]
+    table = np.array(_OCTETS + [end + tail for tail in ("\n      ],\n      [", "\n      ]")
+                                for end in ends], dtype=object)
+    yield "[\n      ["
     for start in range(0, len(matrix), _MATRIX_BLOCK):
-        rows = matrix[start : start + _MATRIX_BLOCK].view(np.uint8)
-        grid = np.empty((len(rows), len(matrix) + 2), dtype="S15")
-        grid[:, 0], grid[:, -1] = b"\n      [", b"\n      ],"
-        np.take(_CELLS, rows[:, :-1], out=grid[:, 1:-2])  # no temporary, unlike _CELLS[rows]
-        np.take(_LAST_CELLS, rows[:, -1], out=grid[:, -2])
-        grid[len(matrix) - 1 - start :, -1] = b"\n      ]"  # the matrix's last row, if here
-        yield grid.tobytes().replace(b"\0", b"").decode("ascii")
+        codes = np.packbits(matrix[start : start + _MATRIX_BLOCK], axis=1).astype(np.uint16)
+        codes[:, -1] += 256
+        codes[len(matrix) - 1 - start :, -1] += 256  # the matrix's last row, if here
+        yield "".join(table.take(codes.ravel()).tolist())
     yield "\n    ]"
 
 

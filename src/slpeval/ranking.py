@@ -10,6 +10,7 @@ one; fronts are peeled iteratively and never favour a single metric.
 
 from __future__ import annotations
 
+import math
 import sys
 import unicodedata
 from collections import Counter
@@ -60,11 +61,14 @@ METRICS = (
 )
 CANONICAL_METRICS = tuple(metric.name for metric in METRICS)
 _CANONICAL_SET = frozenset(CANONICAL_METRICS)
+#: line boundaries (Cc, Zl, Zp) would forge table lines; a lone surrogate (Cs) has no UTF-8
+_REFUSED_CATEGORIES = frozenset({"Cc", "Cs", "Zl", "Zp"})
 
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """One entrant's nine metric values, stored as floats in ``METRICS`` order."""
+    """One entrant's nine metric values, stored as floats in ``METRICS`` order. Nine finite
+    ``float`` values pass in one pass; any others go value by value: ints pass, the rest fail."""
 
     entrant: str
     values: tuple[float, ...]
@@ -72,23 +76,23 @@ class ScoreVector:
     def __post_init__(self) -> None:
         if not isinstance(self.entrant, str) or not self.entrant:
             raise ValueError(f"entrant must be a non-empty string, got {self.entrant!r}")
-        # line boundaries (Cc, Zl, Zp) would forge table lines; a lone surrogate has no UTF-8
         categories = () if self.entrant.isprintable() else map(unicodedata.category, self.entrant)
-        if not {"Cc", "Cs", "Zl", "Zp"}.isdisjoint(categories):  # none of them is printable
+        if not _REFUSED_CATEGORIES.isdisjoint(categories):  # none of them is printable
             raise ValueError(f"entrant {self.entrant!r} holds a control, line-break or surrogate")
         if len(self.values) != len(CANONICAL_METRICS):
             raise ValueError(
                 f"score vector for {self.entrant!r} must carry one value for each of the "
                 f"canonical metrics {list(CANONICAL_METRICS)}, got {len(self.values)}"
             )
-        for name, value in zip(CANONICAL_METRICS, self.values):
-            # bool is an int, and NaN would tie with every value
-            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if isinstance(value, bool) or not finite:
-                raise ValueError(
-                    f"score vector for {self.entrant!r}: metric {name!r} must be a finite "
-                    f"number, got {value!r}"
-                )
+        if not (set(map(type, self.values)) <= {float} and all(map(math.isfinite, self.values))):
+            for name, value in zip(CANONICAL_METRICS, self.values):
+                # bool is an int, and NaN would tie with every value
+                finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+                if isinstance(value, bool) or not finite:
+                    raise ValueError(
+                        f"score vector for {self.entrant!r}: metric {name!r} must be a finite "
+                        f"number, got {value!r}"
+                    )
         object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @classmethod
@@ -100,7 +104,7 @@ class ScoreVector:
             raise ValueError(
                 f"score vector for {entrant!r}: missing {missing}, unknown {extra}"
             )
-        return cls(entrant, tuple(metrics[name] for name in CANONICAL_METRICS))
+        return cls(entrant, tuple(map(metrics.__getitem__, CANONICAL_METRICS)))
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(CANONICAL_METRICS, self.values))

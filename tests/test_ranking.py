@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
+import unicodedata
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEADERBOARD, traced_peak
-from slpeval.cli import _MATRIX_BLOCK, main
+from slpeval.cli import _MATRIX_BLOCK, _matrix_rows, main
 from slpeval.ranking import (
     CANONICAL_METRICS,
     ScoreVector,
@@ -430,3 +432,166 @@ def test_rank_out_holds_one_block_of_the_matrix_at_a_time(tmp_path):
     peak = traced_peak(rank)
     # the whole output is about 15 MB; the bool matrix and one block of its text take about 5
     assert peak < out.stat().st_size / 2, (peak, out.stat().st_size)
+
+
+def latent_items(count: int, seed: int = 3) -> list[dict]:
+    """``count`` entrants whose metrics share one latent quality, as the bench's leaderboard
+    draws them but with less noise: about a third of the matrix cells are ``true``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    quality = rng.normal(size=(count, 1)) + rng.normal(scale=0.3, size=(count, 9))
+    # each metric's value at average quality and its change per unit of quality
+    bases = [35.0, 22.0, 16.0, 12.0, 35.0, 35.0, 85.0, 0.25, 0.7]
+    slopes = [4.0, 3.0, 2.5, 2.0, 4.0, 4.0, -6.0, -0.03, 0.08]
+    return [{"entrant": f"team{i}", "metrics": dict(zip(CANONICAL_METRICS, map(float, row)))}
+            for i, row in enumerate(np.add(bases, quality * slopes))]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 16, 17, 63, 64, 65, 72, 73])
+def test_rank_output_at_every_width_remainder_equals_the_plain_encoder(count, tmp_path):
+    items = latent_items(count)
+    scores, out = tmp_path / "scores.json", tmp_path / "ranking.json"
+    scores.write_text(json.dumps(items), encoding="utf-8")
+    assert main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == oracle_rank_json(items)
+    if count >= 7:  # both cell texts are common
+        assert text.count("true") > count * count / 5 and text.count("false") > count * count / 3
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 9, 49, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 129])
+def test_matrix_rows_of_random_bool_matrices_equal_the_plain_encoder(size):
+    rng = np.random.Generator(np.random.PCG64(size))
+    matrix = rng.random((size, size)) < 0.5
+    full = (size - 1) // 8 * 8  # the cells before a row's last octet
+    if size * full >= 256 * 8:  # lay every octet value into those cells, in a random order
+        octets = rng.permutation(np.arange(size * full // 8) % 256).astype(np.uint8)
+        matrix[:, :full] = np.unpackbits(octets).reshape(size, full)
+        assert len(np.unique(np.packbits(matrix[:, :full], axis=1))) == 256
+    # two levels deep in an indented document, every line of the matrix is indented four more
+    expected = json.dumps(matrix.tolist(), indent=2).replace("\n", "\n    ")
+    assert "".join(_matrix_rows(matrix)) == expected
+
+
+# ---------------------------------------------------------------- score-vector rules
+
+
+def oracle_score_values(entrant, values) -> tuple[float, ...]:
+    """The stored values of ``ScoreVector(entrant, values)`` by the per-value rules alone, or
+    the ValueError they raise."""
+    if not isinstance(entrant, str) or not entrant:
+        raise ValueError(f"entrant must be a non-empty string, got {entrant!r}")
+    if not {"Cc", "Cs", "Zl", "Zp"}.isdisjoint(map(unicodedata.category, entrant)):
+        raise ValueError(f"entrant {entrant!r} holds a control, line-break or surrogate")
+    if len(values) != len(CANONICAL_METRICS):
+        raise ValueError(
+            f"score vector for {entrant!r} must carry one value for each of the "
+            f"canonical metrics {list(CANONICAL_METRICS)}, got {len(values)}"
+        )
+    for name, value in zip(CANONICAL_METRICS, values):
+        finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        if isinstance(value, bool) or not finite:
+            raise ValueError(
+                f"score vector for {entrant!r}: metric {name!r} must be a finite "
+                f"number, got {value!r}"
+            )
+    return tuple(map(float, values))
+
+
+#: floats at every edge: NaN, both infinities, signed zero, subnormals and the largest float
+EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308,
+                     sys.float_info.max, -sys.float_info.max]),
+)
+ANY_VALUE = st.one_of(
+    EDGE_FLOATS,
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    EDGE_FLOATS.map(np.float64),
+)
+ANY_ENTRANT = st.one_of(
+    ENTRANT_NAME,
+    st.sampled_from(["", "a\nb", "\x00", "\x85", "\u2028", "\u2029", "\ud800", "b\udfff",
+                     "\u00ad", "\u200b", None, 7, b"team"]),
+    st.text(st.characters(categories=["Cc", "Cs", "Zl", "Zp", "Cf", "Zs", "Ll"]), max_size=4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(entrant=ANY_ENTRANT,
+       values=st.one_of(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=9, max_size=9),
+                        st.lists(EDGE_FLOATS, min_size=9, max_size=9),
+                        st.lists(ANY_VALUE, min_size=9, max_size=9),
+                        st.lists(ANY_VALUE, max_size=11)))
+@example(entrant="team", values=[1.0] * 8 + [10**400])
+@example(entrant="team", values=[True] + [1.0] * 8)
+@example(entrant="team", values=[np.float64(1.0)] * 9)
+@example(entrant="\ud800", values=[1.0] * 9)
+def test_score_vector_agrees_with_the_per_value_rules(entrant, values):
+    values = tuple(values)
+    try:
+        expected = oracle_score_values(entrant, values)
+    except ValueError as err:
+        with pytest.raises(ValueError) as refused:
+            ScoreVector(entrant, values)
+        assert str(refused.value) == str(err)
+    else:
+        stored = ScoreVector(entrant, values).values
+        assert set(map(type, stored)) <= {float}
+        assert [value.hex() for value in stored] == [value.hex() for value in expected]
+
+
+# ---------------------------------------------------------------- rank on any input
+
+
+JSON_DOCUMENT = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-(10**30), 10**30) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-(10**20), 10**20))
+VALID_ENTRY = st.fixed_dictionaries(
+    {"entrant": ENTRANT_NAME,
+     "metrics": st.fixed_dictionaries(dict.fromkeys(CANONICAL_METRICS, FINITE))})
+ANY_ENTRY = st.fixed_dictionaries(
+    {"entrant": ANY_ENTRANT,
+     "metrics": st.one_of(st.fixed_dictionaries(dict.fromkeys(CANONICAL_METRICS, ANY_VALUE)),
+                          st.dictionaries(st.text(), FINITE, max_size=10))})
+#: a score file's entries: all well formed, some not, or one entry on its own
+ENTRIES = st.one_of(st.lists(VALID_ENTRY, max_size=6),
+                    st.lists(st.one_of(VALID_ENTRY, ANY_ENTRY), max_size=6), VALID_ENTRY)
+
+
+def json_bytes(doc) -> bytes:
+    """``doc`` as a score file: a lone surrogate stays (and is not UTF-8), bytes are spelled by
+    ``repr``."""
+    return json.dumps(doc, ensure_ascii=False, default=repr).encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.one_of(JSON_DOCUMENT.map(json_bytes), ENTRIES.map(json_bytes), st.binary()),
+       fmt=st.sampled_from(["structured", "table"]))
+@example(data=b"[]", fmt="structured")
+@example(data=b"[" * 100000, fmt="table")
+@example(data=b"\xff", fmt="structured")
+def test_rank_exits_0_or_2_on_any_score_file(data, fmt):
+    # any JSON, entries well formed or not, any bytes: a ranking or one error line, no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        scores = Path(tmp) / "scores.json"
+        scores.write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["rank", "--scores", str(scores), "--format", fmt])
+    assert code in (0, 2)
+    if code == 2:
+        assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+        assert stdout.getvalue() == ""
+    elif fmt == "structured":
+        doc = json.loads(stdout.getvalue())
+        entrants = doc["dominance"]["entrants"]
+        members = [name for front in doc["fronts"] for name in front]
+        assert sorted(members) == sorted(entrants) and len(set(entrants)) == len(entrants)
