@@ -129,8 +129,8 @@ def synth_sequence(
 
 def perturb(seq: PoseSequence, sigma: float, seed: int) -> PoseSequence:
     """Add seeded uniform noise in [-sigma, sigma] to every coordinate."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.Generator(np.random.PCG64(seed))
     noise = rng.uniform(-1.0, 1.0, size=seq.frames.shape)
     noise *= sigma

@@ -4,14 +4,15 @@ All metrics take id-aligned hypothesis/reference corpora and report
 percentages. A corpus encodes its tokens as dense ids once, when it is built.
 BLEU pools n-gram counts over the corpus (no smoothing: a zero precision at any
 order zeroes the score). CHRF pools character n-gram counts per order and
-averages the per-order F-scores. Both clip n-gram matches per sentence pair and
-count them in numpy, in batches of about ``_BATCH_UNITS`` units (tokens, or
-characters whose ids are their code points). ROUGE-L averages per-sentence LCS
-F1, the LCS from a bit-parallel recurrence (Hyyrö 2004). WER is token-level
-Levenshtein with unit costs and its substitution/deletion/insertion counts, so
-rates above 100 are possible for verbose hypotheses. Both run on batches of
-length-sorted pairs in numpy: ROUGE-L's recurrence over a batch's pairs at
-once, WER's tables a row at a time and traced back together.
+averages the per-order F-scores. Both clip n-gram matches per sentence pair in
+numpy batches of about ``_BATCH_UNITS`` units (tokens, or characters whose ids
+are their code points), counting every order from one sort of packed keys, and
+from more for units too wide to pack all orders in 63 bits. ROUGE-L averages
+per-sentence LCS F1, the LCS from a bit-parallel recurrence (Hyyrö 2004). WER
+is token-level Levenshtein with unit costs and its substitution/deletion/
+insertion counts, so rates above 100 are possible for verbose hypotheses. Both
+run on batches of length-sorted pairs in numpy: ROUGE-L's recurrence over a
+batch's pairs at once, WER's tables a row at a time and traced back together.
 """
 
 from __future__ import annotations
@@ -139,12 +140,19 @@ def _clipped_counts(
     batches are cut by it; ``unit_ids(pairs)`` gives the non-negative ids of a
     slice of pairs' hypothesis units, then their reference units, and the unit
     count of each of those sentences. A hypothesis n-gram matches at most as
-    often as it occurs in the paired reference. With ``size`` one more than
-    the batch's largest unit id, an n-gram's id is the (n-1)-gram id at its
-    position times ``size`` plus its last unit's id. Each kept n-gram gets the
-    key ``(pair * span + gram) * 2 + side``, side 0 for the hypothesis and 1 for
-    the reference, and the keys of an order and batch are sorted once: a
-    hypothesis run followed by a run of its key + 1 is a match.
+    often as it occurs in the paired reference.
+
+    A batch lays out its units shifted up by two, each sentence followed by its
+    side (0 hypothesis, 1 reference), so an n-gram that runs past its sentence
+    matches nothing. A round packs ``k`` units of ``bits`` bits from each
+    position into the key ``head | unit[i] ... unit[i+k-1] | side``, ``k`` as
+    large as 63 bits allow, and sorts the keys once. Order ``done + m`` reads
+    the sorted keys without their side and last ``k - m`` units: a run of ``h``
+    hypothesis and ``r`` reference equal keys adds ``min(h, r) = (h + r -
+    |h - r|) / 2`` matches. The first head is the pair, so one round takes every
+    order when ``head bits + max_n * bits <= 62`` (chrF below U+00FE, BLEU ids
+    below 4094, up to 2**14 pairs a batch). Wider units take a second round or
+    more, whose head is the dense rank of (pair, units so far) in the last sort.
     """
     sizes = np.array(sizes, np.int64)
     pair_off = np.concatenate(([0], np.cumsum(sizes.sum(axis=0))))
@@ -155,31 +163,33 @@ def _clipped_counts(
         stop = max(stop, start + 1)
         # hypothesis units of the batch's pairs, then their reference units
         units, batch = unit_ids(slice(start, stop))
-        size, batch = int(units.max(initial=0)) + 1, np.asarray(batch, np.int64)
-        split = batch[: stop - start].sum()
-        pair = np.tile(np.arange(stop - start), 2).repeat(batch)
-        side = np.arange(len(units)) >= split
-        left = np.cumsum(batch).repeat(batch) - np.arange(len(units))
-        gram, span = units, size
-        for n in range(1, max_n + 1):
-            if n > 1:
-                # renumber densely only when this order's keys could reach 2**62
-                if (stop - start) * span * size * 2 >= 2**62:
-                    grams, gram = np.unique(gram, return_inverse=True)
-                    span = len(grams)
-                gram, span = gram[:-1] * size + units[n - 1 :], span * size
-            keep = left[: len(gram)] >= n
-            keys = np.sort(((pair[: len(gram)] * span + gram) * 2 + side[: len(gram)])[keep])
-            # the lengths of the runs of equal keys, the first of run k > 0 at starts[k - 1];
-            # a reference run (odd key) right after its n-gram's hypothesis run is a match
-            starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-            runs = np.diff(np.concatenate(([0], starts, [len(keys)])))
-            first = keys[starts]
-            at = np.flatnonzero((first & 1 == 1) & (keys[starts - 1] == first - 1)) + 1
-            hyp_total = np.count_nonzero(keep[:split])
-            totals[n - 1] += (
-                np.minimum(runs[at - 1], runs[at]).sum(), hyp_total, len(keys) - hyp_total
-            )
+        batch, pairs = np.asarray(batch, np.int64), stop - start
+        # each order's hypothesis and reference n-grams
+        totals[:, 1:] += (batch - np.arange(max_n)[:, None]).clip(0).reshape(max_n, 2, -1).sum(2)
+        count = len(units) + 2 * pairs
+        side = np.arange(count) >= batch[:pairs].sum() + pairs
+        padded = np.append(side, np.zeros(max_n, np.int64))
+        padded[np.arange(len(units)) + np.arange(2 * pairs).repeat(batch)] = units + 2
+        head = np.tile(np.arange(pairs), 2).repeat(batch + 1)
+        bits, done = int(units.max(initial=0) + 2).bit_length(), 0
+        while done < max_n:
+            k = min((62 - int(head.max()).bit_length()) // bits, max_n - done)
+            key = head
+            for j in range(done, done + k):
+                key = key << bits | padded[j : j + count]
+            keys = key << 1 | side
+            order = np.argsort(keys) if done + k < max_n else None
+            keys = np.sort(keys) if order is None else keys[order]
+            # keys i and i + 1 share an n-gram of order done + m if change[i] < 2 << (k - m) * bits
+            change, balance = keys[1:] ^ keys[:-1], np.cumsum(1 - 2 * (keys & 1))
+            for m in range(1, k + 1):
+                last = np.append(np.flatnonzero(change >= 2 << (k - m) * bits), count - 1)
+                h_minus_r = np.diff(balance[last], prepend=0)
+                totals[done + m - 1, 0] += (count - np.abs(h_minus_r).sum()) // 2
+            done += k
+            if done < max_n:
+                head = np.empty(count, np.int64)
+                head[order] = np.concatenate(([0], np.cumsum(change >= 2)))
         start = stop
     return [tuple(int(v) for v in row) for row in totals]
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,14 @@ def test_perturb_rejects_negative_sigma():
     seq = synth_sequence(SynthSpec(frame_count=2, seed=0))
     with pytest.raises(ValueError, match="sigma"):
         perturb(seq, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+def test_perturb_rejects_a_sigma_that_is_not_finite_and_non_negative(sigma):
+    seq = synth_sequence(SynthSpec(frame_count=3, seed=0))
+    with pytest.raises(ValueError, match=re.escape(f"sigma must be finite and >= 0, got {sigma}")):
+        perturb(seq, sigma, seed=0)
+    assert perturb(seq, 0.0, seed=0) == seq
 
 
 def test_static_baseline_never_moves():

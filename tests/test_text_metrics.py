@@ -671,6 +671,80 @@ def test_bleu_keeps_apart_four_grams_whose_ids_agree_modulo_2_to_the_64():
         assert bleu_corpus(h, r) == reference_bleu_corpus(h, r)
 
 
+def _drawn_pairs(alphabet: str, pairs: int, seed: int) -> tuple[list[str], ...]:
+    """A blank pair, a pair of a one-character hypothesis and a blank reference, and
+    ``pairs`` references of up to 24 characters from ``alphabet`` whose hypotheses redraw
+    about a fifth of their characters, so that n-grams of every order match."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    refs = [rng.choice(list(alphabet), int(rng.integers(0, 25))) for _ in range(pairs)]
+    hyps = [np.where(rng.random(len(ref)) < 0.8, ref, rng.choice(list(alphabet), len(ref)))
+            for ref in refs]
+    spaced = [" ".join("".join(chars[k : k + 3]) for k in range(0, len(chars), 3))
+              for chars in (*hyps, *refs)]
+    return ["", "x", *spaced[:pairs]], ["", "", *spaced[pairs:]]
+
+
+#: the 16,383 tokens of a reference whose ids take 15 bits, as do some of those
+#: that four short pairs after it hold
+_WIDE_IDS = " ".join(f"w{i}" for i in range(16_383))
+_HIGH_IDS = (["w16382 w0 w16382 w16381", "", "w16382", "w16380 w16381 w16382 w16380 w16381"],
+             ["w16382 w16381 w16382", "w1", "", "w16380 w16381 w16382 w16380"])
+#: Greek up to U+03FD: shifted up by two, the characters take 10 bits
+_GREEK = (["αβγδεζη Ͻ", "", "αβ", "βγδεζηθ αβγ"], ["αβγδεζ ηϽ", "α", "", "γδεζηθ αβγδ"])
+
+#: corpora with blank sentences and sentences shorter than the orders, and the rounds
+#: that chrF, then BLEU take in each batch at the default batch size: with ``h`` head
+#: bits, ``b`` bits a unit and ``k`` units a round, the key is ``h + k * b + 1`` bits
+ROUND_CORPORA = [
+    # "the" is token 0: "mat the" must not match the reference's "mat" and its end
+    pytest.param(["the cat sat on the mat the", "", "a b", "x", "ab ab ab abab c"],
+                 ["the cat is on the mat", "a", "", "x y z", "ab abab ab"], [1], [1], id="ascii"),
+    # four pairs: 2 + 6 * 10 + 1 = 63 bits, one round; five: 3 + 5 * 10 + 1, then a second
+    pytest.param(*_GREEK, [1], [1], id="greek-63-bits"),
+    pytest.param(_GREEK[0] + ["ϽϽϽ"], _GREEK[1] + ["ϽϽ"], [2], [1], id="greek-one-pair-more"),
+    # the wide reference is a batch of its own; then 2 + 4 * 15 + 1 = 63 bits
+    pytest.param(["w0 w2 w1", *_HIGH_IDS[0]], [_WIDE_IDS, *_HIGH_IDS[1]], [1, 1], [1, 1],
+                 id="bleu-63-bits"),
+    # 42 pairs of one batch: 6 + 3 * 15 + 1 bits, then a dense rank of 10 bits + 3 * 15 + 1
+    pytest.param(*_drawn_pairs("".join(map(chr, range(0x4E00, 0x4E28))) + "翽", 40, 1),
+                 [2], [1], id="cjk"),
+    # 21 bits a unit: 6 + 2 * 21 + 1 bits, then two rounds of 10 + 2 * 21 + 1
+    pytest.param(*_drawn_pairs("".join(map(chr, range(0x10FFF0, 0x110000))), 40, 2),
+                 [3], [1], id="u10ffff"),
+]
+
+
+def _rounds(metric, h: TokenizedCorpus, r: TokenizedCorpus) -> list[int]:
+    """The rounds of each batch that ``metric`` counts: every round that leaves orders
+    over argsorts its keys, and a batch's last round sorts them."""
+    calls = []
+
+    def logged(name, sort):
+        return lambda keys: calls.append(name) or sort(keys)
+
+    with mock.patch.object(np, "argsort", logged("a", np.argsort)), \
+            mock.patch.object(np, "sort", logged("s", np.sort)):
+        metric(h, r)
+    return [len(more) + 1 for more in "".join(calls).split("s")[:-1]]
+
+
+@pytest.mark.parametrize(("hyps", "refs", "chrf_rounds", "bleu_rounds"), ROUND_CORPORA)
+def test_round_corpora_take_the_rounds_they_are_named_for(hyps, refs, chrf_rounds, bleu_rounds):
+    h, r = corpus(*hyps), corpus(*refs)
+    assert _rounds(chrf, h, r) == chrf_rounds
+    assert _rounds(bleu_corpus, h, r) == bleu_rounds
+
+
+@pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 1, 7, 10**6])
+@pytest.mark.parametrize(("hyps", "refs", "chrf_rounds", "bleu_rounds"), ROUND_CORPORA)
+def test_text_metrics_match_reference_over_one_two_and_more_rounds(
+    batch_units, hyps, refs, chrf_rounds, bleu_rounds
+):
+    # 1 gives every pair, blank ones too, a batch of its own; 10**6 puts all pairs in one
+    with mock.patch.object(text_metrics, "_BATCH_UNITS", batch_units):
+        assert_matches_reference(hyps, refs)
+
+
 def test_chrf_memory_is_bounded_by_a_batch():
     # 20,000 pairs, about 3 M characters: ids for the whole corpus would take 8 bytes a
     # character, while one batch's arrays and the per-sentence lengths stay far below that
