@@ -271,6 +271,13 @@ class EvaluationConfig:
         if not has_pose and self.pred_manifest is not None and self.backtranslate_command is None:
             raise ValueError("a prediction manifest needs a reference manifest (--ref) "
                              "or a back-translation command (--backtranslate)")
+        # an input that would be read and hashed but feed no score is refused
+        if self.reference_text is not None and not has_text:
+            raise ValueError("reference sentences (--ref-text) need hypotheses (--hyp or --backtranslate)")
+        if self.layout_file is not None and self.pred_manifest is None:
+            raise ValueError("a keypoint layout (--layout) needs pose files (--pred)")
+        if not self.normalize and not has_pose:
+            raise ValueError("--no-normalize needs pose inputs (--pred and --ref)")
         if self.hypothesis_file is not None and self.backtranslate_command is not None:
             raise ValueError(
                 "pass either a hypothesis file or a back-translation command, not both"

@@ -152,8 +152,10 @@ _MANTISSA_LIMIT = 10**18
 _BOUNDED_DIGITS = 75
 _NEWLINE, _SPACE, _MINUS, _DOT, _DIGIT_0, _DIGIT_9 = b"\n -.09"
 
-_LAYOUT_RANGE_KEYS = {"body": "body", "face": "face", "lhand": "left_hand", "rhand": "right_hand"}
-_LAYOUT_INDEX_KEYS = {"neck": "neck", "lshoulder": "left_shoulder", "rshoulder": "right_shoulder"}
+#: descriptor key: (layout field, how many integers follow: a start and a length, or an index)
+_LAYOUT_KEYS = {"body": ("body", 2), "face": ("face", 2), "lhand": ("left_hand", 2),
+                "rhand": ("right_hand", 2), "neck": ("neck", 1), "lshoulder": ("left_shoulder", 1),
+                "rshoulder": ("right_shoulder", 1)}
 
 
 def parse_layout(text: str) -> KeypointLayout:
@@ -171,25 +173,19 @@ def parse_layout(text: str) -> KeypointLayout:
             continue
         parts = stripped.split()
         key = parts[0]
-        if _LAYOUT_RANGE_KEYS.get(key, _LAYOUT_INDEX_KEYS.get(key)) in fields:
+        name, count = _LAYOUT_KEYS.get(key, (None, 0))
+        if name in fields:
             raise LayoutError(f"layout descriptor line {lineno}: duplicate entry {key!r}")
         try:
-            if key in _LAYOUT_RANGE_KEYS:
-                if len(parts) != 3:
-                    raise ValueError
-                start, length = int(parts[1]), int(parts[2])
-                if length > sys.maxsize:  # no range that long has a len()
-                    raise ValueError
-                fields[_LAYOUT_RANGE_KEYS[key]] = range(start, start + length)
-            elif key in _LAYOUT_INDEX_KEYS:
-                if len(parts) != 2:
-                    raise ValueError
-                fields[_LAYOUT_INDEX_KEYS[key]] = int(parts[1])
-            else:
+            if name is None or len(parts) != count + 1:
                 raise ValueError
+            start, *length = map(int, parts[1:])
+            if length and length[0] > sys.maxsize:  # no range that long has a len()
+                raise ValueError
+            fields[name] = range(start, start + length[0]) if length else start
         except ValueError:
             raise LayoutError(f"layout descriptor line {lineno}: malformed entry {stripped!r}") from None
-    missing = ({*_LAYOUT_RANGE_KEYS.values(), *_LAYOUT_INDEX_KEYS.values()}) - fields.keys()
+    missing = {name for name, _ in _LAYOUT_KEYS.values()} - fields.keys()
     if missing:
         raise LayoutError(f"layout descriptor missing entries: {', '.join(sorted(missing))}")
     return KeypointLayout(**fields)  # type: ignore[arg-type]

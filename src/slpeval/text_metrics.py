@@ -8,11 +8,11 @@ averages the per-order F-scores. Both clip n-gram matches per sentence pair in
 numpy batches of about ``_BATCH_UNITS`` units (tokens, or characters whose ids
 are their code points), counting every order from one sort of packed keys, and
 from more for units too wide to pack all orders in 63 bits. ROUGE-L averages
-per-sentence LCS F1, the LCS from a bit-parallel recurrence (Hyyrö 2004). WER
-is token-level Levenshtein with unit costs and its substitution/deletion/
-insertion counts, so rates above 100 are possible for verbose hypotheses. Both
-run on batches of length-sorted pairs in numpy: ROUGE-L's recurrence over a
-batch's pairs at once, WER's tables a row at a time and traced back together.
+per-sentence LCS F1. WER is token-level Levenshtein with unit costs and its
+substitution/deletion/insertion counts, so rates above 100 are possible for
+verbose hypotheses. Both run on batches of length-sorted pairs in numpy, a
+reference token at a time with a running extremum: ROUGE-L keeps one LCS column
+a pair, WER whole tables, traced back together.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 #: sentence pairs are counted in batches of about this many units
 _BATCH_UNITS = 16384
-#: one bits per byte value, for ROUGE-L
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -56,26 +54,26 @@ def tokenize(sentence: str) -> list[str]:
 @dataclass(frozen=True)
 class TokenizedCorpus:
     raw: tuple[str, ...]
-    sentences: tuple[tuple[str, ...], ...]
-    #: distinct tokens in first-occurrence order, each token's index into them, sentence lengths
+    #: each sentence's tokens, distinct tokens in first-occurrence order, each token's index
+    #: into them, sentence lengths
+    sentences: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
     vocab: tuple[str, ...] = field(init=False, compare=False, repr=False)
     ids: np.ndarray = field(init=False, compare=False, repr=False)
     lengths: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        sentences = tuple(tuple(tokenize(s)) for s in self.raw)
         index: defaultdict[str, int] = defaultdict()
         index.default_factory = index.__len__  # a new token gets the next id
-        lengths = np.fromiter(map(len, self.sentences), np.int64, len(self.sentences))
-        ids = np.fromiter(map(index.__getitem__, chain(*self.sentences)), np.int32, lengths.sum())
-        for name, value in (("vocab", tuple(index)), ("ids", ids), ("lengths", lengths)):
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        ids = np.fromiter(map(index.__getitem__, chain(*sentences)), np.int32, lengths.sum())
+        for name, value in (("sentences", sentences), ("vocab", tuple(index)), ("ids", ids),
+                            ("lengths", lengths)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def from_raw(cls, sentences: list[str]) -> "TokenizedCorpus":
-        return cls(
-            raw=tuple(sentences),
-            sentences=tuple(tuple(tokenize(s)) for s in sentences),
-        )
+        return cls(tuple(sentences))
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -281,31 +279,23 @@ def _batches(sides: list[tuple]):
 def rouge_l(hyps: TokenizedCorpus, refs: TokenizedCorpus) -> float:
     """Sentence-level LCS F1 over tokens, arithmetic-averaged, as a percentage.
 
-    Hyyrö's (2004) bit-parallel LCS runs on whole batches (cut as in ``wer``): bit i
-    of ``v`` is 0 when ``hyp[: i + 1]`` has a longer LCS with the reference seen so
-    far than ``hyp[:i]``. ``v`` is in 56-bit words; bit 56 of a word's sum carries on.
+    The LCS table of a batch's pairs (cut as in ``wer``) is kept one column a pair,
+    ``col[i]`` the LCS of ``hyp[:i]`` with the reference seen so far. Each reference
+    token sets ``col[i]`` to the larger of itself and ``col[i - 1] + (token == hyp[i - 1])``,
+    then takes the running maximum down the column.
     """
     _check_paired(hyps, refs)
     sides = _joint_ids(hyps, refs)
     hyp_len, ref_len = sides[0][2], sides[1][2]
-    ones = np.zeros(len(hyps), np.int64)
+    lcs = np.zeros(len(hyps), np.int64)
     for pairs, hyp, ref in _batches(sides):
-        # row 0: the hypothesis positions; row j + 1: where the hypothesis holds ref[:, j]
-        bits = np.concatenate(((hyp != -1)[:, None], ref[:, :, None] == hyp[:, None]), axis=1)
-        packed = np.packbits(bits, axis=-1, bitorder="little")
-        words = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // 7) * 8), np.uint8)
-        words[..., np.arange(packed.shape[-1]) * 8 // 7] = packed  # 7 bytes and a 0 a word
-        full, masks = words.view("<u8")[:, 0], words.view("<u8")[:, 1:]
-        v = full.copy()
-        for j in range(ref.shape[1]):
-            carry = 0
-            for k in range(v.shape[1]):  # u is a subset of v, so v - u is v ^ u, with no borrow
-                u = v[:, k] & masks[:, j, k]
-                total = v[:, k] + u + carry
-                carry = total >> 56
-                v[:, k] = (total | v[:, k] ^ u) & full[:, k]
-        ones[pairs] = _POPCOUNT[v.view(np.uint8)].sum(axis=1, dtype=np.int64)
-    precision, recall = (np.divide(hyp_len - ones, n, out=np.zeros(len(n)), where=n > 0)
+        hyp = hyp.T  # (H, B): the padding ids -1 and -2 never match
+        col = np.zeros((hyp.shape[0] + 1, len(pairs)), np.int32)
+        for token in ref.T:
+            np.maximum(col[:-1] + (token == hyp), col[1:], out=col[1:])
+            np.maximum.accumulate(col, axis=0, out=col)
+        lcs[pairs] = col[-1]
+    precision, recall = (np.divide(lcs, n, out=np.zeros(len(n)), where=n > 0)
                          for n in (hyp_len, ref_len))
     f = ((hyp_len == 0) & (ref_len == 0)).astype(float)  # a pair of empty sentences scores 1
     np.divide(2.0 * precision * recall, precision + recall, out=f, where=precision + recall > 0)

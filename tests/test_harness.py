@@ -1706,17 +1706,28 @@ def test_manifest_and_sentence_file_errors_name_the_file(kind, argv, message, co
     assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--pred", "{bogus}", "--hyp", "{hyp}", "--ref-text", "{ref_text}"],
-    ["--pred", "{bogus}", "--hyp", "{hyp}", "--layout", "{layout}"],
-], ids=["ref-text", "layout"])
-def test_evaluate_refuses_a_prediction_manifest_without_references(argv, tmp_path, monkeypatch):
+PREDICTION_WITHOUT_REFERENCES = ("a prediction manifest needs a reference manifest (--ref) "
+                                 "or a back-translation command (--backtranslate)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pred", "{bogus}", "--hyp", "{hyp}", "--ref-text", "{ref_text}"],
+     PREDICTION_WITHOUT_REFERENCES),
+    (["--pred", "{bogus}", "--hyp", "{hyp}", "--layout", "{layout}"], PREDICTION_WITHOUT_REFERENCES),
+    (["--pred", "{bogus}", "--ref", "{bogus}", "--ref-text", "{ref_text}"],
+     "reference sentences (--ref-text) need hypotheses (--hyp or --backtranslate)"),
+    (["--hyp", "{hyp}", "--ref-text", "{ref_text}", "--layout", "{layout}"],
+     "a keypoint layout (--layout) needs pose files (--pred)"),
+    (["--hyp", "{hyp}", "--ref-text", "{ref_text}", "--no-normalize"],
+     "--no-normalize needs pose inputs (--pred and --ref)"),
+], ids=["ref-text", "layout", "ref-text-without-hypotheses", "layout-without-poses",
+        "no-normalize-without-poses"])
+def test_evaluate_refuses_an_input_that_feeds_no_score(argv, message, tmp_path, monkeypatch):
     reads = []
     monkeypatch.setattr(harness, "read_regular", reads.append)
     names = {name: tmp_path / name for name in ("bogus", "hyp", "ref_text", "layout")}
     assert run_captured(["evaluate", *(arg.format(**names) for arg in argv)]) == (
-        2, "", "error: a prediction manifest needs a reference manifest (--ref) "
-               "or a back-translation command (--backtranslate)\n")
+        2, "", f"error: {message}\n")
     assert reads == []
 
 

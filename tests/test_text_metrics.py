@@ -49,6 +49,18 @@ def test_tokenize_lowercases_and_splits():
     assert tokenize("") == []
 
 
+@given(raw=st.lists(st.text(alphabet="aB \tä\U0001F600", max_size=8), max_size=4))
+@example(raw=["a b"])
+def test_a_corpus_takes_its_text_once(raw):
+    # the tokens are derived from the raw text, so they cannot disagree with it
+    built = TokenizedCorpus(tuple(raw))
+    assert built == TokenizedCorpus.from_raw(raw)
+    assert built.sentences == tuple(tuple(tokenize(s)) for s in raw)
+    assert len(built) == len(raw)
+    with pytest.raises(TypeError):
+        TokenizedCorpus(("a b",), (("x",),))
+
+
 # ---------------------------------------------------------------- bleu
 
 
@@ -555,8 +567,8 @@ def test_text_metrics_match_reference_exactly(batch_units, corpora):
 def test_text_scores_bundles_all_metrics(corpora):
     h, r = corpus(*corpora[0]), corpus(*corpora[1])
     # corpora of the same sentences are equal however they are built: the encoding is not compared
-    assert h == corpus(*corpora[0]) == TokenizedCorpus(h.raw, h.sentences)
-    assert hash(r) == hash(TokenizedCorpus(r.raw, r.sentences))
+    assert h == corpus(*corpora[0]) == TokenizedCorpus(h.raw)
+    assert hash(r) == hash(TokenizedCorpus(r.raw))
     parts = [_outcome(metric, h, r) for metric in (bleu_corpus, chrf, rouge_l, wer)]
     failed = [part for part in parts if part.startswith("ValueError")]
     if failed:  # the first metric that fails fails the bundle
@@ -575,13 +587,15 @@ lcs_tokens = st.lists(st.sampled_from("abcä\U0001F600"), max_size=130).map(" ".
 @pytest.mark.parametrize("batch_units", [DEFAULT_BATCH, 1, 7])
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(lcs_tokens, lcs_tokens), min_size=1, max_size=3))
-# hypotheses that end just before, on and after the first and second 56-bit word boundary
+# hypotheses of 55 to 57 and of 112 and 113 tokens, a few shorter than their references
 @example(pairs=[(" ".join("abc"[k % 3] for k in range(n)), "c b a " * 20) for n in (55, 56, 57)])
 @example(pairs=[(" ".join("ab"[k % 5 == 0] for k in range(n)), "a b " * 60) for n in (112, 113)])
 # every token equal: each reference token extends the LCS until the hypothesis runs out
 @example(pairs=[("a " * 113, "a " * 120), ("a " * 57, "a " * 30)])
 @example(pairs=[("", "a b"), ("a b", ""), ("", "")])
 @example(pairs=[("", "a " * 130), ("a " * 130, "")])
+# one long pair, where the column a pair is longest
+@example(pairs=[(" ".join("abcä"[k * k % 7 % 4] for k in range(300)), "a c b ä " * 75)])
 def test_lcs_length_matches_reference(batch_units, pairs):
     # ROUGE-L's F1 of each one-pair corpus, and of all of them as one corpus,
     # against the one from the quadratic LCS table
